@@ -46,6 +46,8 @@ g2 = IntMatrix.from_rows([[1, 0], [0, -1]])
 cert = finite_orbit_sublattice(MatGroupGens(2, (g1, g2), ("g1", "g2")))
 print(f"generators g1={g1}, g2={g2}")
 print(f"finite-orbit sublattice F = span{cert.lattice.basis}")
+print(f"closed basis orbits certifying a finite induced action: "
+      f"{[sorted(orbit) for orbit in cert.basis_orbits]}")
 print(f"induced action on F is finite of order {cert.induced_finiteness.order}")
 for word, matrix in cert.infinite_order_witnesses:
     print(f"discovery step: word {word} acted with infinite order ({matrix})")

@@ -45,12 +45,14 @@ from .intlinalg import (
     lattice_intersect,
 )
 from .matgroup import (
+    BasisOrbits,
     FiniteOrbit,
     FiniteOrbitCert,
     GroupFinite,
     GroupInfinite,
     MatGroupGens,
     OrbitCapExceeded,
+    basis_orbits,
     finite_orbit_sublattice,
     group_is_finite,
     matrix_order,

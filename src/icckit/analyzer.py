@@ -31,15 +31,12 @@ from .catalog import (
     group_is_trivial,
 )
 from .extension import AbelianKernel, ExtensionSpec, UnsupportedExtensionError
-from .intlinalg import IntMatrix, Vec
+from .intlinalg import IntMatrix, Lattice, Vec
 from .matgroup import (
-    FiniteOrbit,
     FiniteOrbitCert,
-    GroupFinite,
     MatGroupGens,
     finite_orbit_sublattice,
     matrix_order,
-    orbit_bfs,
 )
 from .words import FreeAut, Word, is_inner
 
@@ -382,9 +379,9 @@ def _lift_witness(res: InjectivityWitness, quotient: GroupDesc) -> QuotientLiftW
     )
 
 
-def _canonical_short_vector(basis) -> Vec:
-    """The earliest HNF basis row of minimal max-norm."""
-    return min(enumerate(basis), key=lambda iv: (max(abs(x) for x in iv[1]), iv[0]))[1]
+def _canonical_short_index(basis) -> int:
+    """The index of the earliest HNF basis row of minimal max-norm."""
+    return min(range(len(basis)), key=lambda i: (max(abs(x) for x in basis[i]), i))
 
 
 def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -> Report:
@@ -420,13 +417,12 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         return Report("not_icc", "theorem-1(i)", witness, None, tuple(conditions))
 
     if spec.actions:
-        gens = MatGroupGens(kernel.rank, spec.actions, generator_labels(spec.quotient))
-        cert = finite_orbit_sublattice(gens)
-    else:
-        gens = None
-        cert = FiniteOrbitCert(
-            _full_lattice(kernel.rank), GroupFinite(1)
+        cert = finite_orbit_sublattice(
+            MatGroupGens(kernel.rank, spec.actions, generator_labels(spec.quotient))
         )
+    else:
+        full = Lattice.full(kernel.rank)
+        cert = FiniteOrbitCert(full, tuple(frozenset({b}) for b in full.basis))
 
     if cert.lattice.rank > 0:
         conditions.append(
@@ -454,14 +450,9 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
                     )
                 )
                 return Report("not_icc", "theorem-1(ii)", witness, None, tuple(conditions))
-        v = _canonical_short_vector(cert.lattice.basis)
-        if gens is not None:
-            orbit = orbit_bfs(gens, v, cap=cert.induced_finiteness.order + 1)
-            assert isinstance(orbit, FiniteOrbit)
-            vectors = tuple(sorted(orbit.vectors))
-        else:
-            vectors = (v,)
-        witness = KernelVectorWitness(v, vectors)
+        # The witness is a basis row of F, so the certificate holds its orbit.
+        i = _canonical_short_index(cert.lattice.basis)
+        witness = KernelVectorWitness(cert.lattice.basis[i], tuple(sorted(cert.basis_orbits[i])))
         return Report("not_icc", "theorem-1(i)", witness, None, tuple(conditions))
 
     conditions.append(
@@ -510,12 +501,6 @@ def thm3_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         return Report("not_icc", "theorem-3(ii)", witness, None, tuple(conditions))
     conditions.append(ConditionResult("fc-outer-injective", "unknown", res.tag))
     return Report("unknown", "theorem-3(ii)", None, res.tag, tuple(conditions))
-
-
-def _full_lattice(rank: int):
-    from .intlinalg import Lattice
-
-    return Lattice.full(rank)
 
 
 def _first_fc_generator(quotient: GroupDesc) -> tuple[GenWord, str] | None:

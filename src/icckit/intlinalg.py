@@ -32,13 +32,21 @@ class IntMatrix:
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _trusted(cls, rows: tuple[Vec, ...]) -> "IntMatrix":
+        """Wrap rows built here from ints, skipping the coercion and the
+        ragged-row check of the public constructor."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
         return IntMatrix(tuple(tuple(r) for r in rows))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "IntMatrix":
@@ -60,7 +68,7 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         cols = tuple(zip(*other.rows)) if other.rows else ()
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.rows
@@ -68,16 +76,16 @@ class IntMatrix:
         )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
+        return IntMatrix._trusted(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
+        return IntMatrix._trusted(tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return IntMatrix._trusted(tuple(tuple(-a for a in r) for r in self.rows))
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * a for a in r) for r in self.rows))
+        return IntMatrix._trusted(tuple(tuple(c * a for a in r) for r in self.rows))
 
     def apply(self, v: Vec) -> Vec:
         """The action v |-> M v^T, returned as a row tuple."""
@@ -86,21 +94,22 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)) if self.rows else ())
+        return IntMatrix._trusted(tuple(zip(*self.rows)) if self.rows else ())
 
     def __pow__(self, n: int) -> "IntMatrix":
         if not self.is_square:
             raise ValueError("power of a non-square matrix")
         if n < 0:
             return self.inverse_unimodular() ** (-n)
-        result = IntMatrix.identity(self.nrows)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             n >>= 1
-        return result
+            if n:
+                base = base @ base
+        return IntMatrix.identity(self.nrows) if result is None else result
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.nrows))

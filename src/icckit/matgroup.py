@@ -1,9 +1,26 @@
 """Algorithms on finitely generated subgroups of GL(r, Z).
 
-Element order via cyclotomic spectrum, group finiteness with explicit
-certificates through the mod-3 congruence reduction (whose kernel is
-torsion-free), and the finite-orbit sublattice: the set of vectors of
+Element order via cyclotomic spectrum; group finiteness with explicit
+certificates; and the finite-orbit sublattice: the set of vectors of
 Z^r whose orbit under the generated group is finite.
+
+Finiteness certificates come in three kinds.  :class:`GroupFinite` is
+the exact order: the mod-3 image (a finite group) lifts injectively,
+since the mod-3 congruence kernel is torsion-free.  :class:`GroupInfinite`
+is a nontrivial element of that kernel, of infinite order.
+:class:`BasisOrbits` is the closed orbit of every basis vector; a group
+acting faithfully has at most the product of their sizes as its order.
+For S_n permuting a basis that is n orbits of n vectors, where the mod-3
+image has n! elements.
+
+:func:`basis_orbits` runs the orbit closure in lockstep with the
+Schreier search of :func:`group_is_finite`, one step of each at a time,
+so it ends without a cap: a finite group's orbits have at most |G|
+vectors and close before the search has expanded its |G| image
+elements; an infinite group keeps an orbit open, and the search, which
+always ends, returns the same witness as :func:`group_is_finite`.  The
+finite-orbit sublattice keeps the basis orbits as its certificate and
+computes the exact order of the induced action only when it is read.
 
 Words over a generating set are tuples of signed 1-based indices; ``+i``
 is the i-th generator, ``-i`` its inverse.
@@ -13,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .intlinalg import (
     IntMatrix,
@@ -114,8 +132,56 @@ class GroupInfinite:
 FinitenessCert = GroupFinite | GroupInfinite
 
 
+@dataclass(frozen=True)
+class BasisOrbits:
+    """Finiteness certificate: the orbit of each standard basis vector,
+    closed under every generator and its inverse.
+
+    A group element is determined by where it sends the basis, so a
+    group acting faithfully has at most the product of the orbit sizes
+    as its order.
+    """
+
+    orbits: tuple[frozenset[Vec], ...]
+
+
 def _inverse_word(word: GenWord) -> GenWord:
     return tuple(-l for l in reversed(word))
+
+
+def _schreier_search(rank: int, pairs):
+    """The mod-3 image enumeration, one step per expanded image element.
+
+    ``pairs`` holds (generator, inverse).  Yields None after each
+    expansion that settles nothing, then the certificate: the first
+    nontrivial Schreier element as a :class:`GroupInfinite`, or
+    :class:`GroupFinite` once the image closes.
+    """
+    identity = IntMatrix.identity(rank)
+    step: list[tuple[int, IntMatrix]] = []
+    for i, (g, ginv) in enumerate(pairs):
+        step.append((i + 1, g))
+        step.append((-(i + 1), ginv))
+
+    # rep: image key -> (preimage matrix, word)
+    rep = {identity.mod(3): (identity, ())}
+    queue = deque([identity.mod(3)])
+    while queue:
+        key = queue.popleft()
+        mat, word = rep[key]
+        for letter, g in step:
+            prod = g @ mat
+            prod_key = prod.mod(3)
+            known = rep.get(prod_key)
+            if known is None:
+                rep[prod_key] = (prod, (letter,) + word)
+                queue.append(prod_key)
+            elif prod != known[0]:  # the Schreier element prod * known^-1 is not 1
+                witness_word = (letter,) + word + _inverse_word(known[1])
+                yield GroupInfinite(witness_word, prod @ known[0].inverse_unimodular())
+                return
+        yield None
+    yield GroupFinite(len(rep))
 
 
 def group_is_finite(group: MatGroupGens) -> FinitenessCert:
@@ -128,33 +194,51 @@ def group_is_finite(group: MatGroupGens) -> FinitenessCert:
     group is finite of the image's order, otherwise the first nontrivial
     one is an infinite-order witness.
     """
-    r = group.rank
-    identity = IntMatrix.identity(r)
-    step: list[tuple[int, IntMatrix, IntMatrix]] = []
-    for i, g in enumerate(group.gens):
-        ginv = g.inverse_unimodular()
-        step.append((i + 1, g, ginv))
-        step.append((-(i + 1), ginv, g))
+    pairs = [(g, g.inverse_unimodular()) for g in group.gens]
+    return next(c for c in _schreier_search(group.rank, pairs) if c is not None)
 
-    # rep: image key -> (preimage matrix, its inverse, word)
-    rep = {identity.mod(3): (identity, identity, ())}
-    queue = deque([identity.mod(3)])
-    while queue:
-        key = queue.popleft()
-        mat, matinv, word = rep[key]
-        for letter, g, ginv in step:
-            prod = g @ mat
-            prod_key = prod.mod(3)
-            known = rep.get(prod_key)
-            if known is None:
-                rep[prod_key] = (prod, matinv @ ginv, (letter,) + word)
-                queue.append(prod_key)
-            else:
-                schreier = prod @ known[1]
-                if not schreier.is_identity:
-                    witness_word = (letter,) + word + _inverse_word(known[2])
-                    return GroupInfinite(witness_word, schreier)
-    return GroupFinite(len(rep))
+
+def basis_orbits(group: MatGroupGens) -> BasisOrbits | GroupInfinite:
+    """Decide finiteness by closing the orbits of the basis vectors.
+
+    Each step expands one vertex of every still-open orbit, then one
+    image element of the Schreier search of :func:`group_is_finite`.
+    A finite group has orbits of at most |G| vectors, which close within
+    |G| steps, before the search has expanded all |G| image elements and
+    could report finiteness itself.  An infinite group has an infinite
+    basis orbit (the action is faithful), and the search, which always
+    ends, returns its first witness: the one :func:`group_is_finite`
+    returns.
+
+    >>> cycle = IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    >>> cert = basis_orbits(MatGroupGens(3, (cycle,)))
+    >>> [len(orbit) for orbit in cert.orbits]
+    [3, 3, 3]
+    >>> isinstance(basis_orbits(MatGroupGens(2, (IntMatrix.from_rows([[1, 1], [0, 1]]),))),
+    ...            GroupInfinite)
+    True
+    """
+    pairs = [(g, g.inverse_unimodular()) for g in group.gens]
+    appliers = [_row_applier(m) for pair in pairs for m in pair]
+    starts = IntMatrix.identity(group.rank).rows
+    seen = [{e} for e in starts]
+    queues = [deque([e]) for e in starts]
+    search = _schreier_search(group.rank, pairs)
+    while True:
+        for orbit, queue in zip(seen, queues):
+            if queue:
+                v = queue.popleft()
+                for apply_m in appliers:
+                    w = apply_m(v)
+                    if w not in orbit:
+                        orbit.add(w)
+                        queue.append(w)
+        if not any(queues):
+            return BasisOrbits(tuple(frozenset(orbit) for orbit in seen))
+        witness = next(search)
+        if witness is not None:
+            assert isinstance(witness, GroupInfinite), "finite images outlast the orbits"
+            return witness
 
 
 def single_finite_orbit_space(m: IntMatrix) -> Lattice:
@@ -195,17 +279,29 @@ def restrict_to_lattice(m: IntMatrix, lat: Lattice) -> IntMatrix | None:
 class FiniteOrbitCert:
     """The finite-orbit sublattice with its supporting evidence.
 
-    ``lattice`` is invariant under every generator; the induced action on
-    it generates a finite group of order ``induced_finiteness.order``;
-    each entry of ``infinite_order_witnesses`` is a (word, matrix) pair
-    that acted with infinite order on the candidate lattice current at
-    its discovery step (the matrix is written in that candidate's basis).
+    ``lattice`` is invariant under every generator.  ``basis_orbits[i]``
+    is the orbit of ``lattice.basis[i]``, closed under every generator
+    and inverse; these finite orbits certify that the induced action on
+    the lattice is finite.  ``induced_finiteness`` is its exact order,
+    computed by :func:`group_is_finite` on ``induced_gens`` when first
+    read.  Each entry of ``infinite_order_witnesses`` is a (word, matrix)
+    pair that acted with infinite order on the candidate lattice current
+    at its discovery step (the matrix is written in that candidate's
+    basis).
     """
 
     lattice: Lattice
-    induced_finiteness: GroupFinite
+    basis_orbits: tuple[frozenset[Vec], ...] = ()
     infinite_order_witnesses: tuple[tuple[GenWord, IntMatrix], ...] = ()
     induced_gens: tuple[IntMatrix, ...] = field(default=(), repr=False)
+
+    @cached_property
+    def induced_finiteness(self) -> GroupFinite:
+        if not self.induced_gens:
+            return GroupFinite(1)
+        cert = group_is_finite(MatGroupGens(self.lattice.rank, self.induced_gens))
+        assert isinstance(cert, GroupFinite), "closed basis orbits certify finiteness"
+        return cert
 
 
 def _shrink_to_invariant(lat: Lattice, group: MatGroupGens) -> Lattice:
@@ -226,10 +322,11 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
 
     Exact algorithm: intersect the single-generator finite-orbit spaces,
     shrink to the largest sublattice invariant under all generators and
-    inverses, then certify finiteness of the induced action; an
-    infinite-order witness cuts the candidate down by its own
-    finite-orbit space (a strict rank drop, since the witness lives in
-    the torsion-free congruence kernel) and the loop repeats.
+    inverses, then certify finiteness of the induced action by closed
+    basis orbits (:func:`basis_orbits`); an infinite-order witness cuts
+    the candidate down by its own finite-orbit space (a strict rank
+    drop, since the witness lives in the torsion-free congruence kernel)
+    and the loop repeats.
     """
     r = group.rank
     cand = Lattice.full(r)
@@ -239,16 +336,18 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
     while True:
         cand = _shrink_to_invariant(cand, group)
         if cand.rank == 0:
-            return FiniteOrbitCert(cand, GroupFinite(1), tuple(witnesses), ())
+            return FiniteOrbitCert(cand, (), tuple(witnesses))
         induced = []
         for g in group.gens:
             a = restrict_to_lattice(g, cand)
             assert a is not None, "candidate lattice must be invariant here"
             induced.append(a)
-        induced_group = MatGroupGens(cand.rank, tuple(induced), group.labels)
-        cert = group_is_finite(induced_group)
-        if isinstance(cert, GroupFinite):
-            return FiniteOrbitCert(cand, cert, tuple(witnesses), tuple(induced))
+        cert = basis_orbits(MatGroupGens(cand.rank, tuple(induced), group.labels))
+        if isinstance(cert, BasisOrbits):
+            orbits = tuple(
+                frozenset(cand.member_from_coords(c) for c in orbit) for orbit in cert.orbits
+            )
+            return FiniteOrbitCert(cand, orbits, tuple(witnesses), tuple(induced))
         witnesses.append((cert.witness_word, cert.witness_matrix))
         fixed = single_finite_orbit_space(cert.witness_matrix)
         ambient_rows = [cand.member_from_coords(c) for c in fixed.basis]

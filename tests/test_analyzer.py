@@ -213,6 +213,28 @@ class TestAnalyzeAbelian:
         assert isinstance(report.witness, KernelVectorWitness)
         assert report.witness.orbit == ((1, 0),)
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_symmetric_group_certified_by_basis_orbits(self, n, monkeypatch):
+        # S_n permuting the basis of Z^n has n! elements, which the mod-3
+        # enumeration would visit one by one; its basis orbits have n.
+        import icckit.matgroup as matgroup_mod
+
+        def enumerate_group(group):
+            raise AssertionError("group_is_finite called")
+
+        monkeypatch.setattr(matgroup_mod, "group_is_finite", enumerate_group)
+
+        def perm(p):
+            return IntMatrix.from_rows([[int(p[j] == i) for j in range(n)] for i in range(n)])
+
+        cycle = perm([(j + 1) % n for j in range(n)])
+        swap = perm([1, 0] + list(range(2, n)))
+        report = analyze(mk(AbelianKernel(n), FreeDesc(2, ("p", "s")), [cycle, swap]))
+        assert report.verdict == "not_icc"
+        assert report.theorem_path == "theorem-1(i)"
+        assert isinstance(report.witness, KernelVectorWitness)
+        assert set(report.witness.orbit) == set(IntMatrix.identity(n).rows)
+
 
 class TestAnalyzeFree:
     def test_swap_extension_icc(self):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 
@@ -5,11 +6,14 @@ import pytest
 
 from icckit.intlinalg import IntMatrix, Lattice, random_unimodular
 from icckit.matgroup import (
+    BasisOrbits,
     FiniteOrbit,
     GroupFinite,
     GroupInfinite,
     MatGroupGens,
     OrbitCapExceeded,
+    _shrink_to_invariant,
+    basis_orbits,
     finite_orbit_sublattice,
     group_is_finite,
     matrix_order,
@@ -42,6 +46,45 @@ def brute_force_closure(gens, cap):
                 seen.add(p.rows)
                 queue.append(p)
     return len(seen)
+
+
+def reference_finite_orbit_sublattice(group):
+    """The finite-orbit sublattice with every induced action decided by
+    the full mod-3 enumeration of group_is_finite; an independent route
+    to the lattice that finite_orbit_sublattice certifies by basis
+    orbits."""
+    r = group.rank
+    cand = Lattice.full(r)
+    for g in group.gens:
+        cand = cand.intersect(single_finite_orbit_space(g))
+    while True:
+        cand = _shrink_to_invariant(cand, group)
+        if cand.rank == 0:
+            return cand
+        induced = tuple(restrict_to_lattice(g, cand) for g in group.gens)
+        cert = group_is_finite(MatGroupGens(cand.rank, induced))
+        if isinstance(cert, GroupFinite):
+            return cand
+        fixed = single_finite_orbit_space(cert.witness_matrix)
+        cand = Lattice.from_rows(r, [cand.member_from_coords(c) for c in fixed.basis])
+
+
+def random_generator_sets(seed, count):
+    """Seeded generator sets drawn like acceptance criterion 08's:
+    ranks 1-4, 1-3 generators with small entries."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.choice((1, 2, 2, 2, 3, 3, 4))
+        yield MatGroupGens(r, tuple(
+            random_unimodular(rng, r, steps=rng.randint(1, 7), entry_bound=3)
+            for _ in range(rng.randint(1, 3))
+        ))
+
+
+def assert_closed(group, orbit):
+    for g in group.gens:
+        for m in (g, g.inverse_unimodular()):
+            assert {m.apply(v) for v in orbit} == orbit
 
 
 class TestMatrixOrder:
@@ -138,6 +181,57 @@ class TestGroupIsFinite:
                 assert cert.witness_matrix.mod(3) == IntMatrix.identity(2).mod(3)
                 assert matrix_order(cert.witness_matrix) is None
                 assert group.word_to_matrix(cert.witness_word) == cert.witness_matrix
+
+
+class TestBasisOrbits:
+    def test_agrees_with_group_is_finite(self):
+        kinds = {BasisOrbits: 0, GroupInfinite: 0}
+        for group in random_generator_sets(3003, 200):
+            cert = basis_orbits(group)
+            exact = group_is_finite(group)
+            kinds[type(cert)] += 1
+            if isinstance(exact, GroupInfinite):
+                assert cert == exact  # the same word and matrix
+                assert group.word_to_matrix(cert.witness_word) == cert.witness_matrix
+                continue
+            assert isinstance(cert, BasisOrbits)
+            assert exact.order <= math.prod(len(orbit) for orbit in cert.orbits)
+            for e, orbit in zip(IntMatrix.identity(group.rank).rows, cert.orbits, strict=True):
+                assert e in orbit
+                assert_closed(group, orbit)
+        assert min(kinds.values()) >= 40, kinds
+
+    def test_orbit_sizes_of_permutation_groups(self):
+        s3 = (
+            IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+            IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        )
+        cert = basis_orbits(MatGroupGens(3, s3))
+        assert [len(o) for o in cert.orbits] == [3, 3, 3]
+        cert = basis_orbits(MatGroupGens(2, (ROT4,)))
+        assert cert.orbits[0] == frozenset({(1, 0), (0, 1), (-1, 0), (0, -1)})
+
+    def test_sublattice_matches_mod3_reference(self):
+        for group in random_generator_sets(3004, 150):
+            cert = finite_orbit_sublattice(group)
+            assert cert.lattice == reference_finite_orbit_sublattice(group)
+            for b, orbit in zip(cert.lattice.basis, cert.basis_orbits, strict=True):
+                assert b in orbit
+                assert_closed(group, orbit)
+
+    def test_exact_order_is_lazy(self, monkeypatch):
+        import icckit.matgroup as matgroup_mod
+
+        calls = []
+        original = matgroup_mod.group_is_finite
+        monkeypatch.setattr(
+            matgroup_mod, "group_is_finite", lambda g: calls.append(g) or original(g)
+        )
+        cert = finite_orbit_sublattice(MatGroupGens(2, (ROT4,)))
+        assert not calls
+        assert cert.induced_finiteness == GroupFinite(4)
+        assert cert.induced_finiteness == GroupFinite(4)
+        assert len(calls) == 1
 
 
 class TestSingleFiniteOrbitSpace:
