@@ -12,11 +12,26 @@ Every negative verdict carries a re-verifiable witness; semi-decidable
 sub-questions (outer order, multi-generator abelian relations) surface
 as an ``unknown`` verdict with a named obstruction, never as a verdict
 guessed from a bounded search.
+
+Both injectivity conditions go through :func:`theta_fc_injective`, whose
+``identity`` argument (the identity matrix or the identity automorphism)
+decides whether "acts trivially" means "is the identity" or "is inner".
+Matrices and free automorphisms share ``@`` and ``**``, so FC(Q) is
+enumerated once, by ``_fc_elements``, and the witness is the first
+trivially acting element in its order: element-word order for finite
+quotients, (max-norm, lex) order of exponent vectors for abelian ones,
+``itertools.product`` order over per-factor lists (each led by the
+identity) for products.  A lone infinite cyclic quotient is decided by
+the action's order instead, and a product with a single factor of
+nontrivial FC defers to that factor.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 from .catalog import (
@@ -147,225 +162,160 @@ def render_gen_word(word: GenWord, labels) -> str:
     return " ".join(parts)
 
 
-class _AutSide:
-    """Triviality = the action matrix is the identity."""
-
-    kind = "aut"
-
-    def __init__(self, rank):
-        self.rank = rank
-
-    def identity(self):
-        return IntMatrix.identity(self.rank)
-
-    def compose(self, a, b):
-        return a @ b
-
-    def power(self, a, n):
-        return a ** n
-
-    def trivial(self, a):
-        return InjectivityWitnessEvidence("action-identity") if a.is_identity else None
-
-
-class _OutSide:
-    """Triviality = the automorphism is inner."""
-
-    kind = "out"
-
-    def __init__(self, rank):
-        self.rank = rank
-
-    def identity(self):
-        return FreeAut.identity(self.rank)
-
-    def compose(self, a, b):
-        return a.compose(b)
-
-    def power(self, a, n):
-        return a.power(n)
-
-    def trivial(self, a):
-        c = is_inner(a)
-        if c is None:
-            return None
-        return InjectivityWitnessEvidence("inner-automorphism", conjugator=c)
-
-
-@dataclass(frozen=True)
-class InjectivityWitnessEvidence:
-    kind: str
-    conjugator: Word | None = None
-
-
 def _exponent_vectors(free_rank: int, divisors: tuple[int, ...], bound: int):
     """Nonzero exponent tuples, free entries in [-bound, bound], torsion
-    entries over their residue ranges; ordered by (max-norm, lex)."""
+    entries over their residue ranges; ordered by (max-norm, lex).
+
+    Streamed one max-norm shell at a time, so the box is never held.
+    """
     axes = [range(-bound, bound + 1)] * free_rank + [range(d) for d in divisors]
-    vecs = [v for v in itertools.product(*axes) if any(v)]
-    vecs.sort(key=lambda v: (max(abs(x) for x in v), v))
-    return vecs
-
-
-def _word_from_exponents(exps) -> GenWord:
-    out: list[int] = []
-    for i, e in enumerate(exps):
-        letter = i + 1 if e >= 0 else -(i + 1)
-        out.extend([letter] * abs(e))
-    return tuple(out)
-
-
-def _action_of_exponents(actions, exps, side):
-    out = side.identity()
-    for a, e in zip(actions, exps):
-        if e:
-            out = side.compose(out, side.power(a, e))
-    return out
+    top = max((max(-a[0], a[-1]) for a in axes), default=0)
+    for n in range(1, top + 1):
+        clipped = [[x for x in a if -n <= x <= n] for a in axes]
+        for v in itertools.product(*clipped):
+            if n in v or -n in v:
+                yield v
 
 
 def _shift_word(word: GenWord, offset: int) -> GenWord:
     return tuple(l + offset if l > 0 else l - offset for l in word)
 
 
-def theta_fc_injective(quotient: GroupDesc, actions, side, limits: AnalyzerLimits) -> InjectivityResult:
+def _fc_elements(quotient: GroupDesc, actions, identity, bound: int):
+    """Yield ``(word, action)`` for the nontrivial elements of FC(quotient)
+    that the injectivity search covers, in witness order.
+
+    Finite quotients: ``element_words`` order.  Abelian quotients:
+    (max-norm, lex) order of exponent vectors, free exponents in
+    [-bound, bound].  Free quotients of rank >= 2: nothing (FC is
+    trivial).  Products: ``itertools.product`` order over the factors'
+    lists, each led by the identity.  Actions are built from earlier
+    ones: one product per finite-quotient element, and generator powers
+    are cached and extended one factor at a time from ``a ** +-1``.
+    """
+    if isinstance(quotient, FiniteGroupDesc):
+        images = quotient.evaluate(actions, identity)
+        next(images)  # the identity element
+        yield from zip(quotient.element_words[1:], images)
+    elif isinstance(quotient, FgAbelianDesc):
+        powers = {}
+
+        def power(i, e):
+            p = powers.get((i, e))
+            if p is None:
+                step = 1 if e > 0 else -1
+                p = actions[i] ** e if e == step else power(i, e - step) @ power(i, step)
+                powers[(i, e)] = p
+            return p
+
+        for exps in _exponent_vectors(quotient.rank, quotient.divisors, bound):
+            word: GenWord = ()
+            action = None
+            for i, e in enumerate(exps):
+                if e:
+                    word += (i + 1 if e > 0 else -(i + 1),) * abs(e)
+                    action = power(i, e) if action is None else action @ power(i, e)
+            yield word, action
+    elif isinstance(quotient, FreeDesc):
+        if quotient.rank < 2:
+            raise AssertionError("rank-1 free quotients are normalized to abelian")
+    elif isinstance(quotient, ProductDesc):
+        lists = []
+        offset = 0
+        for f in quotient.factors:
+            n = generator_count(f)
+            elements = _fc_elements(f, actions[offset:offset + n], identity, bound)
+            lists.append([((), None)] + [(_shift_word(w, offset), a) for w, a in elements])
+            offset += n
+        for combo in itertools.product(*lists):
+            word = tuple(itertools.chain.from_iterable(w for w, _ in combo))
+            if word:
+                yield word, functools.reduce(operator.matmul, [a for _, a in combo if a is not None])
+    else:
+        raise UnsupportedExtensionError(f"unsupported quotient class: {type(quotient).__name__}")
+
+
+def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerLimits) -> InjectivityResult:
     """Is the action injective on the finite-class subgroup of the quotient?
+
+    ``identity`` is the identity action and fixes what "trivial" means:
+    for an :class:`IntMatrix` (abelian kernels) an action is trivial when
+    it is the identity matrix; for a :class:`FreeAut` (free kernels) when
+    it is inner.
 
     Exact for finite quotients (full enumeration), for free quotients of
     rank >= 2 (vacuous), and for the infinite cyclic quotient on the
     matrix side (element order).  The outer order of an automorphism and
     relations in multi-generator abelian or mixed product quotients are
     searched up to the configured bounds and otherwise reported unknown.
+
+    The witness is the first trivially acting element in a fixed order:
+    ``element_words`` order for finite quotients, (max-norm, lex) order
+    of exponent vectors for abelian ones, the least power for a lone
+    infinite cyclic quotient, and ``itertools.product`` order over the
+    factors' candidate lists for products (a product with one factor of
+    nontrivial FC defers to that factor).
     """
-    if isinstance(quotient, FiniteGroupDesc):
-        for e, w in zip(quotient.elements[1:], quotient.element_words[1:]):
-            action = side.identity()
-            for letter in w:
-                action = side.compose(action, actions[letter - 1])
-            ev = side.trivial(action)
-            if ev is not None:
-                return InjectivityWitness(tuple(w), ev.kind, ev.conjugator)
-        return Injective()
+    if isinstance(quotient, FgAbelianDesc) and quotient.rank == 1 and not quotient.divisors:
+        if isinstance(identity, IntMatrix):
+            n = matrix_order(actions[0])
+            if n is None:
+                return Injective()
+            return InjectivityWitness((1,) * n, "action-identity", action_order=n)
+        power = identity
+        for n in range(1, limits.out_order_cap + 1):
+            power = power @ actions[0]
+            c = is_inner(power)
+            if c is not None:
+                return InjectivityWitness((1,) * n, "inner-automorphism", conjugator=c)
+        return InjectivityUnknown("out-order-unbounded")
 
-    if isinstance(quotient, FreeDesc):
-        if quotient.rank < 2:
-            raise AssertionError("rank-1 free quotients are normalized to abelian")
-        return Injective()
-
-    if isinstance(quotient, FgAbelianDesc):
-        if quotient.is_trivial:
-            return Injective()
-        if quotient.is_finite:
-            for exps in _exponent_vectors(0, quotient.divisors, 0):
-                action = _action_of_exponents(actions, exps, side)
-                ev = side.trivial(action)
-                if ev is not None:
-                    return InjectivityWitness(_word_from_exponents(exps), ev.kind, ev.conjugator)
-            return Injective()
-        if quotient.rank == 1 and not quotient.divisors:
-            if side.kind == "aut":
-                n = matrix_order(actions[0])
-                if n is None:
-                    return Injective()
-                return InjectivityWitness((1,) * n, "action-identity", action_order=n)
-            phi = actions[0]
-            power = side.identity()
-            for n in range(1, limits.out_order_cap + 1):
-                power = side.compose(power, phi)
-                c = is_inner(power)
-                if c is not None:
-                    return InjectivityWitness((1,) * n, "inner-automorphism", conjugator=c)
-            return InjectivityUnknown("out-order-unbounded")
-        # Several independent generators: relations are only searched up
-        # to the bound, an exact relation-lattice computation is out of scope.
-        for exps in _exponent_vectors(quotient.rank, quotient.divisors, limits.relation_bound):
-            action = _action_of_exponents(actions, exps, side)
-            ev = side.trivial(action)
-            if ev is not None:
-                return InjectivityWitness(_word_from_exponents(exps), ev.kind, ev.conjugator)
-        return InjectivityUnknown("abelian-relation-bound")
-
+    bound = limits.relation_bound
     if isinstance(quotient, ProductDesc):
-        return _product_injectivity(quotient, actions, side, limits)
-
-    raise UnsupportedExtensionError(f"unsupported quotient class: {type(quotient).__name__}")
-
-
-def _factor_slices(quotient: ProductDesc, actions):
-    offset = 0
-    out = []
-    for f in quotient.factors:
-        n = generator_count(f)
-        out.append((f, actions[offset:offset + n], offset))
-        offset += n
-    return out
-
-
-def _product_injectivity(quotient: ProductDesc, actions, side, limits) -> InjectivityResult:
-    """Injectivity over a product's FC, which multiplies across factors.
-
-    Per-factor triviality gives an immediate witness, but joint
-    injectivity needs cross-factor products too (actions of different
-    factors may cancel), so the finite part is enumerated exactly and
-    anything involving infinite factors is searched up to the bounds.
-    """
-    slices = [
-        (f, acts, off)
-        for f, acts, off in _factor_slices(quotient, actions)
-        if not fc_subgroup(f).is_trivial
-    ]
-    if not slices:
-        return Injective()
-    if len(slices) == 1:
-        f, acts, off = slices[0]
-        res = theta_fc_injective(f, acts, side, limits)
-        if isinstance(res, InjectivityWitness):
-            return InjectivityWitness(
-                _shift_word(res.word, off), res.evidence_kind, res.conjugator, res.action_order
-            )
-        return res
-
-    candidates = []  # per factor: list of (word, action-or-None for identity)
-    exact = True
-    total = 1
-    for f, acts, off in slices:
-        if isinstance(f, FiniteGroupDesc):
-            factor_cands = [
-                (_shift_word(tuple(w), off), w) for w in f.element_words
-            ]
-            factor_list = []
-            for shifted, w in factor_cands:
-                action = side.identity()
-                for letter in w:
-                    action = side.compose(action, acts[letter - 1])
-                factor_list.append((shifted, action))
-        elif isinstance(f, FgAbelianDesc):
-            if not f.is_finite:
-                exact = False
-            bound = 0 if f.is_finite else limits.relation_bound
-            factor_list = [(_shift_word((), off), side.identity())]
-            for exps in _exponent_vectors(f.rank, f.divisors, bound):
-                factor_list.append(
-                    (_shift_word(_word_from_exponents(exps), off),
-                     _action_of_exponents(acts, exps, side))
+        # Per-factor triviality gives an immediate witness, but actions of
+        # different factors may cancel, so the search runs over the product.
+        fc = []
+        offset = 0
+        for f in quotient.factors:
+            n = generator_count(f)
+            if not fc_subgroup(f).is_trivial:
+                fc.append((f, actions[offset:offset + n], offset))
+            offset += n
+        if len(fc) == 1:
+            f, acts, off = fc[0]
+            res = theta_fc_injective(f, acts, identity, limits)
+            if isinstance(res, InjectivityWitness):
+                return InjectivityWitness(
+                    _shift_word(res.word, off), res.evidence_kind, res.conjugator, res.action_order
                 )
-        else:
-            raise AssertionError("free factors have trivial FC and were filtered out")
-        total *= len(factor_list)
-        candidates.append(factor_list)
+            return res
+        total = 1  # candidates per factor, identity included
+        for f, _, _ in fc:
+            if isinstance(f, FiniteGroupDesc):
+                total *= f.order
+            else:
+                total *= (2 * bound + 1) ** f.rank * math.prod(f.divisors)
+        if total > limits.product_iteration_cap:
+            return InjectivityUnknown("fc-enumeration-too-large")
 
-    if total > limits.product_iteration_cap:
-        return InjectivityUnknown("fc-enumeration-too-large")
-    for combo in itertools.product(*candidates):
-        word = tuple(itertools.chain.from_iterable(w for w, _ in combo))
-        if not word:
-            continue
-        action = side.identity()
-        for _, a in combo:
-            action = side.compose(action, a)
-        ev = side.trivial(action)
-        if ev is not None:
-            return InjectivityWitness(word, ev.kind, ev.conjugator)
-    return Injective() if exact else InjectivityUnknown("product-relation-bound")
+    matrices = isinstance(identity, IntMatrix)
+    for word, action in _fc_elements(quotient, actions, identity, bound):
+        if matrices:
+            if action.is_identity:
+                return InjectivityWitness(word, "action-identity")
+        else:
+            c = is_inner(action)
+            if c is not None:
+                return InjectivityWitness(word, "inner-automorphism", c)
+
+    factors = quotient.factors if isinstance(quotient, ProductDesc) else (quotient,)
+    if all(not isinstance(f, FgAbelianDesc) or f.is_finite for f in factors):
+        return Injective()
+    # Relations are only searched up to the bound; an exact relation-lattice
+    # computation is out of scope.
+    return InjectivityUnknown(
+        "product-relation-bound" if isinstance(quotient, ProductDesc) else "abelian-relation-bound"
+    )
 
 
 def _lift_witness(res: InjectivityWitness, quotient: GroupDesc) -> QuotientLiftWitness:
@@ -441,7 +391,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
             a.is_identity or (-a).is_identity for a in cert.induced_gens
         )
         if not induced_pm_identity:
-            res = theta_fc_injective(spec.quotient, spec.actions, _AutSide(kernel.rank), limits)
+            res = theta_fc_injective(spec.quotient, spec.actions, IntMatrix.identity(kernel.rank), limits)
             if isinstance(res, InjectivityWitness):
                 witness = _lift_witness(res, spec.quotient)
                 conditions.append(
@@ -459,7 +409,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         ConditionResult("kernel-orbits-infinite", "holds", "finite-orbit sublattice has rank 0")
     )
 
-    res = theta_fc_injective(spec.quotient, spec.actions, _AutSide(kernel.rank), limits)
+    res = theta_fc_injective(spec.quotient, spec.actions, IntMatrix.identity(kernel.rank), limits)
     if isinstance(res, Injective):
         conditions.append(
             ConditionResult("fc-action-injective", "holds", "no nontrivial finite-class quotient element acts trivially")
@@ -487,7 +437,7 @@ def thm3_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
     conditions = [
         ConditionResult("kernel-icc", "holds", "free kernels of rank >= 2 have trivial FC")
     ]
-    res = theta_fc_injective(spec.quotient, spec.actions, _OutSide(kernel.rank), limits)
+    res = theta_fc_injective(spec.quotient, spec.actions, FreeAut.identity(kernel.rank), limits)
     if isinstance(res, Injective):
         conditions.append(
             ConditionResult("fc-outer-injective", "holds", "no nontrivial finite-class quotient element acts by an inner automorphism")

@@ -111,6 +111,20 @@ class FiniteGroupDesc:
     def nontrivial_elements(self):
         return self.elements[1:]
 
+    def evaluate(self, images, identity):
+        """Yield the image of every element, in ``elements`` order, under
+        the homomorphism sending generator i to ``images[i-1]``.
+
+        Words are prefix-closed (breadth-first closure), so each image is
+        one product: the image of the word minus its last letter, then
+        that letter's image.
+        """
+        table = {(): identity}
+        for w in self.element_words:
+            if w:
+                table[w] = table[w[:-1]] @ images[w[-1] - 1]
+            yield table[w]
+
 
 @dataclass(frozen=True)
 class FgAbelianDesc:
@@ -273,13 +287,3 @@ def fc_subgroup(q: GroupDesc) -> FcDescription:
         return FcDescription("product", tuple(fc_subgroup(f) for f in q.factors))
     raise TypeError(f"not a catalog group: {q!r}")
 
-
-def describe_group(g: GroupDesc) -> str:
-    if isinstance(g, FiniteGroupDesc):
-        return f"finite group of order {g.order}"
-    if isinstance(g, FgAbelianDesc):
-        parts = [f"Z^{g.rank}"] + [f"Z/{d}" for d in g.divisors]
-        return " + ".join(parts)
-    if isinstance(g, FreeDesc):
-        return f"free({', '.join(g.names)})"
-    return "product(" + ", ".join(describe_group(f) for f in g.factors) + ")"

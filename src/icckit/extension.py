@@ -24,8 +24,6 @@ from .catalog import (
     GroupDesc,
     ProductDesc,
     generator_count,
-    generator_labels,
-    group_is_trivial,
     make_product,
 )
 from .intlinalg import IntMatrix
@@ -106,61 +104,7 @@ def _normalize_quotient(q: GroupDesc) -> GroupDesc:
     return q
 
 
-class _MatrixAlgebra:
-    """Action-algebra hooks for abelian kernels."""
-
-    def __init__(self, rank):
-        self.rank = rank
-
-    def validate(self, a):
-        if not isinstance(a, IntMatrix):
-            raise ExtensionValidationError("abelian kernel expects matrix actions")
-        if a.nrows != self.rank or a.ncols != self.rank:
-            raise ExtensionValidationError(
-                f"action matrix is {a.nrows}x{a.ncols}, kernel rank is {self.rank}"
-            )
-        if not a.is_unimodular:
-            raise ExtensionValidationError(f"non-unimodular matrix, det={a.det()}")
-
-    def identity(self):
-        return IntMatrix.identity(self.rank)
-
-    def compose(self, a, b):
-        return a @ b
-
-    def power(self, a, n):
-        return a ** n
-
-    def equal(self, a, b):
-        return a == b
-
-
-class _AutAlgebra:
-    """Action-algebra hooks for free kernels."""
-
-    def __init__(self, rank):
-        self.rank = rank
-
-    def validate(self, a):
-        if not isinstance(a, FreeAut):
-            raise ExtensionValidationError("free kernel expects automorphism actions")
-        if a.rank != self.rank:
-            raise ExtensionValidationError("automorphism rank != kernel rank")
-
-    def identity(self):
-        return FreeAut.identity(self.rank)
-
-    def compose(self, a, b):
-        return a.compose(b)
-
-    def power(self, a, n):
-        return a.power(n)
-
-    def equal(self, a, b):
-        return a.images == b.images
-
-
-def _validate_relations(quotient, actions, alg):
+def _validate_relations(quotient, actions, identity):
     """Check that generator images satisfy the quotient's relations.
 
     Finite quotients: theta extends iff theta(e) * theta(g) = theta(e g)
@@ -171,25 +115,19 @@ def _validate_relations(quotient, actions, alg):
     if isinstance(quotient, FiniteGroupDesc):
         from .catalog import perm_compose
 
-        theta = {}
-        for e, w in zip(quotient.elements, quotient.element_words):
-            a = alg.identity()
-            for letter in w:
-                a = alg.compose(a, actions[letter - 1])
-            theta[e] = a
+        theta = dict(zip(quotient.elements, quotient.evaluate(actions, identity)))
         for e in quotient.elements:
             for i, g in enumerate(quotient.generators):
-                lhs = alg.compose(theta[e], actions[i])
-                if not alg.equal(lhs, theta[perm_compose(e, g)]):
+                if theta[e] @ actions[i] != theta[perm_compose(e, g)]:
                     raise ExtensionValidationError(
                         "relation violation: actions do not extend to the finite quotient"
                     )
     elif isinstance(quotient, FgAbelianDesc):
         for a, b in itertools.combinations(actions, 2):
-            if not alg.equal(alg.compose(a, b), alg.compose(b, a)):
+            if a @ b != b @ a:
                 raise ExtensionValidationError("relation violation: abelian quotient, non-commuting actions")
         for d, a in zip(quotient.divisors, actions[quotient.rank:]):
-            if not alg.equal(alg.power(a, d), alg.identity()):
+            if a ** d != identity:
                 raise ExtensionValidationError(
                     f"relation violation: torsion generator of order {d} maps to an action whose order does not divide {d}"
                 )
@@ -203,11 +141,11 @@ def _validate_relations(quotient, actions, alg):
             slices.append((f, actions[offset:offset + n]))
             offset += n
         for f, acts in slices:
-            _validate_relations(f, acts, alg)
+            _validate_relations(f, acts, identity)
         for (_, acts1), (_, acts2) in itertools.combinations(slices, 2):
             for a in acts1:
                 for b in acts2:
-                    if not alg.equal(alg.compose(a, b), alg.compose(b, a)):
+                    if a @ b != b @ a:
                         raise ExtensionValidationError(
                             "relation violation: actions of distinct product factors must commute"
                         )
@@ -234,34 +172,31 @@ def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
         return ExtensionSpec(kernel, quotient, ())
 
     if isinstance(kernel, AbelianKernel):
-        if not actions:
-            # Identity default; torsion-only kernels need no action data.
-            actions = tuple(IntMatrix.identity(kernel.rank) for _ in range(ngens))
-        if len(actions) != ngens:
+        identity = IntMatrix.identity(kernel.rank)
+    elif isinstance(kernel, FreeDesc):
+        identity = FreeAut.identity(kernel.rank)
+    else:
+        raise UnsupportedExtensionError(f"unsupported kernel class: {type(kernel).__name__}")
+    if not actions:
+        # Identity default; torsion-only kernels need no action data.
+        actions = (identity,) * ngens
+    if len(actions) != ngens:
+        raise ExtensionValidationError(
+            f"expected {ngens} actions (one per quotient generator), got {len(actions)}"
+        )
+    for a in actions:
+        if isinstance(kernel, FreeDesc):
+            if not isinstance(a, FreeAut):
+                raise ExtensionValidationError("free kernel expects automorphism actions")
+            if a.rank != kernel.rank:
+                raise ExtensionValidationError("automorphism rank != kernel rank")
+        elif not isinstance(a, IntMatrix):
+            raise ExtensionValidationError("abelian kernel expects matrix actions")
+        elif a.nrows != kernel.rank or a.ncols != kernel.rank:
             raise ExtensionValidationError(
-                f"expected {ngens} actions (one per quotient generator), got {len(actions)}"
+                f"action matrix is {a.nrows}x{a.ncols}, kernel rank is {kernel.rank}"
             )
-        alg = _MatrixAlgebra(kernel.rank)
-        for a in actions:
-            alg.validate(a)
-        _validate_relations(quotient, actions, alg)
-        return ExtensionSpec(kernel, quotient, actions)
-
-    if isinstance(kernel, FreeDesc):
-        if not actions:
-            actions = tuple(FreeAut.identity(kernel.rank) for _ in range(ngens))
-        if len(actions) != ngens:
-            raise ExtensionValidationError(
-                f"expected {ngens} actions (one per quotient generator), got {len(actions)}"
-            )
-        alg = _AutAlgebra(kernel.rank)
-        for a in actions:
-            alg.validate(a)
-        _validate_relations(quotient, actions, alg)
-        return ExtensionSpec(kernel, quotient, actions)
-
-    raise UnsupportedExtensionError(f"unsupported kernel class: {type(kernel).__name__}")
-
-
-def quotient_generator_labels(spec: ExtensionSpec) -> tuple[str, ...]:
-    return generator_labels(spec.quotient)
+        elif not a.is_unimodular:
+            raise ExtensionValidationError(f"non-unimodular matrix, det={a.det()}")
+    _validate_relations(quotient, actions, identity)
+    return ExtensionSpec(kernel, quotient, actions)

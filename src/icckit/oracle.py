@@ -239,21 +239,12 @@ class ConcreteGroup:
             return cached
         action = self._action_id
         for i, e in self.quotient_part.exponent_pairs(q):
-            action = self._compose(action, self._gen_power(i, e))
+            power = self._action_pows.get((i, e))
+            if power is None:
+                power = self._action_pows[(i, e)] = self.spec.actions[i] ** e
+            action = action @ power
         self._theta_cache[q] = action
         return action
-
-    def _compose(self, a, b):
-        return a @ b if isinstance(a, IntMatrix) else a.compose(b)
-
-    def _gen_power(self, i, e):
-        key = (i, e)
-        cached = self._action_pows.get(key)
-        if cached is None:
-            base = self.spec.actions[i]
-            cached = base ** e if isinstance(base, IntMatrix) else base.power(e)
-            self._action_pows[key] = cached
-        return cached
 
     def act(self, q, k):
         if self._action_id is None:

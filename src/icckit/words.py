@@ -112,14 +112,11 @@ def conjugacy_test_free(u: Word, v: Word) -> Word | None:
     return w
 
 
-NielsenMove = tuple  # ("mul", i, j, side, sign) as recorded in the log
-
-
 @dataclass(frozen=True)
 class NielsenResult:
     words: tuple[Word, ...]
     is_basis: bool
-    log: tuple[NielsenMove, ...]
+    log: tuple  # ("mul", i, j, side, sign) per move
 
 
 def nielsen_reduce(words, rank: int) -> NielsenResult:
@@ -132,7 +129,7 @@ def nielsen_reduce(words, rank: int) -> NielsenResult:
     original tuple is a free basis of the whole group.
     """
     cur = [free_reduce(w) for w in words]
-    log: list[NielsenMove] = []
+    log: list[tuple] = []
     improved = True
     while improved:
         improved = False
@@ -161,15 +158,13 @@ def nielsen_reduce(words, rank: int) -> NielsenResult:
     return NielsenResult(tuple(cur), basis, tuple(log))
 
 
-_ELEMENTARY_SIGNS = {"right": 1, "left": -1}
-
-
 @dataclass(frozen=True)
 class FreeAut:
     """An automorphism of the rank-k free group, by generator images.
 
     Validated on construction: the image tuple must Nielsen-reduce to a
-    permuted/inverted basis.
+    permuted/inverted basis.  ``@`` and ``**`` compose and power as for
+    :class:`IntMatrix`, so both kinds of action share one protocol.
 
     >>> swap = FreeAut(2, ((2,), (1,)))
     >>> swap.apply((1, 2))
@@ -210,6 +205,12 @@ class FreeAut:
     def compose(self, other: "FreeAut") -> "FreeAut":
         """self after other: (self.compose(other))(w) = self(other(w))."""
         return FreeAut(self.rank, tuple(self.apply(im) for im in other.images))
+
+    def __matmul__(self, other: "FreeAut") -> "FreeAut":
+        return self.compose(other)
+
+    def __pow__(self, n: int) -> "FreeAut":
+        return self.power(n)
 
     def power(self, n: int) -> "FreeAut":
         if n < 0:

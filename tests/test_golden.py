@@ -4,7 +4,11 @@ The shipped ``extensions/*.ext`` plus inline specs that exercise the
 finite-orbit sublattice: finite permutation actions, a signed
 permutation action, an infinite group whose finite-orbit sublattice is
 found only after a Schreier witness cuts the rank, a finite quotient and
-a hyperbolic block beside a finite-order one.
+a hyperbolic block beside a finite-order one.  A second group of inline
+specs pins the finite-class injectivity search: which candidate it
+reports first, and which obstruction it names when it gives up, for
+finite, abelian and product quotients acting on abelian and free
+kernels.  ``ARGS`` holds extra command-line options per spec.
 
 Regenerate (only when a report change is intended) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -64,15 +68,113 @@ INLINE = {
         "quotient: Z\n"
         "action t -> [[2,1,-2,0],[1,1,0,-1],[0,0,1,-2],[0,0,1,-1]]\n"
     ),
+    # Finite-class injectivity search.  C_6 acting through a rotation of
+    # order 3: t^3 is the first element (in element-word order) acting
+    # trivially.
+    "fc_finite_c6": (
+        "kernel: Z^2\n"
+        "quotient: finite perm((1 2 3 4 5 6))\n"
+        "action t -> [[0,-1],[1,-1]]\n"
+    ),
+    "fc_torsion_z2_z4": (
+        "kernel: Z^2\n"
+        "quotient: Z/2 + Z/4\n"
+        "action s -> [[-1,0],[0,-1]]\n"
+        "action r -> [[0,-1],[1,0]]\n"
+    ),
+    # v acts by the inverse of u's hyperbolic matrix: the relation
+    # u^-1 v^-1 is the first in (max-norm, lex) order.
+    "fc_z2_inverse_pair": (
+        "kernel: Z^2\n"
+        "quotient: Z^2\n"
+        "action u -> [[2,1],[1,1]]\n"
+        "action v -> [[1,-1],[-1,2]]\n"
+    ),
+    # The first relation, t^-6 q^-2 r, lies just outside the box of
+    # --relation-bound 5.
+    "fc_z3_on_z4_past_bound": (
+        "kernel: Z^4\n"
+        "quotient: Z^3\n"
+        "action t -> [[3,-1,0,0],[1,0,0,0],[-1,1,1,0],[2,-2,0,1]]\n"
+        "action q -> [[1,0,0,0],[0,1,0,0],[0,1,0,-1],[0,-3,1,3]]\n"
+        "action r -> [[377,-144,0,0],[144,-55,0,0],[-144,60,-1,-3],[288,-123,3,8]]\n"
+    ),
+    "fc_z_c2_torsion": (
+        "kernel: Z^2\n"
+        "quotient: Z + Z/2\n"
+        "action t -> [[0,-1],[1,0]]\n"
+        "action s -> [[-1,0],[0,-1]]\n"
+    ),
+    # Neither factor acts trivially alone before t^-2 c does.
+    "fc_product_z_c2_cancel": (
+        "kernel: Z^2\n"
+        "quotient: product(Z, finite perm((1 2)))\n"
+        "action t -> [[0,-1],[1,0]]\n"
+        "action c -> [[-1,0],[0,-1]]\n"
+    ),
+    # The free factor has trivial FC, so only the Z factor is searched,
+    # by its exact matrix order.
+    "fc_product_free_z": (
+        "kernel: Z^2\n"
+        "quotient: product(free(u, v), Z)\n"
+        "action u -> [[2,1],[1,1]]\n"
+        "action v -> [[5,3],[3,2]]\n"
+        "action t -> [[-1,0],[0,-1]]\n"
+    ),
+    "fc_product_too_large": (
+        "kernel: Z^2\n"
+        "quotient: product(Z^2, Z^2, Z^2)\n"
+        "action t -> [[11,15],[-3,-4]]\n"
+        "action q -> [[-11,-40],[8,29]]\n"
+        "action s -> [[4,5],[-1,-1]]\n"
+        "action w -> [[-4,-15],[3,11]]\n"
+        "action v -> [[29,40],[-8,-11]]\n"
+        "action r -> [[-1,-5],[1,4]]\n"
+    ),
+    "fc_product_relation_bound": (
+        "kernel: Z^2\n"
+        "quotient: product(Z, finite perm((1 2)))\n"
+        "action r -> [[-1,5],[-1,4]]\n"
+        "action t -> [[-1,0],[0,-1]]\n"
+    ),
+    # u = p^2 followed by conjugation by h, which p fixes: p^-2 u is inner.
+    "fc_free_z2_conjugator": (
+        "kernel: free(g, h)\n"
+        "quotient: Z^2\n"
+        "action p -> (g -> g h, h -> h)\n"
+        "action u -> (g -> h g h, h -> h)\n"
+    ),
+    "fc_free_c4_swap": (
+        "kernel: free(c, y)\n"
+        "quotient: finite perm((1 2 3 4))\n"
+        "action t -> (c -> y, y -> c)\n"
+    ),
+    "fc_free_s3_perm": (
+        "kernel: free(f, e, a)\n"
+        "quotient: finite perm((1 2); (1 2 3))\n"
+        "action v -> (f -> e, e -> f, a -> a)\n"
+        "action u -> (f -> e, e -> a, a -> f)\n"
+    ),
+    "fc_free_outer_cycle3": (
+        "kernel: free(y, z, a)\n"
+        "quotient: Z\n"
+        "action u -> (y -> y z y^-1, z -> y a y^-1, a -> y)\n"
+    ),
+    "fc_free_out_unbounded": (
+        "kernel: free(x, c)\n"
+        "quotient: Z\n"
+        "action t -> (x -> x c, c -> c)\n"
+    ),
 }
+ARGS = {"fc_z3_on_z4_past_bound": ("--relation-bound", "5")}
 SHIPPED = ("f2xz", "klein", "sol", "swap")
 BAD_DIAGNOSTIC = "bad.ext:3:12: [validation] non-unimodular matrix, det=4\n"
 
 
-def check_json(path) -> tuple[int, str, str]:
+def check_json(path, args=()) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", str(path), "--format", "json"])
+        code = main(["check", str(path), "--format", "json", *args])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -86,7 +188,7 @@ def spec_path(name, directory: Path) -> Path:
 
 @pytest.mark.parametrize("name", SHIPPED + tuple(INLINE))
 def test_report_matches_golden(name, tmp_path):
-    code, out, err = check_json(spec_path(name, tmp_path))
+    code, out, err = check_json(spec_path(name, tmp_path), ARGS.get(name, ()))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}.json").read_text()
 
@@ -102,6 +204,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         for name in SHIPPED + tuple(INLINE):
-            code, out, _ = check_json(spec_path(name, Path(scratch)))
+            code, out, _ = check_json(spec_path(name, Path(scratch)), ARGS.get(name, ()))
             assert code == 0, name
             (GOLDEN / f"{name}.json").write_text(out)
