@@ -42,7 +42,6 @@ from .intlinalg import (
     cyclotomic_polynomial,
     hnf,
     kernel_lattice,
-    lattice_intersect,
 )
 from .matgroup import (
     BasisOrbits,
@@ -69,12 +68,11 @@ from .oracle import (
 )
 from .words import (
     FreeAut,
-    NielsenResult,
     conjugacy_test_free,
     cyclic_normalize,
+    free_basis_inverse,
+    free_reduce,
     is_inner,
-    nielsen_reduce,
-    normalize,
     word_inverse,
     word_mul,
 )

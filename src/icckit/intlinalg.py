@@ -320,10 +320,6 @@ def kernel_lattice(a: IntMatrix) -> Lattice:
     return Lattice.from_rows(r, rows)
 
 
-def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    return l1.intersect(l2)
-
-
 @dataclass(frozen=True)
 class IntPoly:
     """Integer polynomial, coefficients lowest degree first, trimmed."""

@@ -5,12 +5,16 @@ integers: ``+i`` is the i-th generator, ``-i`` its inverse (indices are
 1-based).  Stored words are always freely reduced.
 
 Provides free and cyclic normal forms, the conjugacy test with explicit
-conjugators, Nielsen reduction of word tuples (the basis certificate
-behind automorphism validation), and the inner-automorphism test.
+conjugators, the free-basis test by Stallings folding (which also yields
+the inverse automorphism), and the inner-automorphism test.  Applying an
+automorphism, testing innerness and taking word powers are linear in the
+lengths of the words involved.  Automorphisms are validated once, when
+built from outside data; products, powers and inverses are trusted.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .intlinalg import IntMatrix
@@ -51,17 +55,17 @@ def word_mul(*words: Word) -> Word:
 
 
 def word_power(w: Word, n: int) -> Word:
+    """w^n as p c^n p^-1, where w = p c p^-1 with c cyclically reduced.
+
+    >>> word_power((2, 1, -2), 3)
+    (2, 1, 1, 1, -2)
+    """
+    core, prefix = cyclically_reduce(w)
+    if n == 0 or not core:
+        return ()
     if n < 0:
-        return word_power(word_inverse(w), -n)
-    out: Word = ()
-    for _ in range(n):
-        out = word_mul(out, w)
-    return out
-
-
-def normalize(letters) -> Word:
-    """Free reduction of an arbitrary signed-index sequence."""
-    return free_reduce(letters)
+        core, n = word_inverse(core), -n
+    return prefix + core * n + word_inverse(prefix)
 
 
 def cyclically_reduce(w: Word) -> tuple[Word, Word]:
@@ -112,58 +116,161 @@ def conjugacy_test_free(u: Word, v: Word) -> Word | None:
     return w
 
 
-@dataclass(frozen=True)
-class NielsenResult:
-    words: tuple[Word, ...]
-    is_basis: bool
-    log: tuple  # ("mul", i, j, side, sign) per move
+def free_basis_inverse(words, rank: int) -> tuple[Word, ...] | None:
+    """The inverse images psi(x_1), ..., psi(x_k) of the endomorphism
+    phi: x_i -> words[i-1], or None when the words are not a free basis
+    of the rank-k free group.
 
+    Stallings folding of the wedge of k loops at a base vertex, loop i
+    spelling words[i-1].  Each edge also carries a word over the loop
+    indices, so that every closed path at the base spells phi(C l C^-1),
+    where l is the product of its edge labels and C the base offset: the
+    first edge of loop i carries i, every other edge the empty word.
+    Identifying two vertices first shifts the labels at one of them (a
+    change of gauge, which conjugates the labels of closed paths there)
+    so that the paths being identified carry the same label.  If two
+    parallel edges with one letter fold together, they close a path that
+    spells 1 with a nontrivial label, since the labels of the unfolded
+    wedge are a free basis of its fundamental group and folding keeps
+    them injective; so phi has a kernel.  The words are a basis iff the
+    fold ends as the rose, one vertex with a loop for every generator:
+    then they generate the whole group, which is Hopfian, and the loop
+    x_j with label l_j gives psi(x_j) = C l_j C^-1.
 
-def nielsen_reduce(words, rank: int) -> NielsenResult:
-    """Greedy Nielsen reduction of a word tuple over the rank-k free group.
+    The loops are folded in one at a time: loop i is read along the
+    folded graph from both ends of the base, and only its unread middle
+    becomes new edges, the first labelled so that the whole loop's label
+    is i; when nothing is left unread, the two ends are identified.  A
+    word that retraces earlier loops (a conjugation by a long power, say)
+    therefore costs one pass over its letters.
 
-    Repeatedly replaces some entry by its product with another entry (on
-    either side, either sign) whenever that strictly shortens the total
-    length.  ``is_basis`` is True iff the reduced tuple is exactly the
-    standard generators up to order and inversion, which happens iff the
-    original tuple is a free basis of the whole group.
+    >>> free_basis_inverse(((1, 2), (2,)), 2)
+    ((1, -2), (2,))
+    >>> free_basis_inverse(((1, 1), (2,)), 2) is None
+    True
     """
-    cur = [free_reduce(w) for w in words]
-    log: list[tuple] = []
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(cur)):
-            if improved:
+    if len(words) != rank:
+        return None
+    # Edge e runs src[e] -> dst[e] spelling the generator let[e] > 0, with
+    # label lab[e]; adj[v][a] lists the edges leaving v along the letter a
+    # (an edge leaves its source along +let and its target along -let).
+    # Folding leaves at most one edge in each list; adj[v] is None once v
+    # has been identified with another vertex.
+    src: list[int] = []
+    dst: list[int] = []
+    let: list[int] = []
+    lab: list[Word] = []
+    adj: list = [defaultdict(list)]
+    base, offset = 0, ()
+
+    def add_edge(u, a, v, label):
+        if a < 0:
+            u, a, v, label = v, -a, u, word_inverse(label)
+        src.append(u)
+        dst.append(v)
+        let.append(a)
+        lab.append(label)
+        adj[u][a].append(len(src) - 1)
+        adj[v][-a].append(len(src) - 1)
+
+    def leave(e, v, a):
+        """Far end and label of edge e, traversed out of v along a."""
+        return (dst[e], lab[e]) if a > 0 else (src[e], word_inverse(lab[e]))
+
+    def read(v, letters):
+        """Follow letters from v while edges exist: the end vertex and the
+        label of each edge passed."""
+        labels = []
+        for a in letters:
+            es = adj[v].get(a)
+            if not es:
                 break
-            for j in range(len(cur)):
-                if i == j or improved:
-                    continue
-                for side in ("right", "left"):
-                    for sign in (1, -1):
-                        other = cur[j] if sign == 1 else word_inverse(cur[j])
-                        cand = word_mul(cur[i], other) if side == "right" else word_mul(other, cur[i])
-                        if len(cand) < len(cur[i]):
-                            cur[i] = cand
-                            log.append(("mul", i, j, side, sign))
-                            improved = True
-                            break
-                    if improved:
-                        break
-    basis = (
-        len(cur) == rank
-        and all(len(w) == 1 for w in cur)
-        and sorted(abs(w[0]) for w in cur) == list(range(1, rank + 1))
-    )
-    return NielsenResult(tuple(cur), basis, tuple(log))
+            v, label = leave(es[0], v, a)
+            labels.append(label)
+        return v, labels
+
+    def identify(x, y, label):
+        """Merge y into x (or x into y, whichever has fewer edges), where a
+        path x -> y with this label is to become a closed path at x with
+        the empty label.  Returns the surviving vertex."""
+        nonlocal base, offset
+        if sum(map(len, adj[x].values())) < sum(map(len, adj[y].values())):
+            x, y, label = y, x, word_inverse(label)
+        inv_label = word_inverse(label)
+        for e in {e for es in adj[y].values() for e in es}:
+            if src[e] == y:
+                lab[e] = word_mul(label, lab[e])
+                src[e] = x
+            if dst[e] == y:
+                lab[e] = word_mul(lab[e], inv_label)
+                dst[e] = x
+        for b, es in adj[y].items():
+            adj[x][b].extend(es)
+        adj[y] = None
+        if y == base:
+            base, offset = x, word_mul(offset, inv_label)
+        return x
+
+    def fold(v):
+        """Fold parallel edges at v and wherever merging moves them;
+        False when two parallel edges close a loop (a relation)."""
+        todo = [v]
+        while todo:
+            v = todo[-1]
+            pair = adj[v] is not None and next(((a, es) for a, es in adj[v].items() if len(es) > 1), None)
+            if not pair:
+                todo.pop()
+                continue
+            a, (e1, e2) = pair[0], pair[1][:2]
+            (f1, l1), (f2, l2) = leave(e1, v, a), leave(e2, v, a)
+            if f1 == f2:
+                return False
+            todo.append(identify(f1, f2, word_mul(word_inverse(l1), l2)))
+            # e2 now duplicates e1: same ends, letter and label.
+            adj[src[e2]][let[e2]].remove(e2)
+            adj[dst[e2]][-let[e2]].remove(e2)
+        return True
+
+    for i, w in enumerate(words, 1):
+        w = free_reduce(w)
+        v, head = read(base, w)
+        u, tail = read(base, (-a for a in reversed(w[len(head):])))
+        # The loop's label l must satisfy C l C^-1 = i: the middle carries
+        # head^-1 C^-1 i C tail^-1, and tail was read inverted.
+        label = word_mul(word_inverse(word_mul(*head)), word_inverse(offset), (i,), offset, *tail)
+        middle = w[len(head):len(w) - len(tail)]
+        if middle:
+            prev = v
+            for j, a in enumerate(middle):
+                if j == len(middle) - 1:
+                    nxt = u
+                else:
+                    nxt = len(adj)
+                    adj.append(defaultdict(list))
+                add_edge(prev, a, nxt, label if j == 0 else ())
+                prev = nxt
+            # The new edges can meet old ones only where the middle closes
+            # up (v == u) and its word is not cyclically reduced.
+            if not fold(v):
+                return None
+        elif v == u or not fold(identify(v, u, label)):
+            return None
+
+    loops = {let[e]: lab[e] for es in adj[base].values() for e in es}
+    if sum(a is not None for a in adj) != 1 or sorted(loops) != list(range(1, rank + 1)):
+        return None
+    inv_offset = word_inverse(offset)
+    return tuple(word_mul(offset, loops[j], inv_offset) for j in range(1, rank + 1))
 
 
 @dataclass(frozen=True)
 class FreeAut:
     """An automorphism of the rank-k free group, by generator images.
 
-    Validated on construction: the image tuple must Nielsen-reduce to a
-    permuted/inverted basis.  ``@`` and ``**`` compose and power as for
+    The public constructor validates: the images must be a free basis
+    (:func:`free_basis_inverse`).  Products, powers, inverses,
+    conjugations and the identity are automorphisms by construction and
+    are built unchecked.  ``@`` and ``**`` compose and power as for
     :class:`IntMatrix`, so both kinds of action share one protocol.
 
     >>> swap = FreeAut(2, ((2,), (1,)))
@@ -182,29 +289,37 @@ class FreeAut:
         for w in images:
             if any(abs(a) > self.rank for a in w):
                 raise ValueError("letter outside the group's rank")
-        if not nielsen_reduce(images, self.rank).is_basis:
+        if free_basis_inverse(images, self.rank) is None:
             raise ValueError("images do not form a free basis (not an automorphism)")
+
+    @classmethod
+    def _trusted(cls, rank: int, images: tuple[Word, ...]) -> "FreeAut":
+        """Wrap reduced images known to form a basis, skipping validation."""
+        aut = object.__new__(cls)
+        object.__setattr__(aut, "rank", rank)
+        object.__setattr__(aut, "images", images)
+        return aut
 
     @staticmethod
     def identity(rank: int) -> "FreeAut":
-        return FreeAut(rank, tuple((i,) for i in range(1, rank + 1)))
+        return FreeAut._trusted(rank, tuple((i,) for i in range(1, rank + 1)))
 
     @staticmethod
     def conjugation(rank: int, w: Word) -> "FreeAut":
         """x |-> w x w^-1 for every generator x."""
         w = free_reduce(w)
-        return FreeAut(rank, tuple(word_mul(w, (i,), word_inverse(w)) for i in range(1, rank + 1)))
+        if any(abs(a) > rank for a in w):
+            raise ValueError("letter outside the group's rank")
+        w_inv = word_inverse(w)
+        return FreeAut._trusted(rank, tuple(word_mul(w, (i,), w_inv) for i in range(1, rank + 1)))
 
     def apply(self, w: Word) -> Word:
-        out: Word = ()
-        for a in w:
-            piece = self.images[a - 1] if a > 0 else word_inverse(self.images[-a - 1])
-            out = word_mul(out, piece)
-        return out
+        images = self.images
+        return word_mul(*(images[a - 1] if a > 0 else word_inverse(images[-a - 1]) for a in w))
 
     def compose(self, other: "FreeAut") -> "FreeAut":
         """self after other: (self.compose(other))(w) = self(other(w))."""
-        return FreeAut(self.rank, tuple(self.apply(im) for im in other.images))
+        return FreeAut._trusted(self.rank, tuple(self.apply(im) for im in other.images))
 
     def __matmul__(self, other: "FreeAut") -> "FreeAut":
         return self.compose(other)
@@ -235,27 +350,8 @@ class FreeAut:
         return IntMatrix.from_rows(cols).transpose()
 
     def inverse(self) -> "FreeAut":
-        """Invert by replaying the Nielsen reduction of the image tuple.
-
-        Each length-reducing move corresponds to an elementary
-        automorphism mu with (tuple after move) = images of self o mu, so
-        the move chain followed by the final signed permutation
-        reconstructs the inverse.
-        """
-        res = nielsen_reduce(self.images, self.rank)
-        chain = FreeAut.identity(self.rank)
-        for _, i, j, side, sign in res.log:
-            imgs = list(FreeAut.identity(self.rank).images)
-            gen_j = (j + 1,) if sign == 1 else (-(j + 1),)
-            imgs[i] = word_mul((i + 1,), gen_j) if side == "right" else word_mul(gen_j, (i + 1,))
-            chain = chain.compose(FreeAut(self.rank, tuple(imgs)))
-        # self o chain = sigma (a signed permutation), so self^-1 = chain o sigma^-1.
-        sigma_images = res.words
-        inv_imgs: list[Word] = [()] * self.rank
-        for i, im in enumerate(sigma_images):
-            target = im[0]
-            inv_imgs[abs(target) - 1] = ((i + 1) if target > 0 else -(i + 1),)
-        out = chain.compose(FreeAut(self.rank, tuple(inv_imgs)))
+        """The inverse, read off the folded rose of the image tuple."""
+        out = FreeAut._trusted(self.rank, free_basis_inverse(self.images, self.rank))
         assert self.compose(out).is_identity and out.compose(self).is_identity
         return out
 
@@ -265,31 +361,29 @@ def is_inner(phi: FreeAut) -> Word | None:
     None when phi is not inner.
 
     Fast rejection through the abelianization (inner automorphisms act
-    trivially there); otherwise the first generator pins the conjugator
-    down to w0 x1^t and a bounded scan over t decides, since conjugating
-    by longer powers of x1 strictly grows reduced length.
+    trivially there).  Otherwise phi(x1) = w0 x1 w0^-1 fixes w0 from the
+    cyclic reduction of phi(x1), and every solution is w0 x1^t, since the
+    centralizer of x1 is <x1>.  Then u = w0^-1 phi(x2) w0 must equal
+    x1^t x2 x1^-t, whose leading run of x1^+-1 is t.  The one candidate
+    w0 x1^t is tested on every generator; for rank >= 2 the center is
+    trivial, so the conjugator is unique.
     """
     k = phi.rank
     if k == 1:
         return () if phi.is_identity else None
     if not phi.abelianization().is_identity:
         return None
-    x1: Word = (1,)
-    c = conjugacy_test_free(x1, phi.images[0])
-    if c is None:
+    core, w0 = cyclically_reduce(phi.images[0])
+    if core != (1,):
         return None
-    w0 = word_inverse(c)  # phi(x1) = w0 x1 w0^-1
-
-    def conj(w: Word, x: Word) -> Word:
-        return word_mul(w, x, word_inverse(w))
-
-    bound = len(phi.images[1]) + len(w0) + 2
-    for t in range(-bound, bound + 1):
-        w = word_mul(w0, word_power(x1, t))
-        if conj(w, (2,)) != phi.images[1]:
-            continue
-        if all(conj(w, (i,)) == phi.images[i - 1] for i in range(3, k + 1)):
-            return w
+    u = word_mul(word_inverse(w0), phi.images[1], w0)
+    t = 0
+    while t < len(u) and u[t] == u[0] and abs(u[0]) == 1:
+        t += 1
+    w = word_mul(w0, u[:t])
+    w_inv = word_inverse(w)
+    if all(word_mul(w, (i,), w_inv) == phi.images[i - 1] for i in range(1, k + 1)):
+        return w
     return None
 
 

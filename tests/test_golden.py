@@ -165,8 +165,31 @@ INLINE = {
         "quotient: Z\n"
         "action t -> (x -> x c, c -> c)\n"
     ),
+    # Conjugation by a^400: the conjugator is read off in one pass.
+    "inner_e400": (
+        "kernel: free(a, b)\n"
+        "quotient: Z\n"
+        "action t -> (a -> a, b -> a^400 b a^-400)\n"
+    ),
+    # Two automorphisms that greedy length-reducing Nielsen moves fail to
+    # certify: c_c after the IA automorphism c -> c [a, b], whose third
+    # power stalls them, and a product of four elementary moves.  Both
+    # have infinite outer order, so the search ends at the cap.
+    "fc_free_commutator_twist": (
+        "kernel: free(a, b, c)\n"
+        "quotient: Z\n"
+        "action t -> (a -> c a c^-1, b -> c b c^-1, c -> c^2 a b a^-1 b^-1 c^-1)\n"
+    ),
+    "fc_free_four_moves": (
+        "kernel: free(a, b, c)\n"
+        "quotient: Z\n"
+        "action t -> (a -> a c^-1, b -> b a b, c -> c b)\n"
+    ),
 }
-ARGS = {"fc_z3_on_z4_past_bound": ("--relation-bound", "5")}
+ARGS = {
+    "fc_z3_on_z4_past_bound": ("--relation-bound", "5"),
+    "fc_free_four_moves": ("--out-order-cap", "8"),
+}
 SHIPPED = ("f2xz", "klein", "sol", "swap")
 BAD_DIAGNOSTIC = "bad.ext:3:12: [validation] non-unimodular matrix, det=4\n"
 

@@ -13,7 +13,6 @@ from icckit.intlinalg import (
     enumerate_box,
     hnf,
     kernel_lattice,
-    lattice_intersect,
     random_unimodular,
     x_power_minus_one,
 )
@@ -157,17 +156,17 @@ class TestKernelLattice:
 class TestLatticeIntersect:
     def test_full_is_identity_element(self):
         l1 = Lattice.from_rows(2, [(2, 1)])
-        assert lattice_intersect(l1, Lattice.full(2)) == l1
+        assert l1.intersect(Lattice.full(2)) == l1
 
     def test_axes_meet_trivially(self):
         l1 = Lattice.from_rows(2, [(1, 0)])
         l2 = Lattice.from_rows(2, [(0, 1)])
-        assert lattice_intersect(l1, l2).rank == 0
+        assert l1.intersect(l2).rank == 0
 
     def test_index_two_example(self):
         l1 = Lattice.from_rows(2, [(2, 0), (0, 1)])
         l2 = Lattice.from_rows(2, [(1, 1)])
-        meet = lattice_intersect(l1, l2)
+        meet = l1.intersect(l2)
         assert meet.basis == ((2, 2),)
         for v in enumerate_box(2, 10):
             v = tuple(v)

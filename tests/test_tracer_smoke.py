@@ -18,6 +18,13 @@ SPEC = (
     "action u -> [[2,1],[1,1]]\n"
     "action v -> [[5,3],[3,2]]\n"
 )
+# A free kernel: the out-order search composes powers of the swap and
+# tests each for innerness.
+FREE_SPEC = (
+    "kernel: free(a, b)\n"
+    "quotient: Z\n"
+    "action t -> (a -> b, b -> a)\n"
+)
 
 SCRIPT = """
 import contextlib, io, json, sys
@@ -32,14 +39,25 @@ print(json.dumps({"code": code, "calls": tracer.calls, "values": tracer.values})
 """
 
 
-def test_traced_check_counts_fc_search(tmp_path):
-    spec = tmp_path / "z2.ext"
-    spec.write_text(SPEC)
+def traced_check(spec_text, tmp_path):
+    spec = tmp_path / "spec.ext"
+    spec.write_text(spec_text)
     out = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT), str(spec)],
         capture_output=True, text=True, check=True, timeout=120,
     )
     result = json.loads(out.stdout)
     assert result["code"] == 0
+    return result
+
+
+def test_traced_check_counts_fc_search(tmp_path):
+    result = traced_check(SPEC, tmp_path)
     assert result["calls"]["analyzer.theta_fc_injective"] > 0
     assert result["values"]["analyzer.fc_candidates"] > 0
+
+
+def test_traced_check_counts_free_kernel_work(tmp_path):
+    result = traced_check(FREE_SPEC, tmp_path)
+    assert result["calls"]["words.is_inner"] > 0
+    assert result["calls"]["words.freeaut_compose"] > 0

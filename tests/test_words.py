@@ -3,15 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import icckit.words as words_module
 from icckit.intlinalg import IntMatrix
 from icckit.words import (
     FreeAut,
     conjugacy_test_free,
     cyclic_normalize,
+    free_basis_inverse,
     free_reduce,
     is_inner,
-    nielsen_reduce,
-    normalize,
     word_inverse,
     word_mul,
     word_power,
@@ -27,7 +27,7 @@ def words(rank, max_size=12):
 
 
 def stack_reduce_reference(seq):
-    """Independent reducer used as the oracle for normalize()."""
+    """Independent reducer used as the oracle for free_reduce()."""
     out = []
     for x in seq:
         if out and out[-1] + x == 0:
@@ -39,20 +39,20 @@ def stack_reduce_reference(seq):
 
 class TestNormalize:
     def test_cancel_pair(self):
-        assert normalize((1, -1)) == ()
+        assert free_reduce((1, -1)) == ()
 
     def test_conjugate_of_generator(self):
         assert cyclic_normalize((-2, 1, 2)) == (1,)
 
     def test_partial_cancellation(self):
         # a b a^-1 a b -> a b b
-        assert normalize((1, 2, -1, 1, 2)) == (1, 2, 2)
-        assert normalize((1, 2, -1, 1, 2)) == stack_reduce_reference((1, 2, -1, 1, 2))
+        assert free_reduce((1, 2, -1, 1, 2)) == (1, 2, 2)
+        assert free_reduce((1, 2, -1, 1, 2)) == stack_reduce_reference((1, 2, -1, 1, 2))
 
     @given(words(4, 20))
     def test_idempotent_and_shorter(self, w):
-        r = normalize(w)
-        assert normalize(r) == r
+        r = free_reduce(w)
+        assert free_reduce(r) == r
         assert len(r) <= len(w)
         assert r == stack_reduce_reference(w)
 
@@ -131,18 +131,14 @@ def random_basis_aut(rank, steps, rng):
 
 class TestNielsenReduce:
     def test_standard_basis(self):
-        res = nielsen_reduce(((1,), (2,)), 2)
-        assert res.words == ((1,), (2,)) and res.is_basis
+        assert free_basis_inverse(((1,), (2,)), 2) == ((1,), (2,))
 
     def test_one_move(self):
-        res = nielsen_reduce(((1, 2), (2,)), 2)
-        assert res.is_basis
-        assert sorted(res.words) == [(1,), (2,)]
+        # a -> ab, b -> b is inverted by a -> ab^-1, b -> b
+        assert free_basis_inverse(((1, 2), (2,)), 2) == ((1, -2), (2,))
 
     def test_square_not_basis(self):
-        res = nielsen_reduce(((1, 1), (2,)), 2)
-        assert res.words == ((1, 1), (2,))
-        assert not res.is_basis
+        assert free_basis_inverse(((1, 1), (2,)), 2) is None
 
     def test_square_subgroup_misses_generator(self):
         # brute-force: no product of <= 6 factors from {a^2, b}^+- equals a
@@ -161,23 +157,7 @@ class TestNielsenReduce:
         for _ in range(50):
             rank = rng.choice([2, 2, 3])
             aut = random_basis_aut(rank, rng.randint(1, 10), rng)
-            res = nielsen_reduce(aut.images, rank)
-            assert res.is_basis
-
-    def test_total_length_never_increases_along_log(self):
-        rng = random.Random(22)
-        aut = random_basis_aut(2, 8, rng)
-        res = nielsen_reduce(aut.images, 2)
-        # replay the log and watch the total length
-        cur = [free_reduce(w) for w in aut.images]
-        total = sum(len(w) for w in cur)
-        for _, i, j, side, sign in res.log:
-            other = cur[j] if sign == 1 else word_inverse(cur[j])
-            cur[i] = word_mul(cur[i], other) if side == "right" else word_mul(other, cur[i])
-            new_total = sum(len(w) for w in cur)
-            assert new_total < total
-            total = new_total
-        assert tuple(cur) == res.words
+            assert free_basis_inverse(aut.images, rank) is not None
 
     def test_subgroup_preserved_on_small_case(self):
         # <ab, b> = <a, b>: both generate all reduced words of length <= 4
@@ -287,3 +267,203 @@ class TestIsInner:
     def test_power_word(self):
         assert word_power((1, 2), 2) == (1, 2, 1, 2)
         assert word_power((1,), -2) == (-1, -1)
+
+
+# Test-only copies of the earlier implementations, kept as references.
+
+
+def greedy_nielsen_is_basis(words, rank):
+    """Greedy length-reducing Nielsen reduction, the basis test used before
+    Stallings folding.  Sound when it accepts, but it stalls on some
+    genuine bases, where only a length-preserving move would help."""
+    cur = [free_reduce(w) for w in words]
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(cur)):
+            for j in range(len(cur)):
+                if i == j or improved:
+                    continue
+                for side in ("right", "left"):
+                    for other in (cur[j], word_inverse(cur[j])):
+                        cand = word_mul(cur[i], other) if side == "right" else word_mul(other, cur[i])
+                        if not improved and len(cand) < len(cur[i]):
+                            cur[i] = cand
+                            improved = True
+    return (
+        len(cur) == rank
+        and all(len(w) == 1 for w in cur)
+        and sorted(abs(w[0]) for w in cur) == list(range(1, rank + 1))
+    )
+
+
+def loop_word_power(w, n):
+    """w^n by n successive products."""
+    if n < 0:
+        return loop_word_power(word_inverse(w), -n)
+    out = ()
+    for _ in range(n):
+        out = word_mul(out, w)
+    return out
+
+
+def left_fold_apply(phi, w):
+    """phi(w), multiplying in one image piece at a time."""
+    out = ()
+    for a in w:
+        piece = phi.images[a - 1] if a > 0 else word_inverse(phi.images[-a - 1])
+        out = word_mul(out, piece)
+    return out
+
+
+def scan_is_inner(phi):
+    """The conjugator of an inner phi by a scan of t in w0 x1^t over
+    [-bound, bound], the bound growing with |phi(x2)| and |w0|."""
+    k = phi.rank
+    if k == 1:
+        return () if phi.is_identity else None
+    if not phi.abelianization().is_identity:
+        return None
+    c = conjugacy_test_free((1,), phi.images[0])
+    if c is None:
+        return None
+    w0 = word_inverse(c)
+    bound = len(phi.images[1]) + len(w0) + 2
+    for t in range(-bound, bound + 1):
+        w = word_mul(w0, loop_word_power((1,), t))
+        if all(word_mul(w, (i,), word_inverse(w)) == phi.images[i - 1] for i in range(2, k + 1)):
+            return w
+    return None
+
+
+def nielsen_product_images(rank, moves, rng):
+    """Images of a product of elementary Nielsen moves (x_i -> x_i x_j^+-1
+    or x_j^+-1 x_i) followed by a signed permutation of the generators."""
+    imgs = [(i,) for i in range(1, rank + 1)]
+    for _ in range(moves):
+        i, j = rng.sample(range(rank), 2)
+        other = imgs[j] if rng.random() < 0.5 else word_inverse(imgs[j])
+        imgs[i] = word_mul(imgs[i], other) if rng.random() < 0.5 else word_mul(other, imgs[i])
+    perm = rng.sample(range(rank), rank)
+    return tuple(imgs[p] if rng.random() < 0.5 else word_inverse(imgs[p]) for p in perm)
+
+
+def random_reduced_word(rank, max_len, rng):
+    pool = [x for x in range(-rank, rank + 1) if x]
+    return free_reduce(tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len))))
+
+
+def signed_permutation(rank, rng):
+    perm = rng.sample(range(1, rank + 1), rank)
+    return FreeAut(rank, tuple((p if rng.random() < 0.5 else -p,) for p in perm))
+
+
+def is_two_sided_inverse(images, inverse_images, rank):
+    phi = FreeAut(rank, images)
+    psi = FreeAut(rank, inverse_images)
+    return phi.compose(psi).is_identity and psi.compose(phi).is_identity
+
+
+class TestFreeBasisFold:
+    """CATALOG_AXIOMS.md 8: a tuple is a free basis iff its folded wedge
+    of loops is the rose, and the rose's loop labels give the inverse."""
+
+    def test_genuine_automorphisms_accepted_with_inverse(self):
+        rng = random.Random(3)
+        greedy_rejected = 0
+        for rank in (2, 3, 4):
+            for moves in (4, 8, 12, 20):
+                for _ in range(100):
+                    images = nielsen_product_images(rank, moves, rng)
+                    inverse = free_basis_inverse(images, rank)
+                    assert inverse is not None, images
+                    assert is_two_sided_inverse(images, inverse, rank)
+                    assert FreeAut(rank, images).inverse().images == inverse
+                    greedy_rejected += not greedy_nielsen_is_basis(images, rank)
+        assert greedy_rejected > 0
+
+    def test_non_bases_rejected(self):
+        for images in (((1, 1), (2,)), ((1, 2, -1, -2), (2,))):
+            assert free_basis_inverse(images, 2) is None
+            with pytest.raises(ValueError, match="not an automorphism"):
+                FreeAut(2, images)
+
+    def test_automorphism_greedy_reduction_stalls_on(self):
+        # a -> a c^-1, b -> b a b, c -> c b: four elementary moves.
+        images = ((1, -3), (2, 1, 2), (3, 2))
+        assert not greedy_nielsen_is_basis(images, 3)
+        inverse = free_basis_inverse(images, 3)
+        assert inverse is not None and is_two_sided_inverse(images, inverse, 3)
+
+    def test_random_short_tuples(self):
+        rng = random.Random(4)
+        accepted = 0
+        for _ in range(3000):
+            rank = rng.choice((2, 2, 3))
+            images = tuple(random_reduced_word(rank, 3, rng) for _ in range(rank))
+            inverse = free_basis_inverse(images, rank)
+            if inverse is not None:
+                accepted += 1
+                assert is_two_sided_inverse(images, inverse, rank)
+            if greedy_nielsen_is_basis(images, rank):
+                assert inverse is not None, images
+        assert accepted > 100
+
+    def test_letters_outside_rank_rejected(self):
+        assert free_basis_inverse(((1,), (3,)), 2) is None
+        assert free_basis_inverse(((1,),), 2) is None
+
+
+class TestAgainstEarlierImplementations:
+    """The linear is_inner, word_power and apply agree with the scans and
+    loops they replaced."""
+
+    def automorphisms(self, rng):
+        for rank in (2, 3, 4):
+            for _ in range(25):
+                conj = FreeAut.conjugation(rank, random_reduced_word(rank, 12, rng))
+                yield conj
+                yield conj.compose(signed_permutation(rank, rng))
+                yield conj.compose(random_basis_aut(rank, rng.randint(1, 8), rng))
+            if rank >= 3:
+                # IA but not inner: c -> c [a, b], twisted by conjugations.
+                ia = FreeAut(rank, ((1,), (2,), (3, 1, 2, -1, -2)) + tuple((i,) for i in range(4, rank + 1)))
+                for _ in range(10):
+                    yield FreeAut.conjugation(rank, random_reduced_word(rank, 6, rng)).compose(ia)
+
+    def test_is_inner_matches_scan(self):
+        rng = random.Random(31)
+        inner = 0
+        for phi in self.automorphisms(rng):
+            got = is_inner(phi)
+            assert got == scan_is_inner(phi)
+            inner += got is not None
+        assert inner >= 75
+
+    def test_apply_matches_left_fold(self):
+        rng = random.Random(32)
+        for phi in self.automorphisms(rng):
+            w = random_reduced_word(phi.rank, 10, rng)
+            assert phi.apply(w) == left_fold_apply(phi, w)
+
+    def test_word_power_matches_loop(self):
+        rng = random.Random(33)
+        for _ in range(300):
+            w = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(0, 8)))
+            n = rng.randint(-6, 6)
+            assert word_power(w, n) == loop_word_power(w, n)
+
+    def test_is_inner_work_is_linear(self, monkeypatch):
+        e = 3000
+        phi = FreeAut(2, ((1,), (1,) * e + (2,) + (-1,) * e))
+        calls = 0
+
+        def counted_word_mul(*ws):
+            nonlocal calls
+            calls += 1
+            return real_word_mul(*ws)
+
+        real_word_mul = words_module.word_mul
+        monkeypatch.setattr(words_module, "word_mul", counted_word_mul)
+        assert is_inner(phi) == (1,) * e
+        assert calls <= 20
