@@ -8,7 +8,11 @@ a hyperbolic block beside a finite-order one.  A second group of inline
 specs pins the finite-class injectivity search: which candidate it
 reports first, and which obstruction it names when it gives up, for
 finite, abelian and product quotients acting on abelian and free
-kernels.  ``ARGS`` holds extra command-line options per spec.
+kernels.  A third group runs the oracle cross-check at radius 4 on the
+shipped examples and on inline specs covering abelian (with torsion),
+free and finite kernels and product quotients, and pins the growth
+curves ``--emit-growth`` writes for one growing and one closed class.
+``ARGS`` holds extra command-line options per spec.
 
 Regenerate (only when a report change is intended) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -185,12 +189,69 @@ INLINE = {
         "quotient: Z\n"
         "action t -> (a -> a c^-1, b -> b a b, c -> c b)\n"
     ),
+    # Oracle cross-checks.  SL(2, Z) by its order-4 and order-6
+    # generators through a free quotient: with --oracle-cap 100 some
+    # sample balls stop at the cap, the others run the full radius.
+    "oracle_sl2_free": (
+        "kernel: Z^2\n"
+        "quotient: free(r, u)\n"
+        "action r -> [[0,-1],[1,0]]\n"
+        "action u -> [[0,-1],[1,1]]\n"
+    ),
+    "oracle_permfree_s3": (
+        "kernel: free(f, h, c)\n"
+        "quotient: finite perm((1 2); (1 2 3))\n"
+        "action v -> (f -> h, h -> f, c -> c)\n"
+        "action w -> (f -> h, h -> c, c -> f)\n"
+    ),
+    "oracle_torsion_kernel": (
+        "kernel: Z^2 + Z/2\n"
+        "quotient: Z\n"
+        "action t -> [[2,1],[1,1]]\n"
+    ),
+    "oracle_finite_kernel": (
+        "kernel: finite perm((1 2); (1 2 3))\n"
+        "quotient: free(u, v)\n"
+    ),
+    "oracle_torsion_quotient": (
+        "kernel: Z^2\n"
+        "quotient: Z/2 + Z/4\n"
+        "action s -> [[-1,0],[0,-1]]\n"
+        "action r -> [[0,-1],[1,0]]\n"
+    ),
+    "oracle_free_z2": (
+        "kernel: free(g, h)\n"
+        "quotient: Z^2\n"
+        "action p -> (g -> g h, h -> h)\n"
+        "action u -> (g -> h g h, h -> h)\n"
+    ),
+    "oracle_product_samples": (
+        "kernel: Z^2\n"
+        "quotient: product(free(u, v), finite perm((1 2)))\n"
+        "action u -> [[2,1],[1,1]]\n"
+        "action v -> [[1,1],[1,2]]\n"
+        "action c -> [[-1,0],[0,-1]]\n"
+    ),
+    "oracle_product_vector": (
+        "kernel: Z^2\n"
+        "quotient: product(free(u, v), finite perm((1 2)))\n"
+        "action u -> [[0,1],[1,0]]\n"
+        "action v -> [[-1,0],[0,-1]]\n"
+        "action c -> [[0,1],[1,0]]\n"
+    ),
 }
+SHIPPED = ("f2xz", "klein", "sol", "swap")
+ORACLE = ("--oracle-radius", "4")
+# Cross-checks of the shipped examples: golden name -> example.
+ORACLE_SHIPPED = {f"oracle_{name}": name for name in SHIPPED}
 ARGS = {
     "fc_z3_on_z4_past_bound": ("--relation-bound", "5"),
     "fc_free_four_moves": ("--out-order-cap", "8"),
+    **{name: ORACLE for name in (*INLINE, *ORACLE_SHIPPED) if name.startswith("oracle_")},
+    "oracle_sl2_free": (*ORACLE, "--oracle-cap", "100"),
 }
-SHIPPED = ("f2xz", "klein", "sol", "swap")
+NAMES = SHIPPED + tuple(ORACLE_SHIPPED) + tuple(INLINE)
+GROWTH = ("sol", "klein")  # sol's first sample keeps growing; klein's witness closes
 BAD_DIAGNOSTIC = "bad.ext:3:12: [validation] non-unimodular matrix, det=4\n"
 
 
@@ -206,14 +267,26 @@ def spec_path(name, directory: Path) -> Path:
         path = directory / f"{name}.ext"
         path.write_text(INLINE[name])
         return path
-    return EXTENSIONS / f"{name}.ext"
+    return EXTENSIONS / f"{ORACLE_SHIPPED.get(name, name)}.ext"
 
 
-@pytest.mark.parametrize("name", SHIPPED + tuple(INLINE))
+@pytest.mark.parametrize("name", NAMES)
 def test_report_matches_golden(name, tmp_path):
     code, out, err = check_json(spec_path(name, tmp_path), ARGS.get(name, ()))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def growth_csv(name, directory: Path) -> str:
+    path = directory / f"{name}_growth.csv"
+    code, _, err = check_json(EXTENSIONS / f"{name}.ext", (*ORACLE, "--emit-growth", str(path)))
+    assert (code, err) == (0, "")
+    return path.read_text()
+
+
+@pytest.mark.parametrize("name", GROWTH)
+def test_growth_curve_matches_golden(name, tmp_path):
+    assert growth_csv(name, tmp_path) == (GOLDEN / f"{name}_growth.csv").read_text()
 
 
 def test_bad_extension_diagnostic(monkeypatch):
@@ -226,7 +299,9 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
-        for name in SHIPPED + tuple(INLINE):
+        for name in NAMES:
             code, out, _ = check_json(spec_path(name, Path(scratch)), ARGS.get(name, ()))
             assert code == 0, name
             (GOLDEN / f"{name}.json").write_text(out)
+        for name in GROWTH:
+            (GOLDEN / f"{name}_growth.csv").write_text(growth_csv(name, Path(scratch)))
