@@ -11,6 +11,14 @@ words, finite kernels permutations.  Quotient elements use the catalog
 normal form: exponent tuples, reduced words, permutations, or tuples of
 those for products.  Multiplication is
 ``(k1, q1) (k2, q2) = (k1 * theta(q1)(k2), q1 q2)``.
+
+Conjugation, the step that grows every ball, is computed in closed form:
+for ``g = (k, q)`` and ``x = (a, p)``,
+``g^-1 x g = (theta(q^-1)(k^-1 * a * theta(p)(k)), q^-1 p q)``.  This is
+the same element as the product of ``inv(g)``, ``x`` and ``g`` because
+theta is a homomorphism into the automorphisms of the kernel (the
+extension validated the quotient's relations), and normal forms are
+exact, so the two computations give the same tuple.
 """
 
 from __future__ import annotations
@@ -42,13 +50,10 @@ class _AbelianKernelPart:
     def __init__(self, kernel: AbelianKernel):
         self.rank = kernel.rank
         self.divisors = kernel.divisors
+        self.identity = (0,) * (self.rank + len(self.divisors))
 
     def _wrap(self, free, tors):
         return tuple(free) + tuple(t % d for t, d in zip(tors, self.divisors))
-
-    @property
-    def identity(self):
-        return (0,) * (self.rank + len(self.divisors))
 
     def mul(self, a, b):
         return self._wrap(
@@ -96,10 +101,7 @@ class _FreeKernelPart:
 class _FiniteKernelPart:
     def __init__(self, kernel: FiniteGroupDesc):
         self.desc = kernel
-
-    @property
-    def identity(self):
-        return perm_identity(self.desc.degree)
+        self.identity = perm_identity(kernel.degree)
 
     def mul(self, a, b):
         return perm_compose(a, b)
@@ -122,19 +124,14 @@ class _QuotientPart:
         self.desc = desc
         if isinstance(desc, ProductDesc):
             self.parts = [_QuotientPart(f) for f in desc.factors]
+            self.identity = tuple(p.identity for p in self.parts)
         else:
             self.parts = None
-
-    @property
-    def identity(self):
-        d = self.desc
-        if isinstance(d, FgAbelianDesc):
-            return (0,) * d.gen_count
-        if isinstance(d, FreeDesc):
-            return ()
-        if isinstance(d, FiniteGroupDesc):
-            return perm_identity(d.degree)
-        return tuple(p.identity for p in self.parts)
+            self.identity = (
+                (0,) * desc.gen_count if isinstance(desc, FgAbelianDesc)
+                else () if isinstance(desc, FreeDesc)
+                else perm_identity(desc.degree)
+            )
 
     def mul(self, a, b):
         d = self.desc
@@ -225,10 +222,7 @@ class ConcreteGroup:
             else None
         )
         self._action_pows: dict = {}
-
-    @property
-    def identity(self):
-        return (self.kernel_part.identity, self.quotient_part.identity)
+        self.identity = (self.kernel_part.identity, self.quotient_part.identity)
 
     def theta(self, q):
         """The action of a quotient element on the kernel."""
@@ -264,8 +258,23 @@ class ConcreteGroup:
         return (self.act(qi, self.kernel_part.inv(k)), qi)
 
     def conjugate(self, g, x):
-        """x^g = g^-1 x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
+        """x^g = g^-1 x g, in closed form.
+
+        For g = (k, q) and x = (a, p), g^-1 x g is
+        (theta(q^-1)(k^-1 * a * theta(p)(k)), q^-1 p q): expand
+        inv(g) * x * g with the multiplication rule and use
+        theta(q^-1) theta(p) = theta(q^-1 p).  The kernel half is skipped
+        when k = 1 and the quotient half when q = 1; every ball
+        conjugator is one of these two kinds.
+        """
+        (k, q), (a, p) = g, x
+        kernel, quotient = self.kernel_part, self.quotient_part
+        if k != kernel.identity:
+            a = kernel.mul(kernel.mul(kernel.inv(k), a), self.act(p, k))
+        if q == quotient.identity:
+            return (a, p)
+        qi = quotient.inv(q)
+        return (self.act(qi, a), quotient.mul(quotient.mul(qi, p), q))
 
     def kernel_element(self, k):
         return (k, self.quotient_part.identity)

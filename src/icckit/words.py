@@ -86,14 +86,38 @@ def cyclic_normalize(w: Word) -> Word:
     (1,)
     """
     core, _ = cyclically_reduce(w)
-    if not core:
-        return ()
-    return min(core[r:] + core[:r] for r in range(len(core)))
+    r = _least_rotation(core)
+    return core[r:] + core[:r]
 
 
-def _min_rotation_prefix(core: Word) -> Word:
-    best = min(range(len(core)), key=lambda r: core[r:] + core[:r]) if core else 0
-    return core[:best]
+def _least_rotation(w: Word) -> int:
+    """The smallest r with w[r:] + w[:r] the least rotation of w.
+
+    Booth's algorithm (K. S. Booth, "Lexicographically least circular
+    substrings", Inf. Process. Lett. 1980): a failure function over the
+    doubled word, linear in len(w).  k moves only to a strictly smaller
+    candidate, so on a proper power it stays at the first least rotation.
+
+    >>> _least_rotation((2, 1, 2, 1))
+    1
+    """
+    n = len(w)
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        c = w[j % n]
+        i = fail[j - k - 1]
+        while i != -1 and c != w[(k + i + 1) % n]:
+            if c < w[(k + i + 1) % n]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != w[k % n]:
+            if c < w[k % n]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def conjugacy_test_free(u: Word, v: Word) -> Word | None:
@@ -107,10 +131,11 @@ def conjugacy_test_free(u: Word, v: Word) -> Word | None:
     u, v = free_reduce(u), free_reduce(v)
     cu, su = cyclically_reduce(u)
     cv, sv = cyclically_reduce(v)
-    if cyclic_normalize(u) != cyclic_normalize(v):
+    ru, rv = _least_rotation(cu), _least_rotation(cv)
+    if cu[ru:] + cu[:ru] != cv[rv:] + cv[:rv]:
         return None
-    gu = word_mul(su, _min_rotation_prefix(cu))
-    gv = word_mul(sv, _min_rotation_prefix(cv))
+    gu = word_mul(su, cu[:ru])
+    gv = word_mul(sv, cv[:rv])
     w = word_mul(gu, word_inverse(gv))
     assert word_mul(word_inverse(w), u, w) == v
     return w

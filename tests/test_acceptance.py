@@ -20,7 +20,7 @@ from icckit.analyzer import (
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc
 from icckit.cli import main
 from icckit.extension import AbelianKernel, make_extension
-from icckit.intlinalg import IntMatrix, Lattice, random_unimodular
+from icckit.intlinalg import IntMatrix, Lattice
 from icckit.matgroup import (
     FiniteOrbit,
     GroupFinite,
@@ -34,6 +34,7 @@ from icckit.matgroup import (
 )
 from icckit.oracle import conjugacy_ball, crosscheck, exact_abelian_class, materialize
 from icckit.words import FreeAut, free_basis_inverse, is_inner, word_inverse, word_mul
+from tests.helpers import random_unimodular
 from tests.test_matgroup import brute_force_closure
 from tests.test_words import random_basis_aut
 

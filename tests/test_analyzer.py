@@ -21,8 +21,9 @@ from icckit.extension import (
     ExtensionValidationError,
     make_extension,
 )
-from icckit.intlinalg import IntMatrix, random_unimodular
+from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut
+from tests.helpers import random_unimodular
 
 HYPER = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])

@@ -14,8 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 from icckit.analyzer import _exponent_vectors
 from icckit.catalog import FiniteGroupDesc
 from icckit.extension import AbelianKernel, make_extension
-from icckit.intlinalg import IntMatrix, random_unimodular
+from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut
+from tests.helpers import random_unimodular
 
 
 def sorted_box(free_rank, divisors, bound):

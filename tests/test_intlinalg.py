@@ -10,12 +10,11 @@ from icckit.intlinalg import (
     charpoly,
     cyclotomic_orders,
     cyclotomic_polynomial,
-    enumerate_box,
     hnf,
     kernel_lattice,
-    random_unimodular,
     x_power_minus_one,
 )
+from tests.helpers import enumerate_box, random_unimodular
 
 
 def is_row_hnf(m: IntMatrix) -> bool:

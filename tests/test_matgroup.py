@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from icckit.intlinalg import IntMatrix, Lattice, random_unimodular
+from icckit.intlinalg import IntMatrix, Lattice
 from icckit.matgroup import (
     BasisOrbits,
     FiniteOrbit,
@@ -21,6 +21,7 @@ from icckit.matgroup import (
     restrict_to_lattice,
     single_finite_orbit_space,
 )
+from tests.helpers import random_unimodular
 
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
 SHEAR = IntMatrix.from_rows([[1, 1], [0, 1]])

@@ -9,6 +9,7 @@ from icckit.extension import AbelianKernel, make_extension
 from icckit.intlinalg import IntMatrix
 from icckit.oracle import (
     ClassCapExceeded,
+    ConcreteGroup,
     ExactClass,
     conjugacy_ball,
     crosscheck,
@@ -103,6 +104,88 @@ class TestMaterialize:
         k = g.kernel_element((1, 0))
         uv = g.mul(u, v)
         assert g.conjugate(uv, k) == k  # the actions cancel
+
+
+class ReferenceGroup(ConcreteGroup):
+    """Conjugation as the plain product inv(g) * x * g."""
+
+    def conjugate(self, g, x):
+        return self.mul(self.mul(self.inv(g), x), g)
+
+
+S3_PERM = FiniteGroupDesc.from_generators(3, [(1, 0, 2), (1, 2, 0)], ("s", "r"))
+C2_PERM = FiniteGroupDesc.from_generators(2, [(1, 0)], ("c",))
+FREE_UV = FreeDesc(2, ("u", "v"))
+NEG2 = IntMatrix.from_rows([[-1, 0], [0, -1]])
+
+
+def closed_form_specs():
+    """Every kernel kind against every quotient kind."""
+    perm3 = [IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+             IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
+    return {
+        # abelian kernel with torsion, Z + Z/2 quotient
+        "torsion_kernel_z_c2": make_extension(
+            AbelianKernel(2, (2, 4)), FgAbelianDesc(1, (2,), ("t", "s")), [HYPER, NEG2]),
+        "abelian_s3": make_extension(AbelianKernel(3), S3_PERM, perm3),
+        "abelian_free": make_extension(
+            AbelianKernel(2, (3,)), FREE_UV,
+            [IntMatrix.from_rows([[0, -1], [1, 0]]), IntMatrix.from_rows([[0, -1], [1, 1]])]),
+        "abelian_product": make_extension(
+            AbelianKernel(2), make_product([FREE_UV, C2_PERM]),
+            [HYPER, IntMatrix.from_rows([[1, 1], [1, 2]]), NEG2]),
+        "free_free": make_extension(
+            FreeDesc(2, ("a", "b")), FREE_UV,
+            [FreeAut(2, ((2,), (1,))), FreeAut(2, ((1, 2), (2,)))]),
+        "free_s3": make_extension(
+            FreeDesc(3, ("f", "h", "c")), S3_PERM,
+            [FreeAut(3, ((2,), (1,), (3,))), FreeAut(3, ((3,), (1,), (2,)))]),
+        "free_z2_torsion": make_extension(
+            FreeDesc(2, ("g", "h")), FgAbelianDesc(2, (2,), ("p", "u", "q")),
+            [FreeAut(2, ((1, 2), (2,))), FreeAut(2, ((2, 1, 2), (2,))), FreeAut.identity(2)]),
+        "finite_free": make_extension(FiniteGroupDesc.from_generators(3, [(1, 0, 2), (1, 2, 0)]),
+                                      FREE_UV),
+        "finite_product": make_extension(
+            FiniteGroupDesc.from_generators(3, [(1, 2, 0)]),
+            make_product([Z, S3_PERM, FgAbelianDesc(0, (2,), ("w",))])),
+    }
+
+
+def random_element(group, gens, rng):
+    x = rng.choice(gens)
+    for _ in range(rng.randint(0, 2)):
+        x = group.mul(x, rng.choice(gens))
+    return x
+
+
+class TestClosedFormConjugate:
+    """``conjugate`` against inv(g) * x * g, and the balls it grows."""
+
+    @pytest.mark.parametrize("name", sorted(closed_form_specs()))
+    def test_agrees_with_product_formula(self, name):
+        spec = closed_form_specs()[name]
+        g, ref = materialize(spec), ReferenceGroup(spec)
+        gens = [e for _, e in g.ball_generators()]
+        gens += [g.inv(e) for e in gens]
+        rng = random.Random(name)
+        for _ in range(300):
+            c, x = random_element(g, gens, rng), random_element(g, gens, rng)
+            assert g.conjugate(c, x) == ref.conjugate(c, x)
+        for c in gens + [g.identity]:
+            for x in gens + [g.identity]:
+                assert g.conjugate(c, x) == ref.conjugate(c, x)
+
+    def test_balls_agree_with_product_formula(self):
+        closed = capped = 0
+        for name, spec in sorted(closed_form_specs().items()):
+            g, ref = materialize(spec), ReferenceGroup(spec)
+            for x in g.sample_nontrivial(6):
+                for radius, cap in ((3, 5000), (4, 50)):
+                    curve = conjugacy_ball(g, x, radius, cap)
+                    assert curve == conjugacy_ball(ref, x, radius, cap), name
+                    closed += curve.is_closed
+                    capped += curve.cap_hit
+        assert closed and capped
 
 
 class TestConjugacyBall:

@@ -109,6 +109,86 @@ class TestConjugacyTest:
             assert conjugacy_test_free(a, c) is not None
 
 
+def rotation_cyclic_normalize(w):
+    """The quadratic reference: every rotation of the core, then the least."""
+    core = words_module.cyclically_reduce(w)[0]
+    return min((core[r:] + core[:r] for r in range(len(core))), default=())
+
+
+def rotation_conjugacy_test(u, v):
+    """The conjugator as the earlier implementation built it, from the
+    smallest index of a least rotation found by trying every rotation."""
+    def prefix(core):
+        best = min(range(len(core)), key=lambda r: core[r:] + core[:r]) if core else 0
+        return core[:best]
+
+    u, v = free_reduce(u), free_reduce(v)
+    (cu, su), (cv, sv) = words_module.cyclically_reduce(u), words_module.cyclically_reduce(v)
+    if rotation_cyclic_normalize(u) != rotation_cyclic_normalize(v):
+        return None
+    return word_mul(word_mul(su, prefix(cu)), word_inverse(word_mul(sv, prefix(cv))))
+
+
+class CountingLetter(int):
+    """A letter that counts the comparisons made on it."""
+
+    count = 0
+
+    def __eq__(self, other):
+        CountingLetter.count += 1
+        return int(self) == int(other)
+
+    def __ne__(self, other):
+        CountingLetter.count += 1
+        return int(self) != int(other)
+
+    def __lt__(self, other):
+        CountingLetter.count += 1
+        return int(self) < int(other)
+
+
+class TestLeastRotation:
+    """Booth's least rotation against trying every rotation."""
+
+    def seeded_words(self):
+        rng = random.Random(1980)
+        out = [(), (1,), (1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 1), (-1, 2) * 3]
+        for _ in range(1500):
+            base = tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(rng.randint(1, 6)))
+            out.append(base * rng.randint(1, 4))  # proper powers when repeated
+        return out
+
+    def test_smallest_least_rotation_index(self):
+        for w in self.seeded_words():
+            r = words_module._least_rotation(w)
+            best = min(range(len(w)), key=lambda i: w[i:] + w[:i]) if w else 0
+            assert r == best, w
+
+    def test_cyclic_normalize_matches_every_rotation(self):
+        for w in self.seeded_words():
+            assert cyclic_normalize(w) == rotation_cyclic_normalize(w), w
+
+    def test_conjugator_unchanged_on_proper_powers(self):
+        assert conjugacy_test_free((1, 2, 1, 2), (2, 1, 2, 1)) == rotation_conjugacy_test(
+            (1, 2, 1, 2), (2, 1, 2, 1))
+        rng = random.Random(7)
+        for w in self.seeded_words()[:400]:
+            g = tuple(rng.choice((1, 2, -1, -3)) for _ in range(rng.randint(0, 4)))
+            v = word_mul(word_inverse(g), w, g)
+            assert conjugacy_test_free(w, v) == rotation_conjugacy_test(w, v), (w, g)
+            assert conjugacy_test_free(v, w) == rotation_conjugacy_test(v, w), (w, g)
+
+    def test_linear_in_the_word_length(self):
+        def comparisons(n):
+            word = tuple(CountingLetter(x) for x in (1, 2, 1, -3) * (n // 4))
+            CountingLetter.count = 0
+            assert cyclic_normalize(word) == (-3, 1, 2, 1) * (n // 4)
+            return CountingLetter.count
+
+        small, big = comparisons(1000), comparisons(4000)
+        assert big <= 5 * small  # trying every rotation makes it about 16x
+
+
 def random_basis_aut(rank, steps, rng):
     """A random automorphism as a product of elementary Nielsen moves."""
     aut = FreeAut.identity(rank)
