@@ -3,11 +3,11 @@
 Builds the benchmark's ``crosscheck`` corpus for one seed (cases whose
 outcome is known by construction), runs every case through the CLI with
 the options the corpus gives it (the oracle cross-check at radius 4),
-and has the benchmark's independent
-checker judge each report.  The checker requires the cross-check to be
-``consistent`` and re-verifies every negative witness with plain tuple
-arithmetic, so a verdict, a witness or a ball that disagrees with the
-materialized group fails here.
+and has the benchmark's independent checker judge each report.  The
+checker requires the cross-check to be ``consistent`` and re-verifies
+every negative witness with plain tuple arithmetic, so a verdict, a
+witness or a ball that disagrees with the materialized group fails
+here.
 
 Radius 4 is the corpus's own: a D_4 orbit of 8 vectors is reached in 3
 conjugation rounds, and one more round is needed to certify that it is
