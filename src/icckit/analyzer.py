@@ -181,6 +181,20 @@ def _shift_word(word: GenWord, offset: int) -> GenWord:
     return tuple(l + offset if l > 0 else l - offset for l in word)
 
 
+def _cached_power(powers: dict, actions, i: int, e: int):
+    """``actions[i] ** e``, built from the cached power one factor nearer
+    to ``actions[i] ** +-1``.  A module function rather than a closure: a
+    closure that calls itself is a reference cycle, and it would keep
+    ``powers`` alive until the next full garbage collection."""
+    p = powers.get((i, e))
+    if p is None:
+        step = 1 if e > 0 else -1
+        p = (actions[i] ** e if e == step
+             else _cached_power(powers, actions, i, e - step) @ _cached_power(powers, actions, i, step))
+        powers[(i, e)] = p
+    return p
+
+
 def _fc_elements(quotient: GroupDesc, actions, identity, bound: int):
     """Yield ``(word, action)`` for the nontrivial elements of FC(quotient)
     that the injectivity search covers, in witness order.
@@ -199,22 +213,14 @@ def _fc_elements(quotient: GroupDesc, actions, identity, bound: int):
         yield from zip(quotient.element_words[1:], images)
     elif isinstance(quotient, FgAbelianDesc):
         powers = {}
-
-        def power(i, e):
-            p = powers.get((i, e))
-            if p is None:
-                step = 1 if e > 0 else -1
-                p = actions[i] ** e if e == step else power(i, e - step) @ power(i, step)
-                powers[(i, e)] = p
-            return p
-
         for exps in _exponent_vectors(quotient.rank, quotient.divisors, bound):
             word: GenWord = ()
             action = None
             for i, e in enumerate(exps):
                 if e:
                     word += (i + 1 if e > 0 else -(i + 1),) * abs(e)
-                    action = power(i, e) if action is None else action @ power(i, e)
+                    p = _cached_power(powers, actions, i, e)
+                    action = p if action is None else action @ p
             yield word, action
     elif isinstance(quotient, FreeDesc):
         if quotient.rank < 2:

@@ -12,6 +12,7 @@ Exit codes: 0 = analysis completed (whatever the verdict), 1 = the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -93,7 +94,10 @@ def report_text(report: Report, spec: ExtensionSpec, oracle_result=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``icckit`` argument parser, built on first use and then shared:
+    parsing leaves the parser unchanged and returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="icckit")
     sub = parser.add_subparsers(dest="command", required=True)
     check = sub.add_parser("check", help="analyze an extension description file")
@@ -119,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = open(args.file, encoding="utf-8").read()
+        with open(args.file, encoding="utf-8") as f:
+            text = f.read()
     except OSError as e:
         print(f"{args.file}: {e.strerror or e}", file=sys.stderr)
         return 2

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from icckit import cli
 from icckit.cli import main
 from icckit.dsl import Diagnostic, parse_extension, pretty_print
 
@@ -181,6 +185,40 @@ class TestCliRuns:
         data = json.loads(out)
         assert data["verdict"] == "unknown"
         assert data["obstruction"] == "abelian-relation-bound"
+
+
+FRESH_RUN = "import sys; from icckit.cli import run; sys.exit(run(sys.argv[1:]))"
+
+
+def fresh_interpreter_run(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return out.returncode, out.stdout, out.stderr
+
+
+class TestRepeatedRuns:
+    def test_runs_in_one_process_match_fresh_interpreters(self, capsys):
+        """The parser is built once and shared: no parsed state may carry
+        over from one ``run`` to the next."""
+        sol, klein = str(EXTENSIONS / "sol.ext"), str(EXTENSIONS / "klein.ext")
+        sequence = [
+            ("check", sol, "--assert", "icc"),
+            ("check", klein),  # not_icc: exits 1 if the --assert above leaked
+            ("check", klein, "--format", "json", "--oracle-radius", "2"),
+            ("check", klein, "--format", "json"),
+            ("check", sol, "--bogus"),
+            ("check", sol),
+        ]
+        for argv in sequence:
+            try:
+                code = cli.run(list(argv))
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == fresh_interpreter_run(*argv), argv
 
 
 class TestSchema:

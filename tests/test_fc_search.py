@@ -6,13 +6,14 @@ cost of building a finite quotient's action table.
 """
 
 import functools
+import gc
 import itertools
 import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from icckit.analyzer import _exponent_vectors
-from icckit.catalog import FiniteGroupDesc
+from icckit.analyzer import _exponent_vectors, analyze
+from icckit.catalog import FgAbelianDesc, FiniteGroupDesc
 from icckit.extension import AbelianKernel, make_extension
 from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut
@@ -92,3 +93,21 @@ class TestEvaluate:
         make_extension(AbelianKernel(4), S4, actions)
         assert S4.order == 24
         assert len(calls) <= S4.order * (1 + len(S4.generators))
+
+
+class TestNoReferenceCycles:
+    def test_abelian_fc_search_leaves_no_cyclic_garbage(self):
+        """The search over an abelian quotient caches generator powers.  A
+        reference cycle around that cache would keep every power alive
+        until the next full garbage collection."""
+        spec = make_extension(
+            AbelianKernel(2), FgAbelianDesc(2, (), ("u", "v")),
+            [IntMatrix.from_rows([[2, 1], [1, 1]]), IntMatrix.from_rows([[5, 3], [3, 2]])])
+        analyze(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            analyze(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

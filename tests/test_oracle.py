@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,12 +6,14 @@ import pytest
 
 from icckit.analyzer import analyze
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, make_product
+from icckit.dsl import parse_extension
 from icckit.extension import AbelianKernel, make_extension
 from icckit.intlinalg import IntMatrix
 from icckit.oracle import (
     ClassCapExceeded,
     ConcreteGroup,
     ExactClass,
+    _AbelianKernelPart,
     conjugacy_ball,
     crosscheck,
     exact_abelian_class,
@@ -158,6 +161,27 @@ def random_element(group, gens, rng):
     return x
 
 
+def distinct_parts(group, rng, count=3):
+    """Pools of distinct parts from seeded products of ball generators and
+    inverses: up to ``count`` nontrivial kernel parts k, quotient parts p
+    and nontrivial quotient parts q, and up to ``2 * count`` kernel parts
+    a, each pool drawn on its own."""
+    gens = [e for _, e in group.ball_generators()]
+    gens += [group.inv(e) for e in gens]
+    elements = [random_element(group, gens, rng) for _ in range(200)]
+    kernel_parts = sorted({k for k, _ in elements} | {group.kernel_part.identity})
+    quotient_parts = sorted({q for _, q in elements} | {group.quotient_part.identity})
+
+    def pick(pool, n, drop=None):
+        pool = [x for x in pool if x != drop]
+        return rng.sample(pool, min(n, len(pool)))
+
+    return (pick(kernel_parts, count, group.kernel_part.identity),
+            pick(quotient_parts, count),
+            pick(quotient_parts, count, group.quotient_part.identity),
+            pick(kernel_parts, 2 * count))
+
+
 class TestClosedFormConjugate:
     """``conjugate`` against inv(g) * x * g, and the balls it grows."""
 
@@ -174,6 +198,36 @@ class TestClosedFormConjugate:
         for c in gens + [g.identity]:
             for x in gens + [g.identity]:
                 assert g.conjugate(c, x) == ref.conjugate(c, x)
+
+    @pytest.mark.parametrize("name", sorted(closed_form_specs()))
+    def test_warm_memo_agrees_with_product_formula(self, name):
+        """One group and its memos across many calls in seeded random
+        order: each (k, p) with several a, each q with several p, and g
+        with both parts nontrivial."""
+        spec = closed_form_specs()[name]
+        g, ref = materialize(spec), ReferenceGroup(spec)
+        rng = random.Random("warm-" + name)
+        ks, ps, qs, kernel_parts = distinct_parts(g, rng)
+        calls = [((k, q), (a, p)) for k in ks + [g.kernel_part.identity]
+                 for q in qs + [g.quotient_part.identity] for p in ps for a in kernel_parts]
+        assert min(len(ks), len(ps), len(qs)) >= 2 and len(kernel_parts) >= 3
+        rng.shuffle(calls)
+        for c, x in calls + calls[::-1]:
+            assert g.conjugate(c, x) == ref.conjugate(c, x), (c, x)
+
+    @pytest.mark.parametrize("name", sorted(closed_form_specs()))
+    def test_conjugation_step_is_the_kernel_half(self, name):
+        g = materialize(closed_form_specs()[name])
+        kernel = g.kernel_part
+        rng = random.Random("step-" + name)
+        ks, ps, qs, kernel_parts = distinct_parts(g, rng)
+        for k, p in itertools.product(ks, ps + qs):
+            moved = g.act(p, k)
+            step = kernel.conjugation_step(k, moved)
+            for a in kernel_parts:
+                assert step(a) == kernel.mul(kernel.mul(kernel.inv(k), a), moved)
+        if isinstance(kernel, _AbelianKernelPart) and kernel.divisors:
+            assert any(any(k[kernel.rank:]) for k in ks)  # torsion coordinates exercised
 
     def test_balls_agree_with_product_formula(self):
         closed = capped = 0
@@ -317,6 +371,39 @@ class TestCrosscheck:
         report = analyze(spec)
         summary, _ = crosscheck(spec, report, radius=4)
         assert summary["consistent"]
+
+    # D_4 acting on Z^2: the witness's orbit of 8 vectors is reached in 3
+    # rounds, and certifying closure takes a fourth.
+    D4_SPEC = (
+        "kernel: Z^2\n"
+        "quotient: finite perm((1 2 3 4); (1 3))\n"
+        "action q -> [[2,-1],[5,-2]]\n"
+        "action t -> [[-1,0],[-4,1]]\n"
+    )
+
+    def test_exact_class_reached_before_closure_is_consistent(self):
+        spec = parse_extension(self.D4_SPEC)
+        report = analyze(spec)
+        summary, curve = crosscheck(spec, report, radius=3)
+        assert summary["witness_check"] == {
+            "kind": "witness-exact-class", "closed_at": None, "size": 8, "exact_size": 8}
+        assert not curve.is_closed
+        assert summary["consistent"]
+
+    def test_witness_orbit_unlike_exact_class_is_inconsistent(self):
+        spec = parse_extension(self.D4_SPEC)
+        report = analyze(spec)
+        witness = report.witness
+        assert len(witness.orbit) == 8
+        # same size, one vector (twice a primitive one) outside the class
+        wrong = (tuple(2 * x for x in witness.orbit[0]),) + witness.orbit[1:]
+        assert len(set(wrong)) == 8 and set(wrong) != set(witness.orbit)
+        for orbit in (witness.orbit[1:], wrong):
+            bad = dataclasses.replace(report, witness=dataclasses.replace(witness, orbit=orbit))
+            for radius in (3, 4):
+                summary, _ = crosscheck(spec, bad, radius=radius)
+                assert summary["witness_check"]["exact_size"] == 8
+                assert not summary["consistent"], (orbit, radius)
 
     def test_sample_pool_is_deterministic_and_big_enough(self):
         g = materialize(sol_spec())

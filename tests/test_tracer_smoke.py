@@ -34,16 +34,16 @@ from icckit.cli import run
 tracer = Tracer().install()
 tracer.enabled = True
 with contextlib.redirect_stdout(io.StringIO()):
-    code = run(["check", sys.argv[2], "--format", "json"])
+    code = run(["check", sys.argv[2], "--format", "json", *sys.argv[3:]])
 print(json.dumps({"code": code, "calls": tracer.calls, "values": tracer.values}))
 """
 
 
-def traced_check(spec_text, tmp_path):
+def traced_check(spec_text, tmp_path, *args):
     spec = tmp_path / "spec.ext"
     spec.write_text(spec_text)
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT), str(spec)],
+        [sys.executable, "-c", SCRIPT, str(ROOT), str(spec), *args],
         capture_output=True, text=True, check=True, timeout=120,
     )
     result = json.loads(out.stdout)
@@ -61,3 +61,8 @@ def test_traced_check_counts_free_kernel_work(tmp_path):
     result = traced_check(FREE_SPEC, tmp_path)
     assert result["calls"]["words.is_inner"] > 0
     assert result["calls"]["words.freeaut_compose"] > 0
+
+
+def test_traced_check_counts_oracle_conjugations(tmp_path):
+    result = traced_check(SPEC, tmp_path, "--oracle-radius", "2")
+    assert result["calls"]["oracle.conjugations"] > 0
