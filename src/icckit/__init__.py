@@ -68,8 +68,6 @@ from .oracle import (
 )
 from .words import (
     FreeAut,
-    conjugacy_test_free,
-    cyclic_normalize,
     free_basis_inverse,
     free_reduce,
     is_inner,

@@ -57,6 +57,10 @@ from .words import FreeAut, Word, is_inner
 
 GenWord = tuple[int, ...]
 
+# Largest product-quotient candidate count the FC search enumerates;
+# beyond it the search reports fc-enumeration-too-large.
+PRODUCT_ITERATION_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class AnalyzerLimits:
@@ -66,7 +70,6 @@ class AnalyzerLimits:
 
     out_order_cap: int = 16
     relation_bound: int = 8
-    product_iteration_cap: int = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,7 @@ def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerL
                 total *= f.order
             else:
                 total *= (2 * bound + 1) ** f.rank * math.prod(f.divisors)
-        if total > limits.product_iteration_cap:
+        if total > PRODUCT_ITERATION_CAP:
             return InjectivityUnknown("fc-enumeration-too-large")
 
     matrices = isinstance(identity, IntMatrix)
@@ -324,15 +327,36 @@ def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerL
     )
 
 
-def _lift_witness(res: InjectivityWitness, quotient: GroupDesc) -> QuotientLiftWitness:
-    labels = generator_labels(quotient)
-    return QuotientLiftWitness(
-        word=res.word,
-        rendered=render_gen_word(res.word, labels),
-        evidence_kind=res.evidence_kind,
-        conjugator=res.conjugator,
-        action_order=res.action_order,
-    )
+# theorem -> (FC-injectivity condition, what no nontrivial FC element
+# does when it holds, what the witness does when it fails)
+_FC_CONDITIONS = {
+    "theorem-1": ("fc-action-injective", "acts trivially", "acts as the identity"),
+    "theorem-3": ("fc-outer-injective", "acts by an inner automorphism", "acts by an inner automorphism"),
+}
+
+
+def _fc_report(res: InjectivityResult, quotient: GroupDesc,
+               conditions: list[ConditionResult], theorem: str) -> Report:
+    """The report that the FC-injectivity result ``res`` decides: icc by
+    ``theorem``, or not_icc or unknown by its part (ii)."""
+    name, holds, fails = _FC_CONDITIONS[theorem]
+    if isinstance(res, Injective):
+        conditions.append(
+            ConditionResult(name, "holds", f"no nontrivial finite-class quotient element {holds}")
+        )
+        return Report("icc", theorem, None, None, tuple(conditions))
+    if isinstance(res, InjectivityWitness):
+        witness = QuotientLiftWitness(
+            word=res.word,
+            rendered=render_gen_word(res.word, generator_labels(quotient)),
+            evidence_kind=res.evidence_kind,
+            conjugator=res.conjugator,
+            action_order=res.action_order,
+        )
+        conditions.append(ConditionResult(name, "fails", f"{witness.rendered} {fails}"))
+        return Report("not_icc", f"{theorem}(ii)", witness, None, tuple(conditions))
+    conditions.append(ConditionResult(name, "unknown", res.tag))
+    return Report("unknown", f"{theorem}(ii)", None, res.tag, tuple(conditions))
 
 
 def _canonical_short_index(basis) -> int:
@@ -399,13 +423,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         if not induced_pm_identity:
             res = theta_fc_injective(spec.quotient, spec.actions, IntMatrix.identity(kernel.rank), limits)
             if isinstance(res, InjectivityWitness):
-                witness = _lift_witness(res, spec.quotient)
-                conditions.append(
-                    ConditionResult(
-                        "fc-action-injective", "fails", f"{witness.rendered} acts as the identity"
-                    )
-                )
-                return Report("not_icc", "theorem-1(ii)", witness, None, tuple(conditions))
+                return _fc_report(res, spec.quotient, conditions, "theorem-1")
         # The witness is a basis row of F, so the certificate holds its orbit.
         i = _canonical_short_index(cert.lattice.basis)
         witness = KernelVectorWitness(cert.lattice.basis[i], tuple(sorted(cert.basis_orbits[i])))
@@ -416,19 +434,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
     )
 
     res = theta_fc_injective(spec.quotient, spec.actions, IntMatrix.identity(kernel.rank), limits)
-    if isinstance(res, Injective):
-        conditions.append(
-            ConditionResult("fc-action-injective", "holds", "no nontrivial finite-class quotient element acts trivially")
-        )
-        return Report("icc", "theorem-1", None, None, tuple(conditions))
-    if isinstance(res, InjectivityWitness):
-        witness = _lift_witness(res, spec.quotient)
-        conditions.append(
-            ConditionResult("fc-action-injective", "fails", f"{witness.rendered} acts as the identity")
-        )
-        return Report("not_icc", "theorem-1(ii)", witness, None, tuple(conditions))
-    conditions.append(ConditionResult("fc-action-injective", "unknown", res.tag))
-    return Report("unknown", "theorem-1(ii)", None, res.tag, tuple(conditions))
+    return _fc_report(res, spec.quotient, conditions, "theorem-1")
 
 
 def thm3_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -> Report:
@@ -444,19 +450,7 @@ def thm3_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         ConditionResult("kernel-icc", "holds", "free kernels of rank >= 2 have trivial FC")
     ]
     res = theta_fc_injective(spec.quotient, spec.actions, FreeAut.identity(kernel.rank), limits)
-    if isinstance(res, Injective):
-        conditions.append(
-            ConditionResult("fc-outer-injective", "holds", "no nontrivial finite-class quotient element acts by an inner automorphism")
-        )
-        return Report("icc", "theorem-3", None, None, tuple(conditions))
-    if isinstance(res, InjectivityWitness):
-        witness = _lift_witness(res, spec.quotient)
-        conditions.append(
-            ConditionResult("fc-outer-injective", "fails", f"{witness.rendered} acts by an inner automorphism")
-        )
-        return Report("not_icc", "theorem-3(ii)", witness, None, tuple(conditions))
-    conditions.append(ConditionResult("fc-outer-injective", "unknown", res.tag))
-    return Report("unknown", "theorem-3(ii)", None, res.tag, tuple(conditions))
+    return _fc_report(res, spec.quotient, conditions, "theorem-3")
 
 
 def _first_fc_generator(quotient: GroupDesc) -> tuple[GenWord, str] | None:

@@ -108,9 +108,6 @@ class FiniteGroupDesc:
     def word_of(self, p: Perm) -> tuple[int, ...]:
         return self.element_words[self._index[p]]
 
-    def nontrivial_elements(self):
-        return self.elements[1:]
-
     def evaluate(self, images, identity):
         """Yield the image of every element, in ``elements`` order, under
         the homomorphism sending generator i to ``images[i-1]``.

@@ -21,7 +21,6 @@ All diagnostics carry a 1-based line and column.
 from __future__ import annotations
 
 import ast
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .extension import (
     make_extension,
 )
 from .intlinalg import IntMatrix
-from .words import FreeAut, Word, free_reduce
+from .words import FreeAut, Word, free_reduce, render_word
 
 
 class Diagnostic(Exception):
@@ -420,14 +419,6 @@ def _format_group(g: GroupDesc) -> str:
     raise TypeError(f"cannot format {g!r}")
 
 
-def _format_word(w: Word, names) -> str:
-    if not w:
-        return "1"
-    return " ".join(
-        names[abs(a) - 1] + ("" if a > 0 else "^-1") for a in w
-    )
-
-
 def pretty_print(spec: ExtensionSpec) -> str:
     """Canonical text for a spec; parses back to an equal spec."""
     kernel = spec.kernel
@@ -446,7 +437,7 @@ def pretty_print(spec: ExtensionSpec) -> str:
         else:
             assert isinstance(kernel, FreeDesc)
             body = "(" + ", ".join(
-                f"{n} -> {_format_word(im, kernel.names)}"
+                f"{n} -> {render_word(im, kernel.names)}"
                 for n, im in zip(kernel.names, action.images)
             ) + ")"
         lines.append(f"action {label} -> {body}")

@@ -72,14 +72,6 @@ class ExtensionSpec:
     quotient: GroupDesc
     actions: tuple  # IntMatrix per quotient generator, or FreeAut, or ()
 
-    @property
-    def kernel_kind(self) -> str:
-        if isinstance(self.kernel, AbelianKernel):
-            return "abelian"
-        if isinstance(self.kernel, FreeDesc):
-            return "free"
-        return "finite"
-
 
 def _normalize_kernel(kernel, actions):
     """Fold catalog synonyms into the analyzer's kernel classes."""

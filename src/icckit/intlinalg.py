@@ -245,12 +245,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
-    def is_full(self) -> bool:
-        return self.rank == self.ambient and all(
-            self.basis[i][i] == 1 for i in range(self.ambient)
-        )
-
     def _pivots(self) -> list[int]:
         return [next(j for j, x in enumerate(r) if x) for r in self.basis]
 

@@ -73,13 +73,6 @@ class MatGroupGens:
             out = out @ (g if letter > 0 else g.inverse_unimodular())
         return out
 
-    def render_word(self, word: GenWord) -> str:
-        if not word:
-            return "1"
-        return "*".join(
-            self.labels[abs(l) - 1] + ("" if l > 0 else "^-1") for l in word
-        )
-
 
 def matrix_order(m: IntMatrix) -> int | None:
     """The multiplicative order of a unimodular matrix, or None if infinite.

@@ -5,11 +5,13 @@ exact normal forms for elements, and measures conjugacy-class growth:
 a class reported Closed is the complete class, computed exactly; a class
 still growing at the radius cap is evidence (not proof) of infinitude.
 
-Element encoding: a pair ``(k, q)``.  Abelian kernels use integer tuples
-(free coordinates first, then torsion residues), free kernels reduced
-words, finite kernels permutations.  Quotient elements use the catalog
-normal form: exponent tuples, reduced words, permutations, or tuples of
-those for products.  Multiplication is
+Element encoding: a pair ``(k, q)``.  Kernel and quotient parts use the
+same normal forms: integer tuples for abelian groups (free coordinates
+first, then torsion residues), reduced words for free groups,
+permutations for finite groups, and tuples of those for products.  One
+arithmetic class per catalog atom, plus one for products, serves both
+sides; the atom classes also carry the kernel side's action and
+conjugation step.  Multiplication is
 ``(k1, q1) (k2, q2) = (k1 * theta(q1)(k2), q1 q2)``.
 
 Conjugation, the step that grows every ball, is computed in closed form:
@@ -41,7 +43,6 @@ from .catalog import (
     FgAbelianDesc,
     FiniteGroupDesc,
     FreeDesc,
-    GroupDesc,
     ProductDesc,
     generator_count,
     perm_compose,
@@ -54,26 +55,25 @@ from .matgroup import MatGroupGens, OrbitCapExceeded, OrbitResult, orbit_bfs
 from .words import FreeAut, Word, word_inverse, word_mul
 
 
-class _AbelianKernelPart:
-    """Z^rank x Z/d...; the action matrices move the free coordinates and
-    fix the torsion coordinates."""
+class _AbelianPart:
+    """Z^rank x Z/d...: integer tuples, free coordinates first, then
+    torsion residues.  As a kernel, the action matrices move the free
+    coordinates and fix the torsion coordinates."""
 
-    def __init__(self, kernel: AbelianKernel):
-        self.rank = kernel.rank
-        self.divisors = kernel.divisors
+    def __init__(self, desc: AbelianKernel | FgAbelianDesc):
+        self.rank = desc.rank
+        self.divisors = desc.divisors
         self.identity = (0,) * (self.rank + len(self.divisors))
 
-    def _wrap(self, free, tors):
-        return tuple(free) + tuple(t % d for t, d in zip(tors, self.divisors))
-
     def mul(self, a, b):
-        return self._wrap(
-            (x + y for x, y in zip(a[: self.rank], b[: self.rank])),
-            (x + y for x, y in zip(a[self.rank:], b[self.rank:])),
+        r = self.rank
+        return tuple(map(add, a[:r], b[:r])) + tuple(
+            (x + y) % d for x, y, d in zip(a[r:], b[r:], self.divisors)
         )
 
     def inv(self, a):
-        return self._wrap((-x for x in a[: self.rank]), (-x for x in a[self.rank:]))
+        r = self.rank
+        return tuple(-x for x in a[:r]) + tuple((-x) % d for x, d in zip(a[r:], self.divisors))
 
     def act(self, mat: IntMatrix, a):
         return mat.apply(a[: self.rank]) + a[self.rank:]
@@ -86,22 +86,21 @@ class _AbelianKernelPart:
         return lambda a: tuple(map(add, a, d))
 
     def generators(self):
-        out = []
-        n = self.rank + len(self.divisors)
-        for i in range(n):
-            v = [0] * n
-            v[i] = 1
-            label = f"e{i+1}" if i < self.rank else f"u{i - self.rank + 1}"
-            out.append((label, self._wrap(v[: self.rank], v[self.rank:])))
-        return out
+        n = len(self.identity)
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+    def exponent_pairs(self, a):
+        """(generator index, exponent) pairs whose ordered product is a."""
+        return [(i, e) for i, e in enumerate(a) if e]
 
 
-class _FreeKernelPart:
-    def __init__(self, kernel: FreeDesc):
-        self.rank = kernel.rank
-        self.names = kernel.names
+class _FreePart:
+    """Reduced words."""
 
     identity: Word = ()
+
+    def __init__(self, desc: FreeDesc):
+        self.rank = desc.rank
 
     def mul(self, a, b):
         return word_mul(a, b)
@@ -118,13 +117,18 @@ class _FreeKernelPart:
         return lambda a: word_mul(ki, a, moved)
 
     def generators(self):
-        return [(self.names[i], (i + 1,)) for i in range(self.rank)]
+        return [(i + 1,) for i in range(self.rank)]
+
+    def exponent_pairs(self, a):
+        return [(abs(l) - 1, 1 if l > 0 else -1) for l in a]
 
 
-class _FiniteKernelPart:
-    def __init__(self, kernel: FiniteGroupDesc):
-        self.desc = kernel
-        self.identity = perm_identity(kernel.degree)
+class _FinitePart:
+    """Permutations; as a kernel, acted on trivially."""
+
+    def __init__(self, desc: FiniteGroupDesc):
+        self.desc = desc
+        self.identity = perm_identity(desc.degree)
 
     def mul(self, a, b):
         return perm_compose(a, b)
@@ -141,89 +145,53 @@ class _FiniteKernelPart:
         return lambda a: perm_compose(perm_compose(ki, a), moved)
 
     def generators(self):
-        return list(zip(self.desc.labels, self.desc.generators))
+        return list(self.desc.generators)
+
+    def exponent_pairs(self, a):
+        return [(l - 1, 1) for l in self.desc.word_of(a)]
 
 
-class _QuotientPart:
-    """Normal forms and generator-word decomposition for one catalog atom
-    or a product of atoms."""
+class _ProductPart:
+    """Tuples with one component per factor; generators factor by factor."""
 
-    def __init__(self, desc: GroupDesc):
-        self.desc = desc
-        if isinstance(desc, ProductDesc):
-            self.parts = [_QuotientPart(f) for f in desc.factors]
-            self.identity = tuple(p.identity for p in self.parts)
-        else:
-            self.parts = None
-            self.identity = (
-                (0,) * desc.gen_count if isinstance(desc, FgAbelianDesc)
-                else () if isinstance(desc, FreeDesc)
-                else perm_identity(desc.degree)
-            )
+    def __init__(self, desc: ProductDesc):
+        self.factors = desc.factors
+        self.parts = [_part(f) for f in desc.factors]
+        self.identity = tuple(p.identity for p in self.parts)
 
     def mul(self, a, b):
-        d = self.desc
-        if isinstance(d, FgAbelianDesc):
-            free = tuple(x + y for x, y in zip(a[: d.rank], b[: d.rank]))
-            tors = tuple((x + y) % m for x, y, m in zip(a[d.rank:], b[d.rank:], d.divisors))
-            return free + tors
-        if isinstance(d, FreeDesc):
-            return word_mul(a, b)
-        if isinstance(d, FiniteGroupDesc):
-            return perm_compose(a, b)
         return tuple(p.mul(x, y) for p, x, y in zip(self.parts, a, b))
 
     def inv(self, a):
-        d = self.desc
-        if isinstance(d, FgAbelianDesc):
-            free = tuple(-x for x in a[: d.rank])
-            tors = tuple((-x) % m for x, m in zip(a[d.rank:], d.divisors))
-            return free + tors
-        if isinstance(d, FreeDesc):
-            return word_inverse(a)
-        if isinstance(d, FiniteGroupDesc):
-            return perm_inverse(a)
         return tuple(p.inv(x) for p, x in zip(self.parts, a))
 
     def generators(self):
-        d = self.desc
-        if isinstance(d, FgAbelianDesc):
-            out = []
-            for i in range(d.gen_count):
-                v = [0] * d.gen_count
-                v[i] = 1
-                out.append((d.gen_labels[i], tuple(v)))
-            return out
-        if isinstance(d, FreeDesc):
-            return [(d.names[i], (i + 1,)) for i in range(d.rank)]
-        if isinstance(d, FiniteGroupDesc):
-            return list(zip(d.labels, d.generators))
         out = []
         for i, p in enumerate(self.parts):
-            for label, g in p.generators():
-                out.append((label, self._embed(i, g)))
+            for g in p.generators():
+                out.append(self.identity[:i] + (g,) + self.identity[i + 1:])
         return out
-
-    def _embed(self, index, value):
-        return tuple(
-            value if i == index else p.identity for i, p in enumerate(self.parts)
-        )
 
     def exponent_pairs(self, a):
-        """(generator index, exponent) pairs whose ordered product is a."""
-        d = self.desc
-        if isinstance(d, FgAbelianDesc):
-            return [(i, e) for i, e in enumerate(a) if e]
-        if isinstance(d, FreeDesc):
-            return [(abs(l) - 1, 1 if l > 0 else -1) for l in a]
-        if isinstance(d, FiniteGroupDesc):
-            return [(l - 1, 1) for l in d.word_of(a)]
         out = []
         offset = 0
-        for p, comp in zip(self.parts, a):
+        for f, p, comp in zip(self.factors, self.parts, a):
             out.extend((i + offset, e) for i, e in p.exponent_pairs(comp))
-            offset += generator_count(p.desc)
+            offset += generator_count(f)
         return out
+
+
+def _part(desc):
+    """The arithmetic of one catalog group, kernel or quotient."""
+    if isinstance(desc, (AbelianKernel, FgAbelianDesc)):
+        return _AbelianPart(desc)
+    if isinstance(desc, FreeDesc):
+        return _FreePart(desc)
+    if isinstance(desc, FiniteGroupDesc):
+        return _FinitePart(desc)
+    if isinstance(desc, ProductDesc):
+        return _ProductPart(desc)
+    raise UnsupportedExtensionError("group outside the oracle's catalog")
 
 
 class ConcreteGroup:
@@ -232,15 +200,8 @@ class ConcreteGroup:
     def __init__(self, spec: ExtensionSpec):
         self.spec = spec
         kernel = spec.kernel
-        if isinstance(kernel, AbelianKernel):
-            self.kernel_part = _AbelianKernelPart(kernel)
-        elif isinstance(kernel, FreeDesc):
-            self.kernel_part = _FreeKernelPart(kernel)
-        elif isinstance(kernel, FiniteGroupDesc):
-            self.kernel_part = _FiniteKernelPart(kernel)
-        else:
-            raise UnsupportedExtensionError("kernel outside the oracle's catalog")
-        self.quotient_part = _QuotientPart(spec.quotient)
+        self.kernel_part = _part(kernel)
+        self.quotient_part = _part(spec.quotient)
         self._theta_cache: dict = {}
         self._action_id = (
             IntMatrix.identity(kernel.rank)
@@ -336,22 +297,21 @@ class ConcreteGroup:
         gens = self.quotient_part.generators()
         q = self.quotient_part.identity
         for letter in word:
-            _, g = gens[abs(letter) - 1]
+            g = gens[abs(letter) - 1]
             q = self.quotient_part.mul(q, g if letter > 0 else self.quotient_part.inv(g))
         return q
 
     def ball_generators(self):
         """Kernel generators, quotient generator lifts (zero kernel part),
         and nothing else; inverses are handled by the ball walker."""
-        out = [(label, self.kernel_element(k)) for label, k in self.kernel_part.generators()]
-        out.extend((label, self.lift(q)) for label, q in self.quotient_part.generators())
-        return out
+        return ([self.kernel_element(k) for k in self.kernel_part.generators()]
+                + [self.lift(q) for q in self.quotient_part.generators()])
 
     def sample_nontrivial(self, count: int = 20):
         """Deterministic mixed sample: kernel generators, quotient lifts,
         inverses, and short products of those."""
         base = []
-        for _, g in self.ball_generators():
+        for g in self.ball_generators():
             base.append(g)
             base.append(self.inv(g))
 
@@ -422,7 +382,7 @@ def conjugacy_ball(group: ConcreteGroup, element, radius: int, cap: int = 5000) 
     if radius < 1:
         raise ValueError("radius must be >= 1")
     conjugators = []
-    for _, g in group.ball_generators():
+    for g in group.ball_generators():
         conjugators.append(g)
         conjugators.append(group.inv(g))
     seen = {element}
@@ -464,7 +424,7 @@ class ClassCapExceeded:
 def exact_abelian_class(group: ConcreteGroup, k, cap: int = 10_000):
     """The exact class of a kernel element of an abelian-kernel group:
     its orbit under the action (independent of any ball radius)."""
-    if not isinstance(group.kernel_part, _AbelianKernelPart):
+    if not isinstance(group.kernel_part, _AbelianPart):
         raise ValueError("exact_abelian_class needs an abelian kernel")
     part = group.kernel_part
     free, tors = k[: part.rank], k[part.rank:]
@@ -493,11 +453,11 @@ def _witness_element(group: ConcreteGroup, witness):
         return group.kernel_element(tuple(witness.vector) + pad)
     if isinstance(witness, KernelTorsionWitness):
         part = group.kernel_part
-        if isinstance(part, _AbelianKernelPart):
+        if isinstance(part, _AbelianPart):
             unit = [0] * (part.rank + len(part.divisors))
             unit[part.rank] = 1
             return group.kernel_element(tuple(unit))
-        if isinstance(part, _FiniteKernelPart):
+        if isinstance(part, _FinitePart):
             return group.kernel_element(part.desc.elements[1])
         raise ValueError("torsion witness in a torsion-free kernel")
     if isinstance(witness, QuotientLiftWitness):
@@ -536,7 +496,7 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
         if isinstance(report.witness, TrivialGroupWitness):
             consistent = True
         elif isinstance(report.witness, KernelVectorWitness) and isinstance(
-            group.kernel_part, _AbelianKernelPart
+            group.kernel_part, _AbelianPart
         ):
             exact = exact_abelian_class(group, element[0], orbit_cap)
             expected = frozenset(group.kernel_element(v)[0] for v in report.witness.orbit)

@@ -4,12 +4,12 @@ A word over the free group of rank k is a tuple of nonzero signed
 integers: ``+i`` is the i-th generator, ``-i`` its inverse (indices are
 1-based).  Stored words are always freely reduced.
 
-Provides free and cyclic normal forms, the conjugacy test with explicit
-conjugators, the free-basis test by Stallings folding (which also yields
-the inverse automorphism), and the inner-automorphism test.  Applying an
-automorphism, testing innerness and taking word powers are linear in the
-lengths of the words involved.  Automorphisms are validated once, when
-built from outside data; products, powers and inverses are trusted.
+Provides free reduction and cyclic reduction, the free-basis test by
+Stallings folding (which also yields the inverse automorphism), and the
+inner-automorphism test.  Applying an automorphism and testing innerness
+are linear in the lengths of the words involved.  Automorphisms are
+validated once, when built from outside data; products, powers and
+inverses are trusted.
 """
 
 from __future__ import annotations
@@ -54,20 +54,6 @@ def word_mul(*words: Word) -> Word:
     return tuple(out)
 
 
-def word_power(w: Word, n: int) -> Word:
-    """w^n as p c^n p^-1, where w = p c p^-1 with c cyclically reduced.
-
-    >>> word_power((2, 1, -2), 3)
-    (2, 1, 1, 1, -2)
-    """
-    core, prefix = cyclically_reduce(w)
-    if n == 0 or not core:
-        return ()
-    if n < 0:
-        core, n = word_inverse(core), -n
-    return prefix + core * n + word_inverse(prefix)
-
-
 def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     """Split w = prefix * core * prefix^-1 with core cyclically reduced."""
     w = free_reduce(w)
@@ -76,69 +62,6 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
         i += 1
         j -= 1
     return w[i:j], w[:i]
-
-
-def cyclic_normalize(w: Word) -> Word:
-    """Canonical conjugacy-class representative: the lexicographically
-    least rotation of the cyclically reduced core.
-
-    >>> cyclic_normalize((-2, 1, 2))
-    (1,)
-    """
-    core, _ = cyclically_reduce(w)
-    r = _least_rotation(core)
-    return core[r:] + core[:r]
-
-
-def _least_rotation(w: Word) -> int:
-    """The smallest r with w[r:] + w[:r] the least rotation of w.
-
-    Booth's algorithm (K. S. Booth, "Lexicographically least circular
-    substrings", Inf. Process. Lett. 1980): a failure function over the
-    doubled word, linear in len(w).  k moves only to a strictly smaller
-    candidate, so on a proper power it stays at the first least rotation.
-
-    >>> _least_rotation((2, 1, 2, 1))
-    1
-    """
-    n = len(w)
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        c = w[j % n]
-        i = fail[j - k - 1]
-        while i != -1 and c != w[(k + i + 1) % n]:
-            if c < w[(k + i + 1) % n]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != w[k % n]:
-            if c < w[k % n]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
-def conjugacy_test_free(u: Word, v: Word) -> Word | None:
-    """A word w with w^-1 u w = v, or None when u and v are not conjugate.
-
-    >>> conjugacy_test_free((1, 2), (2, 1))
-    (-2,)
-    >>> conjugacy_test_free((1,), (2,)) is None
-    True
-    """
-    u, v = free_reduce(u), free_reduce(v)
-    cu, su = cyclically_reduce(u)
-    cv, sv = cyclically_reduce(v)
-    ru, rv = _least_rotation(cu), _least_rotation(cv)
-    if cu[ru:] + cu[:ru] != cv[rv:] + cv[:rv]:
-        return None
-    gu = word_mul(su, cu[:ru])
-    gv = word_mul(sv, cv[:rv])
-    w = word_mul(gu, word_inverse(gv))
-    assert word_mul(word_inverse(w), u, w) == v
-    return w
 
 
 def free_basis_inverse(words, rank: int) -> tuple[Word, ...] | None:

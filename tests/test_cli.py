@@ -32,6 +32,14 @@ class TestParsing:
         spec = parse_extension(text)
         assert parse_extension(pretty_print(spec)) == spec
 
+    def test_free_action_with_inverse_letters_round_trip(self):
+        spec = parse_extension(
+            "kernel: free(a, b)\nquotient: Z\naction t -> (a -> b^-1, b -> a b^-1)\n"
+        )
+        text = pretty_print(spec)
+        assert text == "kernel: free(a, b)\nquotient: Z^1\naction t -> (a -> b^-1, b -> a b^-1)\n"
+        assert parse_extension(text) == spec
+
     def test_bad_file_diagnostic(self):
         text = (EXTENSIONS / "bad.ext").read_text()
         with pytest.raises(Diagnostic) as exc:

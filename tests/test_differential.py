@@ -10,8 +10,10 @@ witness or a ball that disagrees with the materialized group fails
 here.
 
 Radius 4 is the corpus's own: a D_4 orbit of 8 vectors is reached in 3
-conjugation rounds, and one more round is needed to certify that it is
-closed, so at radius 3 its cross-check cannot be ``consistent``.
+conjugation rounds, and one more round certifies that it is closed.  The
+cross-check compares that witness's ball with its exact orbit, so it is
+already ``consistent`` at radius 3; at radius 4 the ball's closure
+certificate is exercised as well.
 """
 
 import contextlib

@@ -1,20 +1,18 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import icckit.words as words_module
 from icckit.intlinalg import IntMatrix
 from icckit.words import (
     FreeAut,
-    conjugacy_test_free,
-    cyclic_normalize,
+    cyclically_reduce,
     free_basis_inverse,
     free_reduce,
     is_inner,
     word_inverse,
     word_mul,
-    word_power,
 )
 
 
@@ -42,7 +40,7 @@ class TestNormalize:
         assert free_reduce((1, -1)) == ()
 
     def test_conjugate_of_generator(self):
-        assert cyclic_normalize((-2, 1, 2)) == (1,)
+        assert cyclically_reduce((-2, 1, 2)) == ((1,), (-2,))
 
     def test_partial_cancellation(self):
         # a b a^-1 a b -> a b b
@@ -64,129 +62,34 @@ class TestNormalize:
     def test_mul_associative(self, a, b, c):
         assert word_mul(word_mul(a, b), c) == word_mul(a, word_mul(b, c))
 
-
-class TestCyclicNormalize:
     @given(words(3), letters(3))
-    def test_conjugation_invariant(self, w, x):
-        conj = word_mul((-x,), w, (x,))
-        assert cyclic_normalize(conj) == cyclic_normalize(w)
-
-    @given(words(3))
-    def test_idempotent(self, w):
-        c = cyclic_normalize(w)
-        assert cyclic_normalize(c) == c
-
-
-class TestConjugacyTest:
-    def test_generator_conjugate(self):
-        w = conjugacy_test_free((1,), (-2, 1, 2))
-        assert w == (2,)
-
-    def test_not_conjugate(self):
-        assert conjugacy_test_free((1,), (2,)) is None
-
-    def test_ab_ba(self):
-        u, v = (1, 2), (2, 1)
-        w = conjugacy_test_free(u, v)
-        assert w is not None
-        assert word_mul(word_inverse(w), u, w) == v
-
-    @given(words(3, 8), words(3, 6))
-    @settings(max_examples=60)
-    def test_conjugator_verifies(self, u, g):
-        v = word_mul(word_inverse(g), u, g)
-        w = conjugacy_test_free(u, v)
-        assert w is not None
-        assert word_mul(word_inverse(w), u, w) == v
-
-    @given(words(2, 6), words(2, 6), words(2, 6))
-    @settings(max_examples=40)
-    def test_symmetric_transitive(self, a, b, c):
-        ab = conjugacy_test_free(a, b) is not None
-        ba = conjugacy_test_free(b, a) is not None
-        assert ab == ba
-        if ab and conjugacy_test_free(b, c) is not None:
-            assert conjugacy_test_free(a, c) is not None
+    def test_cyclic_reduction(self, w, x):
+        core, prefix = cyclically_reduce(w)
+        assert word_mul(prefix, core, word_inverse(prefix)) == free_reduce(w)
+        assert cyclically_reduce(core) == (core, ())
+        # conjugating moves the core only by a rotation
+        assert rotation_cyclic_normalize(word_mul((-x,), w, (x,))) == rotation_cyclic_normalize(w)
 
 
 def rotation_cyclic_normalize(w):
     """The quadratic reference: every rotation of the core, then the least."""
-    core = words_module.cyclically_reduce(w)[0]
+    core = cyclically_reduce(w)[0]
     return min((core[r:] + core[:r] for r in range(len(core))), default=())
 
 
 def rotation_conjugacy_test(u, v):
-    """The conjugator as the earlier implementation built it, from the
-    smallest index of a least rotation found by trying every rotation."""
+    """A word w with w^-1 u w = v, or None when u and v are not conjugate:
+    the conjugator from the smallest index of a least rotation, found by
+    trying every rotation."""
     def prefix(core):
         best = min(range(len(core)), key=lambda r: core[r:] + core[:r]) if core else 0
         return core[:best]
 
     u, v = free_reduce(u), free_reduce(v)
-    (cu, su), (cv, sv) = words_module.cyclically_reduce(u), words_module.cyclically_reduce(v)
+    (cu, su), (cv, sv) = cyclically_reduce(u), cyclically_reduce(v)
     if rotation_cyclic_normalize(u) != rotation_cyclic_normalize(v):
         return None
     return word_mul(word_mul(su, prefix(cu)), word_inverse(word_mul(sv, prefix(cv))))
-
-
-class CountingLetter(int):
-    """A letter that counts the comparisons made on it."""
-
-    count = 0
-
-    def __eq__(self, other):
-        CountingLetter.count += 1
-        return int(self) == int(other)
-
-    def __ne__(self, other):
-        CountingLetter.count += 1
-        return int(self) != int(other)
-
-    def __lt__(self, other):
-        CountingLetter.count += 1
-        return int(self) < int(other)
-
-
-class TestLeastRotation:
-    """Booth's least rotation against trying every rotation."""
-
-    def seeded_words(self):
-        rng = random.Random(1980)
-        out = [(), (1,), (1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 1), (-1, 2) * 3]
-        for _ in range(1500):
-            base = tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(rng.randint(1, 6)))
-            out.append(base * rng.randint(1, 4))  # proper powers when repeated
-        return out
-
-    def test_smallest_least_rotation_index(self):
-        for w in self.seeded_words():
-            r = words_module._least_rotation(w)
-            best = min(range(len(w)), key=lambda i: w[i:] + w[:i]) if w else 0
-            assert r == best, w
-
-    def test_cyclic_normalize_matches_every_rotation(self):
-        for w in self.seeded_words():
-            assert cyclic_normalize(w) == rotation_cyclic_normalize(w), w
-
-    def test_conjugator_unchanged_on_proper_powers(self):
-        assert conjugacy_test_free((1, 2, 1, 2), (2, 1, 2, 1)) == rotation_conjugacy_test(
-            (1, 2, 1, 2), (2, 1, 2, 1))
-        rng = random.Random(7)
-        for w in self.seeded_words()[:400]:
-            g = tuple(rng.choice((1, 2, -1, -3)) for _ in range(rng.randint(0, 4)))
-            v = word_mul(word_inverse(g), w, g)
-            assert conjugacy_test_free(w, v) == rotation_conjugacy_test(w, v), (w, g)
-            assert conjugacy_test_free(v, w) == rotation_conjugacy_test(v, w), (w, g)
-
-    def test_linear_in_the_word_length(self):
-        def comparisons(n):
-            word = tuple(CountingLetter(x) for x in (1, 2, 1, -3) * (n // 4))
-            CountingLetter.count = 0
-            assert cyclic_normalize(word) == (-3, 1, 2, 1) * (n // 4)
-            return CountingLetter.count
-
-        small, big = comparisons(1000), comparisons(4000)
-        assert big <= 5 * small  # trying every rotation makes it about 16x
 
 
 def random_basis_aut(rank, steps, rng):
@@ -344,10 +247,6 @@ class TestIsInner:
             phi = FreeAut.conjugation(2, w1).compose(FreeAut.conjugation(2, w2))
             assert is_inner(phi) is not None
 
-    def test_power_word(self):
-        assert word_power((1, 2), 2) == (1, 2, 1, 2)
-        assert word_power((1,), -2) == (-1, -1)
-
 
 # Test-only copies of the earlier implementations, kept as references.
 
@@ -404,7 +303,7 @@ def scan_is_inner(phi):
         return () if phi.is_identity else None
     if not phi.abelianization().is_identity:
         return None
-    c = conjugacy_test_free((1,), phi.images[0])
+    c = rotation_conjugacy_test((1,), phi.images[0])
     if c is None:
         return None
     w0 = word_inverse(c)
@@ -495,8 +394,8 @@ class TestFreeBasisFold:
 
 
 class TestAgainstEarlierImplementations:
-    """The linear is_inner, word_power and apply agree with the scans and
-    loops they replaced."""
+    """The linear is_inner and apply agree with the scans and loops they
+    replaced."""
 
     def automorphisms(self, rng):
         for rank in (2, 3, 4):
@@ -525,13 +424,6 @@ class TestAgainstEarlierImplementations:
         for phi in self.automorphisms(rng):
             w = random_reduced_word(phi.rank, 10, rng)
             assert phi.apply(w) == left_fold_apply(phi, w)
-
-    def test_word_power_matches_loop(self):
-        rng = random.Random(33)
-        for _ in range(300):
-            w = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(0, 8)))
-            n = rng.randint(-6, 6)
-            assert word_power(w, n) == loop_word_power(w, n)
 
     def test_is_inner_work_is_linear(self, monkeypatch):
         e = 3000
