@@ -62,13 +62,26 @@ class TestNormalize:
     def test_mul_associative(self, a, b, c):
         assert word_mul(word_mul(a, b), c) == word_mul(a, word_mul(b, c))
 
-    @given(words(3), letters(3))
-    def test_cyclic_reduction(self, w, x):
+    @given(words(3))
+    def test_cyclic_reduction(self, w):
         core, prefix = cyclically_reduce(w)
         assert word_mul(prefix, core, word_inverse(prefix)) == free_reduce(w)
         assert cyclically_reduce(core) == (core, ())
-        # conjugating moves the core only by a rotation
-        assert rotation_cyclic_normalize(word_mul((-x,), w, (x,))) == rotation_cyclic_normalize(w)
+
+
+class TestCyclicNormalize:
+    """The least rotation of the cyclically reduced core is a conjugacy
+    invariant: conjugating moves the core only by a rotation."""
+
+    @given(words(3), letters(3))
+    def test_conjugation_invariant(self, w, x):
+        conj = word_mul((-x,), w, (x,))
+        assert rotation_cyclic_normalize(conj) == rotation_cyclic_normalize(w)
+
+    @given(words(3))
+    def test_idempotent(self, w):
+        c = rotation_cyclic_normalize(w)
+        assert rotation_cyclic_normalize(c) == c
 
 
 def rotation_cyclic_normalize(w):
