@@ -24,6 +24,13 @@ quotients, (max-norm, lex) order of exponent vectors for abelian ones,
 identity) for products.  A lone infinite cyclic quotient is decided by
 the action's order instead, and a product with a single factor of
 nontrivial FC defers to that factor.
+
+Reduction mod 3 (of the matrix, or of the automorphism's abelianization)
+is a homomorphism that sends every trivially acting element to I, so the
+search screens abelian and product candidates by their mod-3 image
+before it builds any exact action: an integer test against the lattice
+L_3 of exponent vectors whose image is I (``CATALOG_AXIOMS.md`` §11).
+Skipped candidates cannot act trivially, so the witness is unchanged.
 """
 
 from __future__ import annotations
@@ -198,50 +205,193 @@ def _cached_power(powers: dict, actions, i: int, e: int):
     return p
 
 
+def _exponent_word(exps) -> GenWord:
+    word: GenWord = ()
+    for i, e in enumerate(exps):
+        if e:
+            word += (i + 1 if e > 0 else -(i + 1),) * abs(e)
+    return word
+
+
+def _exponent_action(powers: dict, actions, exps):
+    """The action of an exponent vector: cached generator powers,
+    multiplied in generator order."""
+    action = None
+    for i, e in enumerate(exps):
+        if e:
+            p = _cached_power(powers, actions, i, e)
+            action = p if action is None else action @ p
+    return action
+
+
+def _box_size(f: GroupDesc, bound: int) -> int:
+    """Candidates of a finite or abelian group, the identity included."""
+    if isinstance(f, FiniteGroupDesc):
+        return f.order
+    return (2 * bound + 1) ** f.rank * math.prod(f.divisors)
+
+
+def _mod3(action) -> tuple[Vec, ...]:
+    """Reduction mod 3 of the matrix, or of the free automorphism's
+    abelianization.  Both are homomorphisms that send every trivially
+    acting element (the identity, or an inner automorphism) to I."""
+    return (action if isinstance(action, IntMatrix) else action.abelianization()).mod(3)
+
+
+def _mul3(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % 3 for col in cols) for row in a)
+
+
+def _inverse3(m):
+    """The inverse of an invertible matrix over Z/3, by Gauss-Jordan."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if a[i][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x * a[c][c] % 3 for x in a[c]]  # 1 and 2 are their own inverses
+        for i in range(n):
+            if i != c and a[i][c]:
+                a[i] = [(x - a[i][c] * y) % 3 for x, y in zip(a[i], a[c])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+class _Mod3Screen:
+    """The lattice L_3 = {x : prod A_i^x_i = I mod 3} of commuting actions
+    A_i, and their mod-3 image (CATALOG_AXIOMS.md §11).
+
+    ``rows[i]`` is k_i e_i - (exponents of A_i^k_i), where k_i is the least
+    k > 0 with A_i^k in <A_1, ..., A_{i-1}> mod 3.  The rows are a
+    triangular basis of L_3, and ``elements`` maps each canonical residue
+    (0 <= r_i < k_i) to its mod-3 element.
+    """
+
+    def __init__(self, rows, elements):
+        self.rows = rows
+        self.elements = elements
+
+    def residue(self, x) -> GenWord:
+        x = list(x)
+        for i in reversed(range(len(x))):
+            row = self.rows[i]
+            q, x[i] = divmod(x[i], row[i])
+            if q:
+                for j in range(i):
+                    x[j] -= q * row[j]
+        return tuple(x)
+
+    def image(self, x):
+        return self.elements[self.residue(x)]
+
+
+def _mod3_screen(actions, identity, limit: int) -> _Mod3Screen | None:
+    """The screen of commuting ``actions``, built along the subgroup chain
+    of their mod-3 images; None once the image would hold more than
+    ``limit`` elements, so building it never costs more than the search
+    it screens."""
+    gens = [_mod3(a) for a in actions]
+    n = len(gens)
+    elements = {_mod3(identity): (0,) * n}  # mod-3 element -> exponents
+    rows = []
+    for i, g in enumerate(gens):
+        k, p = 1, g
+        while p not in elements:
+            k += 1
+            if len(elements) * k > limit:
+                return None
+            p = _mul3(p, g)
+        rows.append(tuple(k if j == i else -e for j, e in enumerate(elements[p])))
+        layer, step = dict(elements), g
+        for j in range(1, k):
+            for m, e in elements.items():
+                layer[_mul3(step, m)] = e[:i] + (j,) + e[i + 1:]
+            step = _mul3(step, g)
+        elements = layer
+    return _Mod3Screen(tuple(rows), {e: m for m, e in elements.items()})
+
+
 def _fc_elements(quotient: GroupDesc, actions, identity, bound: int):
     """Yield ``(word, action)`` for the nontrivial elements of FC(quotient)
-    that the injectivity search covers, in witness order.
+    that the injectivity search covers, in witness order, skipping those
+    whose mod-3 image is not I (they cannot act trivially).
 
     Finite quotients: ``element_words`` order.  Abelian quotients:
-    (max-norm, lex) order of exponent vectors, free exponents in
+    (max-norm, lex) order of exponent vectors in L_3, free exponents in
     [-bound, bound].  Free quotients of rank >= 2: nothing (FC is
     trivial).  Products: ``itertools.product`` order over the factors'
-    lists, each led by the identity.  Actions are built from earlier
-    ones: one product per finite-quotient element, and generator powers
-    are cached and extended one factor at a time from ``a ** +-1``.
+    lists, each led by the identity, keeping the combinations whose
+    mod-3 images multiply to I.  Actions are built from earlier ones:
+    one product per finite-quotient element, and generator powers are
+    cached and extended one factor at a time from ``a ** +-1``.
     """
     if isinstance(quotient, FiniteGroupDesc):
         images = quotient.evaluate(actions, identity)
         next(images)  # the identity element
         yield from zip(quotient.element_words[1:], images)
     elif isinstance(quotient, FgAbelianDesc):
+        screen = _mod3_screen(actions, identity, _box_size(quotient, bound))
         powers = {}
         for exps in _exponent_vectors(quotient.rank, quotient.divisors, bound):
-            word: GenWord = ()
-            action = None
-            for i, e in enumerate(exps):
-                if e:
-                    word += (i + 1 if e > 0 else -(i + 1),) * abs(e)
-                    p = _cached_power(powers, actions, i, e)
-                    action = p if action is None else action @ p
-            yield word, action
+            if screen is None or not any(screen.residue(exps)):
+                yield _exponent_word(exps), _exponent_action(powers, actions, exps)
     elif isinstance(quotient, FreeDesc):
         if quotient.rank < 2:
             raise AssertionError("rank-1 free quotients are normalized to abelian")
     elif isinstance(quotient, ProductDesc):
-        lists = []
-        offset = 0
-        for f in quotient.factors:
-            n = generator_count(f)
-            elements = _fc_elements(f, actions[offset:offset + n], identity, bound)
-            lists.append([((), None)] + [(_shift_word(w, offset), a) for w, a in elements])
-            offset += n
-        for combo in itertools.product(*lists):
-            word = tuple(itertools.chain.from_iterable(w for w, _ in combo))
-            if word:
-                yield word, functools.reduce(operator.matmul, [a for _, a in combo if a is not None])
+        yield from _product_elements(quotient, actions, identity, bound)
     else:
         raise UnsupportedExtensionError(f"unsupported quotient class: {type(quotient).__name__}")
+
+
+def _product_elements(quotient: ProductDesc, actions, identity, bound: int):
+    """The product case of :func:`_fc_elements`.
+
+    Each factor's list holds ``(word, mod-3 image, part)`` entries, led by
+    the identity.  A finite factor's part is its action; an abelian
+    factor's part is its exponent vector, whose image is read off the
+    factor's screen and whose action is built only when a combination
+    needs it.  The last factor is indexed by the inverse of its images, so
+    each prefix visits, in list order, only the entries that close it to
+    I.  Without a screen for every abelian factor, every entry closes.
+    """
+    eye = _mod3(identity)
+    lists, builders = [], []
+    screened = True
+    offset = 0
+    for f in quotient.factors:
+        n = generator_count(f)
+        acts = actions[offset:offset + n]
+        entries = [((), eye, None)]
+        if isinstance(f, FgAbelianDesc):
+            screen = _mod3_screen(acts, identity, _box_size(f, bound))
+            screened = screened and screen is not None
+            for exps in _exponent_vectors(f.rank, f.divisors, bound):
+                image = screen.image(exps) if screen is not None else None
+                entries.append((_shift_word(_exponent_word(exps), offset), image, exps))
+            builders.append(functools.partial(_exponent_action, {}, acts))
+        else:
+            entries += [(_shift_word(w, offset), _mod3(a), a) for w, a in _fc_elements(f, acts, identity, bound)]
+            builders.append(None)
+        lists.append(entries)
+        offset += n
+    *heads, last = lists
+    closing = {}
+    if screened:
+        for entry in last:
+            closing.setdefault(_inverse3(entry[1]), []).append(entry)
+    for prefix in itertools.product(*heads):
+        if screened:
+            tails = closing.get(functools.reduce(_mul3, [image for _, image, _ in prefix]), ())
+        else:
+            tails = last
+        for tail in tails:
+            combo = prefix + (tail,)
+            word = tuple(itertools.chain.from_iterable(w for w, _, _ in combo))
+            if word:
+                parts = [part if build is None else build(part)
+                         for (_, _, part), build in zip(combo, builders) if part is not None]
+                yield word, functools.reduce(operator.matmul, parts)
 
 
 def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerLimits) -> InjectivityResult:
@@ -298,12 +448,7 @@ def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerL
                     _shift_word(res.word, off), res.evidence_kind, res.conjugator, res.action_order
                 )
             return res
-        total = 1  # candidates per factor, identity included
-        for f, _, _ in fc:
-            if isinstance(f, FiniteGroupDesc):
-                total *= f.order
-            else:
-                total *= (2 * bound + 1) ** f.rank * math.prod(f.divisors)
+        total = math.prod(_box_size(f, bound) for f, _, _ in fc)
         if total > PRODUCT_ITERATION_CAP:
             return InjectivityUnknown("fc-enumeration-too-large")
 
@@ -320,8 +465,9 @@ def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerL
     factors = quotient.factors if isinstance(quotient, ProductDesc) else (quotient,)
     if all(not isinstance(f, FgAbelianDesc) or f.is_finite for f in factors):
         return Injective()
-    # Relations are only searched up to the bound; an exact relation-lattice
-    # computation is out of scope.
+    # The mod-3 lattice L_3 only screens the search: relations are still
+    # searched up to the bound.  A 3-adic injectivity certificate and a
+    # search for relations beyond the bound are open items in ROADMAP.md.
     return InjectivityUnknown(
         "product-relation-bound" if isinstance(quotient, ProductDesc) else "abelian-relation-bound"
     )

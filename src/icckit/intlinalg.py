@@ -150,7 +150,10 @@ class IntMatrix:
 
     @property
     def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.nrows) if self.is_square else False
+        """Compared entry by entry in place; stops at the first entry off I."""
+        return self.is_square and all(
+            x == (i == j) for i, row in enumerate(self.rows) for j, x in enumerate(row)
+        )
 
     def mod(self, m: int) -> tuple[Vec, ...]:
         """Entry-wise residues; a hashable key for congruence images."""

@@ -1,19 +1,24 @@
-"""Differential test: analyzer verdicts against the brute-force oracle.
+"""Differential test: analyzer verdicts against independent checks.
 
-Builds the benchmark's ``crosscheck`` corpus for one seed (cases whose
-outcome is known by construction), runs every case through the CLI with
-the options the corpus gives it (the oracle cross-check at radius 4),
-and has the benchmark's independent checker judge each report.  The
-checker requires the cross-check to be ``consistent`` and re-verifies
-every negative witness with plain tuple arithmetic, so a verdict, a
-witness or a ball that disagrees with the materialized group fails
-here.
+Builds benchmark corpora for one seed (cases whose outcome is known by
+construction), runs every case through the CLI with the options the
+corpus gives it, and has the benchmark's independent checker judge each
+report.  The checker re-verifies every negative witness with plain tuple
+arithmetic, so a verdict or a witness that disagrees with the
+construction fails here.
 
-Radius 4 is the corpus's own: a D_4 orbit of 8 vectors is reached in 3
+``crosscheck`` adds the oracle cross-check at radius 4, and the checker
+requires it to be ``consistent``, so a ball that disagrees with the
+materialized group fails too.  A D_4 orbit of 8 vectors is reached in 3
 conjugation rounds, and one more round certifies that it is closed.  The
 cross-check compares that witness's ball with its exact orbit, so it is
 already ``consistent`` at radius 3; at radius 4 the ball's closure
 certificate is exercised as well.
+
+``relations`` and ``outer`` exercise the finite-class injectivity search
+over abelian and product quotients, with matrix and free-automorphism
+actions: every relation the mod-3 screen lets through is re-verified,
+and every relation inside ``--relation-bound`` must be found.
 """
 
 import contextlib
@@ -34,14 +39,10 @@ from icckit.cli import run  # noqa: E402
 SEED = 3
 
 
-@pytest.fixture(scope="module")
-def manifest(tmp_path_factory):
-    out = tmp_path_factory.mktemp("crosscheck")
-    return out, corpus.write("crosscheck", SEED, str(out), str(ROOT))
-
-
-def test_every_crosscheck_case_passes_the_checker(manifest):
-    directory, m = manifest
+def check_corpus(workload, tmp_path_factory):
+    """The corpus manifest, and the checker's problems by case id."""
+    directory = tmp_path_factory.mktemp(workload)
+    m = corpus.write(workload, SEED, str(directory), str(ROOT))
     failures = {}
     for case in m["cases"]:
         out, err = io.StringIO(), io.StringIO()
@@ -51,5 +52,17 @@ def test_every_crosscheck_case_passes_the_checker(manifest):
         problems = checker.check(case, code, out.getvalue(), err.getvalue())
         if problems:
             failures[case["id"]] = problems
+    return m, failures
+
+
+def test_every_crosscheck_case_passes_the_checker(tmp_path_factory):
+    m, failures = check_corpus("crosscheck", tmp_path_factory)
+    assert len(m["cases"]) > 100
+    assert failures == {}
+
+
+@pytest.mark.parametrize("workload", ["relations", "outer"])
+def test_every_fc_search_case_passes_the_checker(workload, tmp_path_factory):
+    m, failures = check_corpus(workload, tmp_path_factory)
     assert len(m["cases"]) > 100
     assert failures == {}

@@ -1,22 +1,42 @@
 """The pieces of the finite-class injectivity search.
 
 The exponent-vector stream against the sort-the-box order it replaces,
-``FiniteGroupDesc.evaluate`` against word-by-word composition, and the
-cost of building a finite quotient's action table.
+``FiniteGroupDesc.evaluate`` against word-by-word composition, the cost
+of building a finite quotient's action table, and the mod-3 screen
+against a reference search that builds every candidate's action.
 """
 
+import contextlib
 import functools
 import gc
+import io
 import itertools
+import operator
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from icckit.analyzer import _exponent_vectors, analyze
-from icckit.catalog import FgAbelianDesc, FiniteGroupDesc
+from icckit import analyzer
+from icckit.analyzer import (
+    AnalyzerLimits,
+    Injective,
+    InjectivityUnknown,
+    InjectivityWitness,
+    _exponent_vectors,
+    _inverse3,
+    _mod3,
+    _mod3_screen,
+    _mul3,
+    _shift_word,
+    analyze,
+    theta_fc_injective,
+)
+from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, ProductDesc, generator_count, make_product
+from icckit.cli import run
 from icckit.extension import AbelianKernel, make_extension
 from icckit.intlinalg import IntMatrix
-from icckit.words import FreeAut
+from icckit.words import FreeAut, is_inner
 from tests.helpers import random_unimodular
 
 
@@ -111,3 +131,293 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_product_fc_search_leaves_no_cyclic_garbage(self):
+        """The product search keeps per-factor lists, builders holding a
+        power cache, and an index of the last factor."""
+        h = IntMatrix.from_rows([[2, 1], [1, 1]])
+        spec = make_extension(
+            AbelianKernel(2), make_product([FgAbelianDesc(2, (), ("u", "v")), FgAbelianDesc(1, (), ("t",))]),
+            [h, IntMatrix.from_rows([[5, 3], [3, 2]]), IntMatrix.from_rows([[13, 8], [8, 5]])])
+        analyze(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            analyze(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# -- the mod-3 screen against the unscreened search ------------------------------
+
+
+def reference_fc_elements(quotient, actions, identity, bound):
+    """The search's enumerator without the mod-3 screen: every candidate,
+    with its action built, in witness order."""
+    if isinstance(quotient, FiniteGroupDesc):
+        images = quotient.evaluate(actions, identity)
+        next(images)  # the identity element
+        yield from zip(quotient.element_words[1:], images)
+    elif isinstance(quotient, FgAbelianDesc):
+        for exps in _exponent_vectors(quotient.rank, quotient.divisors, bound):
+            word, action = (), identity
+            for i, e in enumerate(exps):
+                if e:
+                    word += (i + 1 if e > 0 else -(i + 1),) * abs(e)
+                    action = action @ actions[i] ** e
+            yield word, action
+    elif isinstance(quotient, ProductDesc):
+        lists, offset = [], 0
+        for f in quotient.factors:
+            n = generator_count(f)
+            elements = reference_fc_elements(f, actions[offset:offset + n], identity, bound)
+            lists.append([((), identity)] + [(_shift_word(w, offset), a) for w, a in elements])
+            offset += n
+        for combo in itertools.product(*lists):
+            word = tuple(itertools.chain.from_iterable(w for w, _ in combo))
+            if word:
+                yield word, functools.reduce(operator.matmul, [a for _, a in combo])
+    # free quotients of rank >= 2 have trivial FC: nothing to yield
+
+
+def reference_search(quotient, actions, identity, bound):
+    """What ``theta_fc_injective`` reports for an abelian quotient, or a
+    product with two or more factors of nontrivial FC, from the first
+    trivially acting candidate of the unscreened search."""
+    for word, action in reference_fc_elements(quotient, actions, identity, bound):
+        if isinstance(identity, IntMatrix):
+            if action == identity:
+                return InjectivityWitness(word, "action-identity")
+        else:
+            c = is_inner(action)
+            if c is not None:
+                return InjectivityWitness(word, "inner-automorphism", c)
+    factors = quotient.factors if isinstance(quotient, ProductDesc) else (quotient,)
+    if all(not isinstance(f, FgAbelianDesc) or f.is_finite for f in factors):
+        return Injective()
+    return InjectivityUnknown(
+        "product-relation-bound" if isinstance(quotient, ProductDesc) else "abelian-relation-bound")
+
+
+def kernel_identity(spec):
+    k = spec.kernel
+    return IntMatrix.identity(k.rank) if isinstance(k, AbelianKernel) else FreeAut.identity(k.rank)
+
+
+def screened_and_reference(spec, bound):
+    identity = kernel_identity(spec)
+    got = theta_fc_injective(spec.quotient, spec.actions, identity, AnalyzerLimits(relation_bound=bound))
+    return got, reference_search(spec.quotient, spec.actions, identity, bound)
+
+
+H = IntMatrix.from_rows([[2, 1], [1, 1]])
+HYPERBOLIC = (H, IntMatrix.from_rows([[1, 1], [1, 2]]), IntMatrix.from_rows([[3, 2], [1, 1]]),
+              IntMatrix.from_rows([[1, 1], [1, 0]]))
+FINITE_2X2 = (IntMatrix.from_rows([[0, -1], [1, 0]]), IntMatrix.from_rows([[1, -1], [1, 0]]),
+              IntMatrix.from_rows([[0, 1], [1, 0]]))
+FIB = IntMatrix.from_rows([[1, 1], [1, 0]])  # order 8 mod 3
+C2 = FiniteGroupDesc.from_generators(2, [(1, 0)])
+
+
+def block_diag(*blocks):
+    n = sum(b.nrows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for r in b.rows:
+            rows.append([0] * at + list(r) + [0] * (n - at - b.nrows))
+        at += b.nrows
+    return IntMatrix.from_rows(rows)
+
+
+def signed_power(rng, m, top=3):
+    return (m ** rng.randint(-top, top)).scale(rng.choice((1, -1)))
+
+
+def conjugated(rng, mats):
+    p = random_unimodular(rng, mats[0].nrows, steps=4, entry_bound=3)
+    p_inv = p.inverse_unimodular()
+    return [p @ m @ p_inv for m in mats]
+
+
+def abelian(rank, divisors=()):
+    return FgAbelianDesc(rank, divisors, ("u", "v", "w")[:rank] + ("s",) * len(divisors))
+
+
+def z():
+    return FgAbelianDesc(1, (), ("t",))
+
+
+def one_matrix_powers(rng):
+    m = rng.choice(HYPERBOLIC)
+    rank = rng.choice((2, 3))
+    return make_extension(AbelianKernel(2), abelian(rank), conjugated(rng, [signed_power(rng, m) for _ in range(rank)]))
+
+
+def block_diagonals(rng):
+    blocks = [rng.choice(HYPERBOLIC + FINITE_2X2) for _ in range(2)]
+    rank = rng.choice((2, 3))
+    mats = [block_diag(*(signed_power(rng, b, 2) for b in blocks)) for _ in range(rank)]
+    return make_extension(AbelianKernel(4), abelian(rank), conjugated(rng, mats))
+
+
+def torsion_with_minus_identity(rng):
+    m = rng.choice(HYPERBOLIC)
+    mats = [signed_power(rng, m), signed_power(rng, m), IntMatrix.identity(2).scale(-1)]
+    return make_extension(AbelianKernel(2), abelian(2, (2,)), conjugated(rng, mats))
+
+
+def product_z_z(rng):
+    m = rng.choice(HYPERBOLIC)
+    q = make_product([FgAbelianDesc(1, (), ("t",)), FgAbelianDesc(1, (), ("s",))])
+    return make_extension(AbelianKernel(2), q, conjugated(rng, [signed_power(rng, m), signed_power(rng, m)]))
+
+
+def product_z2_c2(rng):
+    blocks = [rng.choice(HYPERBOLIC) for _ in range(2)]
+    mats = [block_diag(*(signed_power(rng, b, 2) for b in blocks)) for _ in range(2)]
+    flip = block_diag(*(IntMatrix.identity(2).scale(rng.choice((1, -1))) for _ in range(2)))
+    return make_extension(AbelianKernel(4), make_product([abelian(2), C2]), conjugated(rng, mats + [flip]))
+
+
+def nielsen_product(rng, rank, moves):
+    phi = FreeAut.identity(rank)
+    for _ in range(moves):
+        i, j = rng.sample(range(1, rank + 1), 2)
+        images = [(k,) for k in range(1, rank + 1)]
+        images[i - 1] = (i, rng.choice((j, -j))) if rng.random() < 0.5 else (rng.choice((j, -j)), i)
+        phi = FreeAut(rank, tuple(images)) @ phi
+    return phi
+
+
+def free_kernel_under_z2(rng):
+    rank = rng.choice((2, 3))
+    swap = FreeAut(rank, ((2,), (1,)) + tuple((k,) for k in range(3, rank + 1)))
+    conj = FreeAut.conjugation(rank, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 3))))
+    phi = rng.choice((swap, conj, conj @ swap, nielsen_product(rng, rank, 2)))
+    actions = [phi ** rng.randint(-2, 2) for _ in range(2)]
+    return make_extension(FreeDesc(rank, ("a", "b", "c")[:rank]), abelian(2), actions)
+
+
+FAMILIES = (one_matrix_powers, block_diagonals, torsion_with_minus_identity, product_z_z,
+            product_z2_c2, free_kernel_under_z2)
+
+
+class TestMod3Screen:
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_same_result_as_unscreened_search(self, family):
+        rng = random.Random(family.__name__)
+        kinds = set()
+        for _ in range(25):
+            spec = family(rng)
+            bound = rng.randint(1, 4 if family is not free_kernel_under_z2 else 2)
+            got, want = screened_and_reference(spec, bound)
+            assert got == want, (spec, bound)
+            kinds.add(type(got).__name__)
+        assert "InjectivityWitness" in kinds and len(kinds) > 1
+
+    def test_cross_factor_relation_of_factors_not_trivial_mod_3(self):
+        """product(Z, Z) acting by t -> H, s -> H^-1: the first witness
+        combines t^-1 and s^-1, neither of which is I mod 3, so filtering
+        each factor on its own would lose it."""
+        spec = make_extension(AbelianKernel(2), make_product([z(), FgAbelianDesc(1, (), ("s",))]),
+                              [H, H.inverse_unimodular()])
+        eye = _mod3(IntMatrix.identity(2))
+        assert _mod3(H) != eye and _mod3(H.inverse_unimodular()) != eye
+        got, want = screened_and_reference(spec, 8)
+        assert got == want == InjectivityWitness((-1, -2), "action-identity")
+        assert analyze(spec).witness.rendered == "t^-1 s^-1"
+
+    def test_image_larger_than_the_box_turns_the_screen_off(self, tmp_path, monkeypatch):
+        """u -> FIB + 1, v -> 1 + FIB, w -> FIB^-1 + FIB^-1 on Z^4: the
+        mod-3 image has 64 elements, more than the 27 candidates of
+        --relation-bound 1, so the search runs unscreened."""
+        f_inv = FIB.inverse_unimodular()
+        i2 = IntMatrix.identity(2)
+        mats = [block_diag(FIB, i2), block_diag(i2, FIB), block_diag(f_inv, f_inv)]
+        identity = IntMatrix.identity(4)
+        assert _mod3_screen(mats, identity, 27) is None
+        assert len(_mod3_screen(mats, identity, 64).elements) == 64
+        path = tmp_path / "big_image.ext"
+        path.write_text("kernel: Z^4\nquotient: Z^3\n"
+                        + "".join(f"action {g} -> {m}\n" for g, m in zip("uvw", mats)))
+
+        def report():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(["check", str(path), "--format", "json", "--relation-bound", "1"])
+            return code, out.getvalue()
+
+        screened = report()
+        with monkeypatch.context() as m:
+            m.setattr(analyzer, "_fc_elements", reference_fc_elements)
+            assert report() == screened
+        assert '"element": "u^-1 v^-1 w^-1"' in screened[1]
+        # The same actions as product(Z^2, Z): the Z^2 factor's 9 candidates
+        # are fewer than its 64-element image, so no combination is skipped.
+        spec = make_extension(AbelianKernel(4), make_product([abelian(2), FgAbelianDesc(1, (), ("w",))]), mats)
+        got, want = screened_and_reference(spec, 1)
+        assert got == want == InjectivityWitness((-1, -2, -3), "action-identity")
+
+    def test_box_past_the_relation_costs_few_products(self, monkeypatch):
+        """A Z^3-on-Z^4 input whose relation (-6, -2, 1) lies past
+        --relation-bound 5, so the whole box of 1330 candidates is searched.
+        Unscreened, each candidate costs at least one product (2324 in
+        all); the screen keeps those in L_3, a lattice of index 24."""
+        rng = random.Random(4)
+        h1, h2 = HYPERBOLIC[0], HYPERBOLIC[2]
+        i2 = IntMatrix.identity(2)
+        mats = conjugated(rng, [block_diag(h1, i2), block_diag(i2, h2), block_diag(h1 ** 6, h2 ** 2)])
+        spec = make_extension(AbelianKernel(4), abelian(3), mats)
+        calls = []
+        matmul = IntMatrix.__matmul__
+
+        def counting(a, b):
+            calls.append(1)
+            return matmul(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        res = theta_fc_injective(spec.quotient, spec.actions, IntMatrix.identity(4), AnalyzerLimits(relation_bound=5))
+        assert res == InjectivityUnknown("abelian-relation-bound")
+        assert len(calls) <= 400
+
+    @pytest.mark.parametrize("family", FAMILIES[:3], ids=lambda f: f.__name__)
+    def test_screen_images_match_mod_3_products(self, family):
+        rng = random.Random(11)
+        for _ in range(10):
+            spec = family(rng)
+            identity = kernel_identity(spec)
+            screen = _mod3_screen(spec.actions, identity, 10 ** 6)
+            gens = [_mod3(a) for a in spec.actions]
+            inverses = [_inverse3(g) for g in gens]
+            eye = _mod3(identity)
+            assert len(screen.elements) == functools.reduce(operator.mul, (row[i] for i, row in enumerate(screen.rows)))
+            for x in itertools.product(range(-4, 5), repeat=len(gens)):
+                want = eye
+                for g, g_inv, e in zip(gens, inverses, x):
+                    for _ in range(abs(e)):
+                        want = _mul3(want, g if e > 0 else g_inv)
+                r = screen.residue(x)
+                assert all(0 <= c < row[i] for i, (c, row) in enumerate(zip(r, screen.rows)))
+                assert screen.image(x) == want
+                assert (not any(r)) == (want == eye)
+
+    def test_inverse_mod_3(self):
+        rng = random.Random(2)
+        for n in (1, 2, 3, 4):
+            eye = _mod3(IntMatrix.identity(n))
+            for _ in range(20):
+                m = _mod3(random_unimodular(rng, n, steps=8))
+                assert _mul3(m, _inverse3(m)) == eye == _mul3(_inverse3(m), m)
+
+    def test_blocks_family_decides_its_bound_quickly(self):
+        """Z^4 on Z^8, generator i hyperbolic on block i: the screen keeps
+        5^4 of the 17^4 exponent vectors, and the search still ends at the
+        relation bound."""
+        i2 = IntMatrix.identity(2)
+        mats = [block_diag(*(H if j == i else i2 for j in range(4))) for i in range(4)]
+        spec = make_extension(AbelianKernel(8), FgAbelianDesc(4), mats)
+        candidates = analyzer._fc_elements(spec.quotient, spec.actions, IntMatrix.identity(8), 8)
+        assert sum(1 for _ in candidates) == 5 ** 4 - 1
+        report = analyze(spec)
+        assert (report.verdict, report.obstruction) == ("unknown", "abelian-relation-bound")
