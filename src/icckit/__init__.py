@@ -16,17 +16,15 @@ from .analyzer import (
     thm3_check,
 )
 from .catalog import (
-    FcDescription,
     FgAbelianDesc,
     FiniteGroupDesc,
     FreeDesc,
     ProductDesc,
-    fc_subgroup,
+    fc_is_trivial,
     make_product,
 )
 from .dsl import Diagnostic, parse_extension, pretty_print
 from .extension import (
-    AbelianKernel,
     ExtensionSpec,
     ExtensionValidationError,
     UnsupportedExtensionError,

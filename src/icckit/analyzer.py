@@ -47,12 +47,14 @@ from .catalog import (
     FreeDesc,
     GroupDesc,
     ProductDesc,
-    fc_subgroup,
+    factor_offsets,
+    fc_is_trivial,
     generator_count,
     generator_labels,
     group_is_trivial,
+    perm_order,
 )
-from .extension import AbelianKernel, ExtensionSpec, UnsupportedExtensionError
+from .extension import ExtensionSpec, UnsupportedExtensionError
 from .intlinalg import IntMatrix, Lattice, Vec
 from .matgroup import (
     FiniteOrbitCert,
@@ -60,7 +62,7 @@ from .matgroup import (
     finite_orbit_sublattice,
     matrix_order,
 )
-from .words import FreeAut, Word, is_inner
+from .words import Word, is_inner
 
 GenWord = tuple[int, ...]
 
@@ -358,10 +360,8 @@ def _product_elements(quotient: ProductDesc, actions, identity, bound: int):
     eye = _mod3(identity)
     lists, builders = [], []
     screened = True
-    offset = 0
-    for f in quotient.factors:
-        n = generator_count(f)
-        acts = actions[offset:offset + n]
+    for f, offset in factor_offsets(quotient):
+        acts = actions[offset:offset + generator_count(f)]
         entries = [((), eye, None)]
         if isinstance(f, FgAbelianDesc):
             screen = _mod3_screen(acts, identity, _box_size(f, bound))
@@ -374,7 +374,6 @@ def _product_elements(quotient: ProductDesc, actions, identity, bound: int):
             entries += [(_shift_word(w, offset), _mod3(a), a) for w, a in _fc_elements(f, acts, identity, bound)]
             builders.append(None)
         lists.append(entries)
-        offset += n
     *heads, last = lists
     closing = {}
     if screened:
@@ -433,13 +432,8 @@ def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerL
     if isinstance(quotient, ProductDesc):
         # Per-factor triviality gives an immediate witness, but actions of
         # different factors may cancel, so the search runs over the product.
-        fc = []
-        offset = 0
-        for f in quotient.factors:
-            n = generator_count(f)
-            if not fc_subgroup(f).is_trivial:
-                fc.append((f, actions[offset:offset + n], offset))
-            offset += n
+        fc = [(f, actions[offset:offset + generator_count(f)], offset)
+              for f, offset in factor_offsets(quotient) if not fc_is_trivial(f)]
         if len(fc) == 1:
             f, acts, off = fc[0]
             res = theta_fc_injective(f, acts, identity, limits)
@@ -520,13 +514,11 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
     finite-orbit sublattice decides it exactly.
     """
     kernel = spec.kernel
-    assert isinstance(kernel, AbelianKernel)
+    assert isinstance(kernel, FgAbelianDesc)
     conditions: list[ConditionResult] = []
 
     if kernel.divisors:
-        bound = 1
-        for d in kernel.divisors:
-            bound *= d
+        bound = math.prod(kernel.divisors)
         witness = KernelTorsionWitness(
             description=f"torsion generator of order {kernel.divisors[0]}",
             order=kernel.divisors[0],
@@ -567,7 +559,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
             a.is_identity or (-a).is_identity for a in cert.induced_gens
         )
         if not induced_pm_identity:
-            res = theta_fc_injective(spec.quotient, spec.actions, IntMatrix.identity(kernel.rank), limits)
+            res = theta_fc_injective(spec.quotient, spec.actions, spec.identity, limits)
             if isinstance(res, InjectivityWitness):
                 return _fc_report(res, spec.quotient, conditions, "theorem-1")
         # The witness is a basis row of F, so the certificate holds its orbit.
@@ -579,7 +571,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         ConditionResult("kernel-orbits-infinite", "holds", "finite-orbit sublattice has rank 0")
     )
 
-    res = theta_fc_injective(spec.quotient, spec.actions, IntMatrix.identity(kernel.rank), limits)
+    res = theta_fc_injective(spec.quotient, spec.actions, spec.identity, limits)
     return _fc_report(res, spec.quotient, conditions, "theorem-1")
 
 
@@ -595,7 +587,7 @@ def thm3_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
     conditions = [
         ConditionResult("kernel-icc", "holds", "free kernels of rank >= 2 have trivial FC")
     ]
-    res = theta_fc_injective(spec.quotient, spec.actions, FreeAut.identity(kernel.rank), limits)
+    res = theta_fc_injective(spec.quotient, spec.actions, spec.identity, limits)
     return _fc_report(res, spec.quotient, conditions, "theorem-3")
 
 
@@ -614,14 +606,11 @@ def _first_fc_generator(quotient: GroupDesc) -> tuple[GenWord, str] | None:
         return (1,), render_gen_word((1,), labels)
     if isinstance(quotient, FreeDesc):
         return None if quotient.rank >= 2 else ((1,), labels[0])
-    offset = 0
-    for f in quotient.factors:
+    for f, offset in factor_offsets(quotient):
         sub = _first_fc_generator(f)
         if sub is not None:
-            w, _ = sub
-            shifted = _shift_word(w, offset)
-            return shifted, render_gen_word(shifted, generator_labels(quotient))
-        offset += generator_count(f)
+            shifted = _shift_word(sub[0], offset)
+            return shifted, render_gen_word(shifted, labels)
     return None
 
 
@@ -635,8 +624,7 @@ def _catalog_icc_as_quotient(quotient: GroupDesc) -> Report:
             None,
             (ConditionResult("group-nontrivial", "fails", "the whole group is trivial"),),
         )
-    fc = fc_subgroup(quotient)
-    if fc.is_trivial:
+    if fc_is_trivial(quotient):
         return Report(
             "icc",
             "degenerate",
@@ -663,21 +651,17 @@ def analyze(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -> R
     >>> from .extension import make_extension
     >>> from .catalog import FgAbelianDesc
     >>> from .intlinalg import IntMatrix
-    >>> spec = make_extension(AbelianKernel(2), FgAbelianDesc(1),
+    >>> spec = make_extension(FgAbelianDesc(2), FgAbelianDesc(1),
     ...                       [IntMatrix.from_rows([[2, 1], [1, 1]])])
     >>> analyze(spec).verdict
     'icc'
     """
     kernel = spec.kernel
 
-    if isinstance(kernel, AbelianKernel) and kernel.is_trivial:
-        return _catalog_icc_as_quotient(spec.quotient)
-    if isinstance(kernel, FiniteGroupDesc) and kernel.order == 1:
+    if group_is_trivial(kernel):
         return _catalog_icc_as_quotient(spec.quotient)
 
     if isinstance(kernel, FiniteGroupDesc):
-        from .catalog import perm_order
-
         first = kernel.elements[1]
         witness = KernelTorsionWitness(
             description="nontrivial element of the finite kernel",
@@ -699,7 +683,7 @@ def analyze(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -> R
             ),
         )
 
-    if isinstance(kernel, AbelianKernel):
+    if isinstance(kernel, FgAbelianDesc):
         return thm1_check(spec, limits)
     if isinstance(kernel, FreeDesc):
         return thm3_check(spec, limits)

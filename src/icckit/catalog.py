@@ -2,9 +2,9 @@
 
 Four atoms: finite permutation groups (materialized by closure), finitely
 generated abelian groups, free groups, and direct products of atoms.
-The finite-class subgroup FC is computed per structural rules; the facts
-those rules rest on are listed in CATALOG_AXIOMS.md and cross-validated
-against the brute-force oracle in the test suite.
+Whether the finite-class subgroup FC is trivial follows structural rules;
+the facts those rules rest on are listed in CATALOG_AXIOMS.md and
+cross-validated against the brute-force oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 
 Perm = tuple[int, ...]
 
@@ -35,8 +36,6 @@ def perm_inverse(p: Perm) -> Perm:
 
 
 def perm_order(p: Perm) -> int:
-    from math import lcm
-
     order = 1
     seen = set()
     for start in range(len(p)):
@@ -246,41 +245,24 @@ def generator_labels(g: GroupDesc) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FcDescription:
-    """Structural description of the finite-class subgroup FC(Q)."""
-
-    kind: str  # "trivial" | "whole" | "product"
-    parts: tuple = ()
-
-    @property
-    def is_trivial(self) -> bool:
-        if self.kind == "trivial":
-            return True
-        if self.kind == "product":
-            return all(p.is_trivial for p in self.parts)
-        return False
-
-    def __str__(self):
-        if self.kind == "product":
-            return "(" + " x ".join(str(p) for p in self.parts) + ")"
-        return self.kind
+def factor_offsets(product: ProductDesc):
+    """Yield ``(factor, offset)`` for each factor of ``product``.  A product
+    numbers its generators factor by factor, so a factor's generator i is
+    the product's generator ``offset + i``."""
+    offset = 0
+    for f in product.factors:
+        yield f, offset
+        offset += generator_count(f)
 
 
-def fc_subgroup(q: GroupDesc) -> FcDescription:
-    """FC(Q) by catalog rules.
+def fc_is_trivial(q: GroupDesc) -> bool:
+    """Is FC(Q) trivial, by catalog rules?
 
     Finite groups and f.g. abelian groups are all-FC; free groups of rank
     >= 2 have trivial FC; rank 1 is abelian; FC distributes over direct
-    products.
+    products.  A trivial group reads False: callers test
+    :func:`group_is_trivial` first.
     """
-    if isinstance(q, FiniteGroupDesc):
-        return FcDescription("whole")
-    if isinstance(q, FgAbelianDesc):
-        return FcDescription("whole")
-    if isinstance(q, FreeDesc):
-        return FcDescription("trivial" if q.rank >= 2 else "whole")
     if isinstance(q, ProductDesc):
-        return FcDescription("product", tuple(fc_subgroup(f) for f in q.factors))
-    raise TypeError(f"not a catalog group: {q!r}")
-
+        return all(fc_is_trivial(f) for f in q.factors)
+    return isinstance(q, FreeDesc) and q.rank >= 2

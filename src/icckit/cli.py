@@ -54,8 +54,8 @@ def witness_json(witness, spec: ExtensionSpec):
         if witness.action_order is not None:
             evidence["order"] = witness.action_order
         if witness.conjugator is not None:
-            names = spec.kernel.names if hasattr(spec.kernel, "names") else ()
-            evidence["conjugator"] = render_word(witness.conjugator, names)
+            # Only free kernels give a conjugator (theorem 3).
+            evidence["conjugator"] = render_word(witness.conjugator, spec.kernel.names)
         return {"type": "quotient_lift", "element": witness.rendered, "evidence": evidence}
     if isinstance(witness, TrivialGroupWitness):
         return {"type": "trivial_group"}

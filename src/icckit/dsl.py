@@ -30,12 +30,12 @@ from .catalog import (
     FreeDesc,
     GroupDesc,
     ProductDesc,
+    factor_offsets,
     generator_count,
     generator_labels,
     make_product,
 )
 from .extension import (
-    AbelianKernel,
     ExtensionSpec,
     ExtensionValidationError,
     UnsupportedExtensionError,
@@ -297,13 +297,10 @@ def _relabel_quotient(quotient: GroupDesc, names: list[str], cur: _Cursor) -> Gr
                 )
         return quotient
     if isinstance(quotient, ProductDesc):
-        out = []
-        pos = 0
-        for f in quotient.factors:
-            n = generator_count(f)
-            out.append(_relabel_quotient(f, names[pos:pos + n], cur))
-            pos += n
-        return ProductDesc(tuple(out))
+        return ProductDesc(tuple(
+            _relabel_quotient(f, names[offset:offset + generator_count(f)], cur)
+            for f, offset in factor_offsets(quotient)
+        ))
     return quotient
 
 
@@ -328,13 +325,8 @@ def parse_extension(text: str) -> ExtensionSpec:
 
     k_cur = _Cursor(k_no, k_line, k_line.index("kernel:") + len("kernel:") + 1)
     q_cur = _Cursor(q_no, q_line, q_line.index("quotient:") + len("quotient:") + 1)
-    kernel_desc = _parse_group(k_line.strip()[len("kernel:"):], k_cur, allow_product=False)
+    kernel = _parse_group(k_line.strip()[len("kernel:"):], k_cur, allow_product=False)
     quotient = _parse_group(q_line.strip()[len("quotient:"):], q_cur, allow_product=True)
-
-    if isinstance(kernel_desc, FgAbelianDesc):
-        kernel: object = AbelianKernel(kernel_desc.rank, kernel_desc.divisors)
-    else:
-        kernel = kernel_desc
 
     action_lines = significant[2:]
     names: list[str] = []
@@ -353,7 +345,7 @@ def parse_extension(text: str) -> ExtensionSpec:
         if not _NAME_RE.fullmatch(name):
             raise cur.err("syntax", f"bad generator name {name!r}")
         cur.base_col = line.index("->") + 3
-        if isinstance(kernel, AbelianKernel):
+        if isinstance(kernel, FgAbelianDesc):
             actions.append(_parse_matrix(rhs, cur))
         elif isinstance(kernel, FreeDesc):
             actions.append(_parse_autmap(rhs, kernel, cur))
@@ -385,11 +377,6 @@ def parse_extension(text: str) -> ExtensionSpec:
         raise Diagnostic(where.line_no, where.base_col, "validation", str(e))
 
 
-def _format_abelian(rank: int, divisors) -> str:
-    parts = [f"Z^{rank}"] + [f"Z/{d}" for d in divisors]
-    return " + ".join(parts)
-
-
 def _format_perm(p) -> str:
     seen = set()
     cycles = []
@@ -409,7 +396,7 @@ def _format_perm(p) -> str:
 
 def _format_group(g: GroupDesc) -> str:
     if isinstance(g, FgAbelianDesc):
-        return _format_abelian(g.rank, g.divisors)
+        return " + ".join([f"Z^{g.rank}"] + [f"Z/{d}" for d in g.divisors])
     if isinstance(g, FreeDesc):
         return f"free({', '.join(g.names)})"
     if isinstance(g, FiniteGroupDesc):
@@ -422,11 +409,7 @@ def _format_group(g: GroupDesc) -> str:
 def pretty_print(spec: ExtensionSpec) -> str:
     """Canonical text for a spec; parses back to an equal spec."""
     kernel = spec.kernel
-    if isinstance(kernel, AbelianKernel):
-        kernel_text = _format_abelian(kernel.rank, kernel.divisors)
-    else:
-        kernel_text = _format_group(kernel)
-    lines = [f"kernel: {kernel_text}", f"quotient: {_format_group(spec.quotient)}"]
+    lines = [f"kernel: {_format_group(kernel)}", f"quotient: {_format_group(spec.quotient)}"]
     labels = generator_labels(spec.quotient)
     actions = spec.actions
     if all(a.is_identity for a in actions):

@@ -1,11 +1,12 @@
 """Validated extension data: kernel, quotient, and the action assignment.
 
-An extension is described by a kernel (abelian of finite rank with an
-optional torsion chain, free, or finite), a quotient from the catalog,
-and one action per quotient generator: a unimodular integer matrix for
-abelian kernels, a free-group automorphism for free kernels.  The
-assignment must extend to a homomorphism from the quotient, which is
-checked exactly for finite and abelian (and product) quotients.
+An extension is described by a kernel and a quotient, both catalog
+descriptors (the kernel an ``FgAbelianDesc``, ``FreeDesc`` or
+``FiniteGroupDesc``), and one action per quotient generator: a
+unimodular integer matrix for abelian kernels, a free-group automorphism
+for free kernels, none for finite kernels.  The assignment must extend
+to a homomorphism from the quotient, which is checked exactly for finite
+and abelian (and product) quotients.
 
 Only the action homomorphism matters for the verdicts downstream, so one
 validated spec covers every extension (split or not) inducing the same
@@ -23,8 +24,10 @@ from .catalog import (
     FreeDesc,
     GroupDesc,
     ProductDesc,
+    factor_offsets,
     generator_count,
     make_product,
+    perm_compose,
 )
 from .intlinalg import IntMatrix
 from .words import FreeAut
@@ -39,29 +42,7 @@ class UnsupportedExtensionError(ValueError):
     """Structurally valid but outside the supported catalog."""
 
 
-@dataclass(frozen=True)
-class AbelianKernel:
-    """Z^rank x Z/d1 x ... as a kernel; actions are matrices on Z^rank."""
-
-    rank: int
-    divisors: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ExtensionValidationError("negative kernel rank")
-        for d in self.divisors:
-            if d < 2:
-                raise ExtensionValidationError("torsion divisors must be >= 2")
-        for a, b in zip(self.divisors, self.divisors[1:]):
-            if b % a:
-                raise ExtensionValidationError(f"bad divisor chain: {a} does not divide {b}")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.divisors
-
-
-KernelDesc = AbelianKernel | FreeDesc | FiniteGroupDesc
+KernelDesc = FgAbelianDesc | FreeDesc | FiniteGroupDesc
 
 
 @dataclass(frozen=True)
@@ -71,12 +52,11 @@ class ExtensionSpec:
     kernel: KernelDesc
     quotient: GroupDesc
     actions: tuple  # IntMatrix per quotient generator, or FreeAut, or ()
+    identity: IntMatrix | FreeAut | None  # the trivial action; None for finite kernels
 
 
 def _normalize_kernel(kernel, actions):
-    """Fold catalog synonyms into the analyzer's kernel classes."""
-    if isinstance(kernel, FgAbelianDesc):
-        kernel = AbelianKernel(kernel.rank, kernel.divisors)
+    """Fold the free group of rank 1 into the abelian kernel Z."""
     if isinstance(kernel, FreeDesc) and kernel.rank == 1:
         # F_1 is Z: each automorphism is +-identity, acting as a 1x1 matrix.
         mats = []
@@ -84,7 +64,7 @@ def _normalize_kernel(kernel, actions):
             if not isinstance(a, FreeAut) or a.rank != 1:
                 raise ExtensionValidationError("rank-1 free kernel expects rank-1 automorphisms")
             mats.append(IntMatrix.from_rows([[1 if a.images[0] == (1,) else -1]]))
-        return AbelianKernel(1), tuple(mats)
+        return FgAbelianDesc(1), tuple(mats)
     return kernel, tuple(actions)
 
 
@@ -105,8 +85,6 @@ def _validate_relations(quotient, actions, identity):
     need cross-factor commutation; free factors impose nothing.
     """
     if isinstance(quotient, FiniteGroupDesc):
-        from .catalog import perm_compose
-
         theta = dict(zip(quotient.elements, quotient.evaluate(actions, identity)))
         for e in quotient.elements:
             for i, g in enumerate(quotient.generators):
@@ -126,12 +104,8 @@ def _validate_relations(quotient, actions, identity):
     elif isinstance(quotient, FreeDesc):
         pass
     elif isinstance(quotient, ProductDesc):
-        offset = 0
-        slices = []
-        for f in quotient.factors:
-            n = generator_count(f)
-            slices.append((f, actions[offset:offset + n]))
-            offset += n
+        slices = [(f, actions[offset:offset + generator_count(f)])
+                  for f, offset in factor_offsets(quotient)]
         for f, acts in slices:
             _validate_relations(f, acts, identity)
         for (_, acts1), (_, acts2) in itertools.combinations(slices, 2):
@@ -161,9 +135,9 @@ def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
             raise UnsupportedExtensionError(
                 "actions on finite kernels are not supported; omit the action lines"
             )
-        return ExtensionSpec(kernel, quotient, ())
+        return ExtensionSpec(kernel, quotient, (), None)
 
-    if isinstance(kernel, AbelianKernel):
+    if isinstance(kernel, FgAbelianDesc):
         identity = IntMatrix.identity(kernel.rank)
     elif isinstance(kernel, FreeDesc):
         identity = FreeAut.identity(kernel.rank)
@@ -191,4 +165,4 @@ def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
         elif not a.is_unimodular:
             raise ExtensionValidationError(f"non-unimodular matrix, det={a.det()}")
     _validate_relations(quotient, actions, identity)
-    return ExtensionSpec(kernel, quotient, actions)
+    return ExtensionSpec(kernel, quotient, actions, identity)

@@ -36,6 +36,7 @@ from .intlinalg import (
     IntMatrix,
     Lattice,
     Vec,
+    _divisors,
     charpoly,
     cyclotomic_orders,
     kernel_lattice,
@@ -97,7 +98,6 @@ def matrix_order(m: IntMatrix) -> int | None:
     big = lcm_all(factors.orders | {1})
     if (m ** big) != IntMatrix.identity(n):
         return None  # non-semisimple (unipotent part present)
-    from .intlinalg import _divisors
 
     for d in _divisors(big):
         if (m ** d) == IntMatrix.identity(n):

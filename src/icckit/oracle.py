@@ -39,17 +39,23 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 
+from .analyzer import (
+    KernelTorsionWitness,
+    KernelVectorWitness,
+    QuotientLiftWitness,
+    TrivialGroupWitness,
+)
 from .catalog import (
     FgAbelianDesc,
     FiniteGroupDesc,
     FreeDesc,
     ProductDesc,
-    generator_count,
+    factor_offsets,
     perm_compose,
     perm_identity,
     perm_inverse,
 )
-from .extension import AbelianKernel, ExtensionSpec, UnsupportedExtensionError
+from .extension import ExtensionSpec, UnsupportedExtensionError
 from .intlinalg import IntMatrix
 from .matgroup import MatGroupGens, OrbitCapExceeded, OrbitResult, orbit_bfs
 from .words import FreeAut, Word, word_inverse, word_mul
@@ -60,7 +66,7 @@ class _AbelianPart:
     torsion residues.  As a kernel, the action matrices move the free
     coordinates and fix the torsion coordinates."""
 
-    def __init__(self, desc: AbelianKernel | FgAbelianDesc):
+    def __init__(self, desc: FgAbelianDesc):
         self.rank = desc.rank
         self.divisors = desc.divisors
         self.identity = (0,) * (self.rank + len(self.divisors))
@@ -155,8 +161,8 @@ class _ProductPart:
     """Tuples with one component per factor; generators factor by factor."""
 
     def __init__(self, desc: ProductDesc):
-        self.factors = desc.factors
         self.parts = [_part(f) for f in desc.factors]
+        self.offsets = [offset for _, offset in factor_offsets(desc)]
         self.identity = tuple(p.identity for p in self.parts)
 
     def mul(self, a, b):
@@ -174,16 +180,14 @@ class _ProductPart:
 
     def exponent_pairs(self, a):
         out = []
-        offset = 0
-        for f, p, comp in zip(self.factors, self.parts, a):
+        for p, offset, comp in zip(self.parts, self.offsets, a):
             out.extend((i + offset, e) for i, e in p.exponent_pairs(comp))
-            offset += generator_count(f)
         return out
 
 
 def _part(desc):
     """The arithmetic of one catalog group, kernel or quotient."""
-    if isinstance(desc, (AbelianKernel, FgAbelianDesc)):
+    if isinstance(desc, FgAbelianDesc):
         return _AbelianPart(desc)
     if isinstance(desc, FreeDesc):
         return _FreePart(desc)
@@ -199,17 +203,10 @@ class ConcreteGroup:
 
     def __init__(self, spec: ExtensionSpec):
         self.spec = spec
-        kernel = spec.kernel
-        self.kernel_part = _part(kernel)
+        self.kernel_part = _part(spec.kernel)
         self.quotient_part = _part(spec.quotient)
         self._theta_cache: dict = {}
-        self._action_id = (
-            IntMatrix.identity(kernel.rank)
-            if isinstance(kernel, AbelianKernel)
-            else FreeAut.identity(kernel.rank)
-            if isinstance(kernel, FreeDesc)
-            else None
-        )
+        self._action_id = spec.identity
         self._action_pows: dict = {}
         # conjugate's memos, see its docstring
         self._kernel_steps: dict = {}
@@ -440,13 +437,6 @@ def exact_abelian_class(group: ConcreteGroup, k, cap: int = 10_000):
 
 def _witness_element(group: ConcreteGroup, witness):
     """The concrete group element a verdict witness talks about."""
-    from .analyzer import (
-        KernelTorsionWitness,
-        KernelVectorWitness,
-        QuotientLiftWitness,
-        TrivialGroupWitness,
-    )
-
     if isinstance(witness, KernelVectorWitness):
         part = group.kernel_part
         pad = (0,) * (len(part.identity) - len(witness.vector))
@@ -483,8 +473,6 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
     Returns ``(summary_dict, growth_curve)`` where the curve belongs to
     the witness (negative case) or the first sample.
     """
-    from .analyzer import KernelTorsionWitness, KernelVectorWitness, TrivialGroupWitness
-
     group = materialize(spec)
     summary = {"radius": radius, "cap": cap}
 

@@ -19,7 +19,7 @@ from icckit.analyzer import (
 )
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc
 from icckit.cli import main
-from icckit.extension import AbelianKernel, make_extension
+from icckit.extension import make_extension
 from icckit.intlinalg import IntMatrix, Lattice
 from icckit.matgroup import (
     FiniteOrbit,
@@ -51,7 +51,7 @@ def report_pass(num, text):
 
 
 def test_criterion_01_sol_icc_with_oracle():
-    spec = make_extension(AbelianKernel(2), Z, [HYPER])
+    spec = make_extension(FgAbelianDesc(2), Z, [HYPER])
     report = analyze(spec)
     assert report.verdict == "icc"
     assert report.theorem_path == "theorem-1"
@@ -63,7 +63,7 @@ def test_criterion_01_sol_icc_with_oracle():
 
 
 def test_criterion_02_klein_bottle_kernel_vector():
-    spec = make_extension(AbelianKernel(1), Z, [IntMatrix.from_rows([[-1]])])
+    spec = make_extension(FgAbelianDesc(1), Z, [IntMatrix.from_rows([[-1]])])
     report = analyze(spec)
     assert report.verdict == "not_icc"
     assert isinstance(report.witness, KernelVectorWitness)
@@ -87,7 +87,7 @@ def test_criterion_03_torsion_shortcut_skips_action_data():
 
     analyzer_mod.finite_orbit_sublattice = spy
     try:
-        spec = make_extension(AbelianKernel(2, (2,)), Z, [HYPER])
+        spec = make_extension(FgAbelianDesc(2, (2,)), Z, [HYPER])
         report = analyze(spec)
     finally:
         analyzer_mod.finite_orbit_sublattice = original
@@ -98,7 +98,7 @@ def test_criterion_03_torsion_shortcut_skips_action_data():
 
 
 def test_criterion_04_order_four_action_gives_lift_witness():
-    spec = make_extension(AbelianKernel(2), FgAbelianDesc(1, (), ("q",)), [ROT4])
+    spec = make_extension(FgAbelianDesc(2), FgAbelianDesc(1, (), ("q",)), [ROT4])
     report = analyze(spec)
     assert report.verdict == "not_icc"
     assert isinstance(report.witness, QuotientLiftWitness)
@@ -311,11 +311,11 @@ def test_criterion_12_verdict_invariance_under_conjugation():
             m = IntMatrix.identity(r)
             if r == 2:
                 m = ROT4 if rng.random() < 0.5 else IntMatrix.from_rows([[0, -1], [1, -1]])
-        spec = make_extension(AbelianKernel(r), Z, [m])
+        spec = make_extension(FgAbelianDesc(r), Z, [m])
         base = analyze(spec)
         p = random_unimodular(rng, r, steps=10)
         conj = p @ m @ p.inverse_unimodular()
-        other = analyze(make_extension(AbelianKernel(r), Z, [conj]))
+        other = analyze(make_extension(FgAbelianDesc(r), Z, [conj]))
         assert base.verdict == other.verdict
         assert base.theorem_path == other.theorem_path
         if isinstance(base.witness, KernelVectorWitness):

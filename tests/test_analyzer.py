@@ -16,11 +16,7 @@ from icckit.analyzer import (
     theta_fc_injective,
 )
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, make_product
-from icckit.extension import (
-    AbelianKernel,
-    ExtensionValidationError,
-    make_extension,
-)
+from icckit.extension import ExtensionValidationError, make_extension
 from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut
 from tests.helpers import random_unimodular
@@ -151,13 +147,13 @@ class TestThetaFcInjective:
 
 class TestAnalyzeAbelian:
     def test_sol_is_icc(self):
-        report = analyze(mk(AbelianKernel(2), Z, [HYPER]))
+        report = analyze(mk(FgAbelianDesc(2), Z, [HYPER]))
         assert report.verdict == "icc"
         assert report.theorem_path == "theorem-1"
         assert report.witness is None
 
     def test_klein_bottle(self):
-        report = analyze(mk(AbelianKernel(1), Z, [IntMatrix.from_rows([[-1]])]))
+        report = analyze(mk(FgAbelianDesc(1), Z, [IntMatrix.from_rows([[-1]])]))
         assert report.verdict == "not_icc"
         assert report.theorem_path == "theorem-1(i)"
         assert isinstance(report.witness, KernelVectorWitness)
@@ -165,14 +161,14 @@ class TestAnalyzeAbelian:
         assert set(report.witness.orbit) == {(1,), (-1,)}
 
     def test_torsion_shortcut(self):
-        report = analyze(mk(AbelianKernel(2, (2,)), Z, [HYPER]))
+        report = analyze(mk(FgAbelianDesc(2, (2,)), Z, [HYPER]))
         assert report.verdict == "not_icc"
         assert report.theorem_path == "theorem-1(i)"
         assert isinstance(report.witness, KernelTorsionWitness)
         assert report.witness.class_bound == 2
 
     def test_order_four_prefers_lift_witness(self):
-        report = analyze(mk(AbelianKernel(2), FgAbelianDesc(1, (), ("q",)), [ROT4]))
+        report = analyze(mk(FgAbelianDesc(2), FgAbelianDesc(1, (), ("q",)), [ROT4]))
         assert report.verdict == "not_icc"
         assert report.theorem_path == "theorem-1(ii)"
         assert isinstance(report.witness, QuotientLiftWitness)
@@ -181,7 +177,7 @@ class TestAnalyzeAbelian:
 
     def test_negation_action_keeps_vector_witness(self):
         neg = IntMatrix.from_rows([[-1, 0], [0, -1]])
-        report = analyze(mk(AbelianKernel(2), Z, [neg]))
+        report = analyze(mk(FgAbelianDesc(2), Z, [neg]))
         assert isinstance(report.witness, KernelVectorWitness)
         assert report.witness.vector == (1, 0)
         assert set(report.witness.orbit) == {(1, 0), (-1, 0)}
@@ -189,25 +185,25 @@ class TestAnalyzeAbelian:
     def test_free_quotient_generic_icc(self):
         q = FreeDesc(2, ("u", "v"))
         other = IntMatrix.from_rows([[1, 1], [1, 2]])
-        report = analyze(mk(AbelianKernel(2), q, [HYPER, other]))
+        report = analyze(mk(FgAbelianDesc(2), q, [HYPER, other]))
         assert report.verdict == "icc"
 
     def test_free_quotient_with_finite_orbits_still_not_icc(self):
         q = FreeDesc(2, ("u", "v"))
         neg = IntMatrix.from_rows([[-1, 0], [0, -1]])
-        report = analyze(mk(AbelianKernel(2), q, [neg, neg]))
+        report = analyze(mk(FgAbelianDesc(2), q, [neg, neg]))
         assert report.verdict == "not_icc"
         assert isinstance(report.witness, KernelVectorWitness)
 
     def test_unknown_passes_through(self):
         z2 = FgAbelianDesc(2, (), ("u", "v"))
         a, b = _commuting_block_pair()
-        report = analyze(mk(AbelianKernel(4), z2, [a, b]))
+        report = analyze(mk(FgAbelianDesc(4), z2, [a, b]))
         assert report.verdict == "unknown"
         assert report.obstruction == "abelian-relation-bound"
 
     def test_trivial_quotient_abelian_kernel(self):
-        report = analyze(mk(AbelianKernel(2), FgAbelianDesc(0)))
+        report = analyze(mk(FgAbelianDesc(2), FgAbelianDesc(0)))
         assert report.verdict == "not_icc"
         assert isinstance(report.witness, KernelVectorWitness)
         assert report.witness.orbit == ((1, 0),)
@@ -228,7 +224,7 @@ class TestAnalyzeAbelian:
 
         cycle = perm([(j + 1) % n for j in range(n)])
         swap = perm([1, 0] + list(range(2, n)))
-        report = analyze(mk(AbelianKernel(n), FreeDesc(2, ("p", "s")), [cycle, swap]))
+        report = analyze(mk(FgAbelianDesc(n), FreeDesc(2, ("p", "s")), [cycle, swap]))
         assert report.verdict == "not_icc"
         assert report.theorem_path == "theorem-1(i)"
         assert isinstance(report.witness, KernelVectorWitness)
@@ -256,7 +252,7 @@ class TestAnalyzeFree:
 
     def test_rank_one_free_kernel_folds_to_abelian(self):
         spec = mk(FreeDesc(1, ("a",)), Z, [FreeAut(1, ((-1,),))])
-        assert isinstance(spec.kernel, AbelianKernel)
+        assert isinstance(spec.kernel, FgAbelianDesc)
         report = analyze(spec)
         assert report.verdict == "not_icc"  # the Klein bottle again
 
@@ -267,23 +263,23 @@ class TestAnalyzeFree:
 
 class TestAnalyzeDegenerate:
     def test_everything_trivial(self):
-        report = analyze(mk(AbelianKernel(0), FgAbelianDesc(0)))
+        report = analyze(mk(FgAbelianDesc(0), FgAbelianDesc(0)))
         assert report.verdict == "not_icc"
         assert isinstance(report.witness, TrivialGroupWitness)
 
     def test_trivial_kernel_free_quotient(self):
-        report = analyze(mk(AbelianKernel(0), FreeDesc(2)))
+        report = analyze(mk(FgAbelianDesc(0), FreeDesc(2)))
         assert report.verdict == "icc"
         assert report.theorem_path == "degenerate"
 
     def test_trivial_kernel_abelian_quotient(self):
-        report = analyze(mk(AbelianKernel(0), Z))
+        report = analyze(mk(FgAbelianDesc(0), Z))
         assert report.verdict == "not_icc"
         assert isinstance(report.witness, QuotientLiftWitness)
 
     def test_trivial_kernel_product_quotient(self):
         q = make_product([FreeDesc(2), FgAbelianDesc(1, (), ("t",))])
-        report = analyze(mk(AbelianKernel(0), q))
+        report = analyze(mk(FgAbelianDesc(0), q))
         assert report.verdict == "not_icc"
         assert report.witness.word == (3,)  # the Z generator after F2's two
 
@@ -304,29 +300,29 @@ class TestAnalyzeDegenerate:
 class TestValidation:
     def test_action_count_mismatch(self):
         with pytest.raises(ExtensionValidationError):
-            mk(AbelianKernel(2), FgAbelianDesc(2), [HYPER])
+            mk(FgAbelianDesc(2), FgAbelianDesc(2), [HYPER])
 
     def test_non_commuting_abelian_quotient(self):
         with pytest.raises(ExtensionValidationError):
-            mk(AbelianKernel(2), FgAbelianDesc(2), [ROT4, IntMatrix.from_rows([[1, 1], [0, 1]])])
+            mk(FgAbelianDesc(2), FgAbelianDesc(2), [ROT4, IntMatrix.from_rows([[1, 1], [0, 1]])])
 
     def test_torsion_order_violation(self):
         with pytest.raises(ExtensionValidationError):
-            mk(AbelianKernel(2), FgAbelianDesc(0, (2,)), [ROT4])  # order 4, needs 2
+            mk(FgAbelianDesc(2), FgAbelianDesc(0, (2,)), [ROT4])  # order 4, needs 2
 
     def test_torsion_order_ok(self):
-        spec = mk(AbelianKernel(2), FgAbelianDesc(0, (4,)), [ROT4])
+        spec = mk(FgAbelianDesc(2), FgAbelianDesc(0, (4,)), [ROT4])
         assert analyze(spec).verdict == "not_icc"
 
     def test_wrong_action_type(self):
         with pytest.raises(ExtensionValidationError):
-            mk(AbelianKernel(2), Z, [FreeAut.identity(2)])
+            mk(FgAbelianDesc(2), Z, [FreeAut.identity(2)])
         with pytest.raises(ExtensionValidationError):
             mk(FreeDesc(2), Z, [HYPER])
 
     def test_matrix_size_mismatch(self):
         with pytest.raises(ExtensionValidationError):
-            mk(AbelianKernel(3), Z, [HYPER])
+            mk(FgAbelianDesc(3), Z, [HYPER])
 
 
 class TestVerdictInvariance:
@@ -335,10 +331,10 @@ class TestVerdictInvariance:
         rng = random.Random(500 + seed)
         r = rng.choice([2, 3])
         m = random_unimodular(rng, r, steps=rng.randint(1, 8))
-        base = analyze(mk(AbelianKernel(r), Z, [m]))
+        base = analyze(mk(FgAbelianDesc(r), Z, [m]))
         p = random_unimodular(rng, r, steps=8)
         conj = p @ m @ p.inverse_unimodular()
-        other = analyze(mk(AbelianKernel(r), Z, [conj]))
+        other = analyze(mk(FgAbelianDesc(r), Z, [conj]))
         assert base.verdict == other.verdict
         assert base.theorem_path == other.theorem_path
 

@@ -5,7 +5,8 @@ from icckit.catalog import (
     FiniteGroupDesc,
     FreeDesc,
     ProductDesc,
-    fc_subgroup,
+    factor_offsets,
+    fc_is_trivial,
     generator_count,
     generator_labels,
     group_is_trivial,
@@ -82,27 +83,44 @@ class TestDescValidation:
 
 class TestFcRules:
     def test_free_rank_two_trivial(self):
-        assert fc_subgroup(FreeDesc(2)).is_trivial
+        assert fc_is_trivial(FreeDesc(2))
 
     def test_abelian_whole(self):
-        fc = fc_subgroup(FgAbelianDesc(1))
-        assert fc.kind == "whole" and not fc.is_trivial
+        assert not fc_is_trivial(FgAbelianDesc(1))
 
     def test_free_rank_one_whole(self):
-        assert fc_subgroup(FreeDesc(1)).kind == "whole"
+        assert not fc_is_trivial(FreeDesc(1))
 
     def test_finite_whole(self):
         s3 = FiniteGroupDesc.from_generators(3, [(1, 2, 0), (1, 0, 2)])
-        assert fc_subgroup(s3).kind == "whole"
+        assert not fc_is_trivial(s3)
 
     def test_product_distributes(self):
-        fc = fc_subgroup(make_product([FreeDesc(2), FgAbelianDesc(1)]))
-        assert fc.kind == "product"
-        assert fc.parts[0].is_trivial and fc.parts[1].kind == "whole"
-        assert not fc.is_trivial
+        assert not fc_is_trivial(make_product([FreeDesc(2), FgAbelianDesc(1)]))
 
     def test_product_of_free_trivial(self):
-        assert fc_subgroup(make_product([FreeDesc(2), FreeDesc(3)])).is_trivial
+        assert fc_is_trivial(make_product([FreeDesc(2), FreeDesc(3)]))
+
+    def test_trivial_group_reads_false(self):
+        # Callers test group_is_trivial first; FC of the trivial group is
+        # the whole (trivial) group, not the trivial-FC case.
+        assert not fc_is_trivial(FgAbelianDesc(0))
+
+
+class TestFactorOffsets:
+    def test_offsets_follow_generator_numbering(self):
+        s3 = FiniteGroupDesc.from_generators(3, [(1, 2, 0), (1, 0, 2)], ("r", "f"))
+        torsion = FgAbelianDesc(1, (2, 4), ("t", "s1", "s2"))
+        free = FreeDesc(2, ("u", "v"))
+        q = make_product([s3, torsion, free])
+        pairs = list(factor_offsets(q))
+        assert [f for f, _ in pairs] == [s3, torsion, free]
+        counts = [generator_count(f) for f, _ in pairs]
+        assert [off for _, off in pairs] == [0, counts[0], counts[0] + counts[1]] == [0, 2, 5]
+        labels = generator_labels(q)
+        for f, off in pairs:
+            assert labels[off:off + generator_count(f)] == generator_labels(f)
+        assert sum(counts) == generator_count(q)
 
 
 def reduced_words_up_to(rank, length):

@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 from icckit import cli
+from icckit.catalog import FgAbelianDesc, FreeDesc
 from icckit.cli import main
 from icckit.dsl import Diagnostic, parse_extension, pretty_print
+from icckit.intlinalg import IntMatrix
+from icckit.words import FreeAut
 
 ROOT = Path(__file__).resolve().parent.parent
 EXTENSIONS = ROOT / "extensions"
@@ -21,16 +24,33 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-class TestParsing:
-    def test_sol_round_trip(self):
-        text = (EXTENSIONS / "sol.ext").read_text()
-        spec = parse_extension(text)
-        assert parse_extension(pretty_print(spec)) == spec
+ROUND_TRIP_FILES = sorted(p.name for p in EXTENSIONS.glob("*.ext") if p.name != "bad.ext")
+ROUND_TRIP_TEXTS = {
+    "torsion-kernel": "kernel: Z^2 + Z/2\nquotient: Z\naction t -> [[2,1],[1,1]]\n",
+    "free-rank-one-kernel": "kernel: free(a)\nquotient: Z\naction t -> (a -> a^-1)\n",
+    "finite-kernel": "kernel: finite perm((1 2 3))\nquotient: Z\n",
+    "product-quotient": (
+        "kernel: Z^2\nquotient: product(Z, finite perm((1 2)))\n"
+        "action t -> [[2,1],[1,1]]\naction q -> [[-1,0],[0,-1]]\n"
+    ),
+}
 
-    def test_swap_round_trip(self):
-        text = (EXTENSIONS / "swap.ext").read_text()
+
+def expected_identity(kernel):
+    if isinstance(kernel, FgAbelianDesc):
+        return IntMatrix.identity(kernel.rank)
+    if isinstance(kernel, FreeDesc):
+        return FreeAut.identity(kernel.rank)
+    return None
+
+
+class TestParsing:
+    @pytest.mark.parametrize("source", ROUND_TRIP_FILES + sorted(ROUND_TRIP_TEXTS))
+    def test_round_trip(self, source):
+        text = ROUND_TRIP_TEXTS.get(source) or (EXTENSIONS / source).read_text()
         spec = parse_extension(text)
         assert parse_extension(pretty_print(spec)) == spec
+        assert spec.identity == expected_identity(spec.kernel)
 
     def test_free_action_with_inverse_letters_round_trip(self):
         spec = parse_extension(

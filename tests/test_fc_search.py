@@ -34,7 +34,7 @@ from icckit.analyzer import (
 )
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, ProductDesc, generator_count, make_product
 from icckit.cli import run
-from icckit.extension import AbelianKernel, make_extension
+from icckit.extension import make_extension
 from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut, is_inner
 from tests.helpers import random_unimodular
@@ -110,7 +110,7 @@ class TestEvaluate:
 
         actions = [perm_matrix(g) for g in S4.generators]
         monkeypatch.setattr(IntMatrix, "__matmul__", counting)
-        make_extension(AbelianKernel(4), S4, actions)
+        make_extension(FgAbelianDesc(4), S4, actions)
         assert S4.order == 24
         assert len(calls) <= S4.order * (1 + len(S4.generators))
 
@@ -121,7 +121,7 @@ class TestNoReferenceCycles:
         reference cycle around that cache would keep every power alive
         until the next full garbage collection."""
         spec = make_extension(
-            AbelianKernel(2), FgAbelianDesc(2, (), ("u", "v")),
+            FgAbelianDesc(2), FgAbelianDesc(2, (), ("u", "v")),
             [IntMatrix.from_rows([[2, 1], [1, 1]]), IntMatrix.from_rows([[5, 3], [3, 2]])])
         analyze(spec)
         gc.collect()
@@ -137,7 +137,7 @@ class TestNoReferenceCycles:
         power cache, and an index of the last factor."""
         h = IntMatrix.from_rows([[2, 1], [1, 1]])
         spec = make_extension(
-            AbelianKernel(2), make_product([FgAbelianDesc(2, (), ("u", "v")), FgAbelianDesc(1, (), ("t",))]),
+            FgAbelianDesc(2), make_product([FgAbelianDesc(2, (), ("u", "v")), FgAbelianDesc(1, (), ("t",))]),
             [h, IntMatrix.from_rows([[5, 3], [3, 2]]), IntMatrix.from_rows([[13, 8], [8, 5]])])
         analyze(spec)
         gc.collect()
@@ -200,13 +200,8 @@ def reference_search(quotient, actions, identity, bound):
         "product-relation-bound" if isinstance(quotient, ProductDesc) else "abelian-relation-bound")
 
 
-def kernel_identity(spec):
-    k = spec.kernel
-    return IntMatrix.identity(k.rank) if isinstance(k, AbelianKernel) else FreeAut.identity(k.rank)
-
-
 def screened_and_reference(spec, bound):
-    identity = kernel_identity(spec)
+    identity = spec.identity
     got = theta_fc_injective(spec.quotient, spec.actions, identity, AnalyzerLimits(relation_bound=bound))
     return got, reference_search(spec.quotient, spec.actions, identity, bound)
 
@@ -251,33 +246,33 @@ def z():
 def one_matrix_powers(rng):
     m = rng.choice(HYPERBOLIC)
     rank = rng.choice((2, 3))
-    return make_extension(AbelianKernel(2), abelian(rank), conjugated(rng, [signed_power(rng, m) for _ in range(rank)]))
+    return make_extension(FgAbelianDesc(2), abelian(rank), conjugated(rng, [signed_power(rng, m) for _ in range(rank)]))
 
 
 def block_diagonals(rng):
     blocks = [rng.choice(HYPERBOLIC + FINITE_2X2) for _ in range(2)]
     rank = rng.choice((2, 3))
     mats = [block_diag(*(signed_power(rng, b, 2) for b in blocks)) for _ in range(rank)]
-    return make_extension(AbelianKernel(4), abelian(rank), conjugated(rng, mats))
+    return make_extension(FgAbelianDesc(4), abelian(rank), conjugated(rng, mats))
 
 
 def torsion_with_minus_identity(rng):
     m = rng.choice(HYPERBOLIC)
     mats = [signed_power(rng, m), signed_power(rng, m), IntMatrix.identity(2).scale(-1)]
-    return make_extension(AbelianKernel(2), abelian(2, (2,)), conjugated(rng, mats))
+    return make_extension(FgAbelianDesc(2), abelian(2, (2,)), conjugated(rng, mats))
 
 
 def product_z_z(rng):
     m = rng.choice(HYPERBOLIC)
     q = make_product([FgAbelianDesc(1, (), ("t",)), FgAbelianDesc(1, (), ("s",))])
-    return make_extension(AbelianKernel(2), q, conjugated(rng, [signed_power(rng, m), signed_power(rng, m)]))
+    return make_extension(FgAbelianDesc(2), q, conjugated(rng, [signed_power(rng, m), signed_power(rng, m)]))
 
 
 def product_z2_c2(rng):
     blocks = [rng.choice(HYPERBOLIC) for _ in range(2)]
     mats = [block_diag(*(signed_power(rng, b, 2) for b in blocks)) for _ in range(2)]
     flip = block_diag(*(IntMatrix.identity(2).scale(rng.choice((1, -1))) for _ in range(2)))
-    return make_extension(AbelianKernel(4), make_product([abelian(2), C2]), conjugated(rng, mats + [flip]))
+    return make_extension(FgAbelianDesc(4), make_product([abelian(2), C2]), conjugated(rng, mats + [flip]))
 
 
 def nielsen_product(rng, rank, moves):
@@ -320,7 +315,7 @@ class TestMod3Screen:
         """product(Z, Z) acting by t -> H, s -> H^-1: the first witness
         combines t^-1 and s^-1, neither of which is I mod 3, so filtering
         each factor on its own would lose it."""
-        spec = make_extension(AbelianKernel(2), make_product([z(), FgAbelianDesc(1, (), ("s",))]),
+        spec = make_extension(FgAbelianDesc(2), make_product([z(), FgAbelianDesc(1, (), ("s",))]),
                               [H, H.inverse_unimodular()])
         eye = _mod3(IntMatrix.identity(2))
         assert _mod3(H) != eye and _mod3(H.inverse_unimodular()) != eye
@@ -355,7 +350,7 @@ class TestMod3Screen:
         assert '"element": "u^-1 v^-1 w^-1"' in screened[1]
         # The same actions as product(Z^2, Z): the Z^2 factor's 9 candidates
         # are fewer than its 64-element image, so no combination is skipped.
-        spec = make_extension(AbelianKernel(4), make_product([abelian(2), FgAbelianDesc(1, (), ("w",))]), mats)
+        spec = make_extension(FgAbelianDesc(4), make_product([abelian(2), FgAbelianDesc(1, (), ("w",))]), mats)
         got, want = screened_and_reference(spec, 1)
         assert got == want == InjectivityWitness((-1, -2, -3), "action-identity")
 
@@ -368,7 +363,7 @@ class TestMod3Screen:
         h1, h2 = HYPERBOLIC[0], HYPERBOLIC[2]
         i2 = IntMatrix.identity(2)
         mats = conjugated(rng, [block_diag(h1, i2), block_diag(i2, h2), block_diag(h1 ** 6, h2 ** 2)])
-        spec = make_extension(AbelianKernel(4), abelian(3), mats)
+        spec = make_extension(FgAbelianDesc(4), abelian(3), mats)
         calls = []
         matmul = IntMatrix.__matmul__
 
@@ -386,7 +381,7 @@ class TestMod3Screen:
         rng = random.Random(11)
         for _ in range(10):
             spec = family(rng)
-            identity = kernel_identity(spec)
+            identity = spec.identity
             screen = _mod3_screen(spec.actions, identity, 10 ** 6)
             gens = [_mod3(a) for a in spec.actions]
             inverses = [_inverse3(g) for g in gens]
@@ -416,7 +411,7 @@ class TestMod3Screen:
         relation bound."""
         i2 = IntMatrix.identity(2)
         mats = [block_diag(*(H if j == i else i2 for j in range(4))) for i in range(4)]
-        spec = make_extension(AbelianKernel(8), FgAbelianDesc(4), mats)
+        spec = make_extension(FgAbelianDesc(8), FgAbelianDesc(4), mats)
         candidates = analyzer._fc_elements(spec.quotient, spec.actions, IntMatrix.identity(8), 8)
         assert sum(1 for _ in candidates) == 5 ** 4 - 1
         report = analyze(spec)

@@ -7,7 +7,7 @@ import pytest
 from icckit.analyzer import analyze
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, make_product
 from icckit.dsl import parse_extension
-from icckit.extension import AbelianKernel, make_extension
+from icckit.extension import make_extension
 from icckit.intlinalg import IntMatrix
 from icckit.oracle import (
     ClassCapExceeded,
@@ -26,11 +26,11 @@ HYPER = IntMatrix.from_rows([[2, 1], [1, 1]])
 
 
 def klein_spec():
-    return make_extension(AbelianKernel(1), Z, [IntMatrix.from_rows([[-1]])])
+    return make_extension(FgAbelianDesc(1), Z, [IntMatrix.from_rows([[-1]])])
 
 
 def sol_spec():
-    return make_extension(AbelianKernel(2), Z, [HYPER])
+    return make_extension(FgAbelianDesc(2), Z, [HYPER])
 
 
 def f2xz_spec():
@@ -91,7 +91,7 @@ class TestMaterialize:
         assert g.conjugate(q, a) == ((2,), (0, 1))
 
     def test_torsion_kernel_elements(self):
-        spec = make_extension(AbelianKernel(1, (2,)), Z, [IntMatrix.from_rows([[-1]])])
+        spec = make_extension(FgAbelianDesc(1, (2,)), Z, [IntMatrix.from_rows([[-1]])])
         g = materialize(spec)
         u = g.kernel_element((0, 1))
         assert g.mul(u, u) == g.identity
@@ -100,7 +100,7 @@ class TestMaterialize:
 
     def test_product_quotient(self):
         q = make_product([FgAbelianDesc(1, (), ("u",)), FgAbelianDesc(1, (), ("v",))])
-        spec = make_extension(AbelianKernel(2), q, [HYPER, HYPER.inverse_unimodular()])
+        spec = make_extension(FgAbelianDesc(2), q, [HYPER, HYPER.inverse_unimodular()])
         g = materialize(spec)
         u = g.lift(((1,), (0,)))
         v = g.lift(((0,), (1,)))
@@ -129,13 +129,13 @@ def closed_form_specs():
     return {
         # abelian kernel with torsion, Z + Z/2 quotient
         "torsion_kernel_z_c2": make_extension(
-            AbelianKernel(2, (2, 4)), FgAbelianDesc(1, (2,), ("t", "s")), [HYPER, NEG2]),
-        "abelian_s3": make_extension(AbelianKernel(3), S3_PERM, perm3),
+            FgAbelianDesc(2, (2, 4)), FgAbelianDesc(1, (2,), ("t", "s")), [HYPER, NEG2]),
+        "abelian_s3": make_extension(FgAbelianDesc(3), S3_PERM, perm3),
         "abelian_free": make_extension(
-            AbelianKernel(2, (3,)), FREE_UV,
+            FgAbelianDesc(2, (3,)), FREE_UV,
             [IntMatrix.from_rows([[0, -1], [1, 0]]), IntMatrix.from_rows([[0, -1], [1, 1]])]),
         "abelian_product": make_extension(
-            AbelianKernel(2), make_product([FREE_UV, C2_PERM]),
+            FgAbelianDesc(2), make_product([FREE_UV, C2_PERM]),
             [HYPER, IntMatrix.from_rows([[1, 1], [1, 2]]), NEG2]),
         "free_free": make_extension(
             FreeDesc(2, ("a", "b")), FREE_UV,
@@ -315,7 +315,7 @@ class TestExactAbelianClass:
         assert all(s <= exact.size for s in curve.sizes)
 
     def test_torsion_part_is_fixed(self):
-        spec = make_extension(AbelianKernel(1, (2,)), Z, [IntMatrix.from_rows([[-1]])])
+        spec = make_extension(FgAbelianDesc(1, (2,)), Z, [IntMatrix.from_rows([[-1]])])
         g = materialize(spec)
         cls = exact_abelian_class(g, (1, 1))
         assert cls == ExactClass(frozenset({(1, 1), (-1, 1)}))
@@ -367,7 +367,7 @@ class TestCrosscheck:
         assert curve.final_size <= 3
 
     def test_torsion_witness(self):
-        spec = make_extension(AbelianKernel(2, (2,)), Z, [HYPER])
+        spec = make_extension(FgAbelianDesc(2, (2,)), Z, [HYPER])
         report = analyze(spec)
         summary, _ = crosscheck(spec, report, radius=4)
         assert summary["consistent"]
