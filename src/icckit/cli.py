@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .analyzer import (
@@ -94,6 +95,31 @@ def report_text(report: Report, spec: ExtensionSpec, oracle_result=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with string
+    keys, lists and JSON scalars.
+
+    The stdlib writes indented JSON with its pure-Python encoder, whose
+    nested closures are reference cycles left to the garbage collector on
+    every call.  Strings are escaped by the function ``json.dumps`` uses
+    with ``ensure_ascii``; other scalars go through ``json.dumps`` itself,
+    except plain ints, for which it would build an encoder each time.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return repr(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [inner + _json_text(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+    return json.dumps(obj)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``icckit`` argument parser, built on first use and then shared:
@@ -168,7 +194,7 @@ def run(argv) -> int:
         return 2
 
     if args.format == "json":
-        sys.stdout.write(json.dumps(report_json(report, spec, oracle_result), indent=2) + "\n")
+        sys.stdout.write(_json_text(report_json(report, spec, oracle_result)) + "\n")
     else:
         sys.stdout.write(report_text(report, spec, oracle_result))
 

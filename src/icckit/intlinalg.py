@@ -210,7 +210,7 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             for i in range(row):
                 sub_rows(i, row, h[i][col] // p)
             row += 1
-    return IntMatrix.from_rows(h), IntMatrix.from_rows(u)
+    return IntMatrix._trusted(tuple(map(tuple, h))), IntMatrix._trusted(tuple(map(tuple, u)))
 
 
 @dataclass(frozen=True)

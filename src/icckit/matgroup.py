@@ -18,9 +18,19 @@ Schreier search of :func:`group_is_finite`, one step of each at a time,
 so it ends without a cap: a finite group's orbits have at most |G|
 vectors and close before the search has expanded its |G| image
 elements; an infinite group keeps an orbit open, and the search, which
-always ends, returns the same witness as :func:`group_is_finite`.  The
-finite-orbit sublattice keeps the basis orbits as its certificate and
-computes the exact order of the induced action only when it is read.
+always ends, returns the same witness as :func:`group_is_finite`.  Both
+apply each generator through one compiled closure per matrix
+(:func:`_row_applier`): the search keeps every image element as a tuple
+of columns and multiplies column by column.
+
+The finite-orbit sublattice tests a candidate lattice for invariance by
+restricting every generator to it (one triangular solve per basis
+vector, no HNF): a matrix of GL(r, Z) that maps a lattice into itself
+maps it onto itself, so the restrictions are then the induced
+generators.  Only a candidate that some generator moves is shrunk by
+lattice intersections.  The sublattice keeps the basis orbits as its
+certificate and computes the exact order of the induced action only
+when it is read.
 
 Words over a generating set are tuples of signed 1-based indices; ``+i``
 is the i-th generator, ``-i`` its inverse.
@@ -142,36 +152,43 @@ def _inverse_word(word: GenWord) -> GenWord:
     return tuple(-l for l in reversed(word))
 
 
-def _schreier_search(rank: int, pairs):
+def _appliers(group: MatGroupGens) -> list:
+    """The compiled actions of g1, g1^-1, g2, g2^-1, ... (:func:`_row_applier`)."""
+    return [_row_applier(m) for g in group.gens for m in (g, g.inverse_unimodular())]
+
+
+def _schreier_search(rank: int, appliers):
     """The mod-3 image enumeration, one step per expanded image element.
 
-    ``pairs`` holds (generator, inverse).  Yields None after each
-    expansion that settles nothing, then the certificate: the first
-    nontrivial Schreier element as a :class:`GroupInfinite`, or
+    ``appliers`` are the compiled actions of the generators and their
+    inverses, in the order of :func:`_appliers`.  Each element is kept
+    as its tuple of columns, so g @ X is g applied to every column of X,
+    and is keyed by its columns' residues mod 3, flattened.  Yields None
+    after each expansion that settles nothing, then the certificate: the
+    first nontrivial Schreier element as a :class:`GroupInfinite`, or
     :class:`GroupFinite` once the image closes.
     """
-    identity = IntMatrix.identity(rank)
-    step: list[tuple[int, IntMatrix]] = []
-    for i, (g, ginv) in enumerate(pairs):
-        step.append((i + 1, g))
-        step.append((-(i + 1), ginv))
+    letters = [sign * (i + 1) for i in range(len(appliers) // 2) for sign in (1, -1)]
+    step = list(zip(letters, appliers))
 
-    # rep: image key -> (preimage matrix, word)
-    rep = {identity.mod(3): (identity, ())}
-    queue = deque([identity.mod(3)])
+    # rep: image key -> (preimage columns, word)
+    identity = IntMatrix.identity(rank).rows  # its own columns
+    identity_key = tuple(x % 3 for col in identity for x in col)
+    rep = {identity_key: (identity, ())}
+    queue = deque([identity_key])
     while queue:
-        key = queue.popleft()
-        mat, word = rep[key]
-        for letter, g in step:
-            prod = g @ mat
-            prod_key = prod.mod(3)
+        cols, word = rep[queue.popleft()]
+        for letter, apply_m in step:
+            prod = tuple(map(apply_m, cols))
+            prod_key = tuple(x % 3 for col in prod for x in col)
             known = rep.get(prod_key)
             if known is None:
                 rep[prod_key] = (prod, (letter,) + word)
                 queue.append(prod_key)
             elif prod != known[0]:  # the Schreier element prod * known^-1 is not 1
                 witness_word = (letter,) + word + _inverse_word(known[1])
-                yield GroupInfinite(witness_word, prod @ known[0].inverse_unimodular())
+                prod_m, known_m = (IntMatrix._trusted(tuple(zip(*c))) for c in (prod, known[0]))
+                yield GroupInfinite(witness_word, prod_m @ known_m.inverse_unimodular())
                 return
         yield None
     yield GroupFinite(len(rep))
@@ -187,15 +204,16 @@ def group_is_finite(group: MatGroupGens) -> FinitenessCert:
     group is finite of the image's order, otherwise the first nontrivial
     one is an infinite-order witness.
     """
-    pairs = [(g, g.inverse_unimodular()) for g in group.gens]
-    return next(c for c in _schreier_search(group.rank, pairs) if c is not None)
+    search = _schreier_search(group.rank, _appliers(group))
+    return next(c for c in search if c is not None)
 
 
 def basis_orbits(group: MatGroupGens) -> BasisOrbits | GroupInfinite:
     """Decide finiteness by closing the orbits of the basis vectors.
 
     Each step expands one vertex of every still-open orbit, then one
-    image element of the Schreier search of :func:`group_is_finite`.
+    image element of the Schreier search of :func:`group_is_finite`;
+    both use the same compiled generators and inverses.
     A finite group has orbits of at most |G| vectors, which close within
     |G| steps, before the search has expanded all |G| image elements and
     could report finiteness itself.  An infinite group has an infinite
@@ -211,12 +229,11 @@ def basis_orbits(group: MatGroupGens) -> BasisOrbits | GroupInfinite:
     ...            GroupInfinite)
     True
     """
-    pairs = [(g, g.inverse_unimodular()) for g in group.gens]
-    appliers = [_row_applier(m) for pair in pairs for m in pair]
+    appliers = _appliers(group)
     starts = IntMatrix.identity(group.rank).rows
     seen = [{e} for e in starts]
     queues = [deque([e]) for e in starts]
-    search = _schreier_search(group.rank, pairs)
+    search = _schreier_search(group.rank, appliers)
     while True:
         for orbit, queue in zip(seen, queues):
             if queue:
@@ -246,8 +263,10 @@ def single_finite_orbit_space(m: IntMatrix) -> Lattice:
     if n == 0:
         return Lattice.zero(0)
     factors = cyclotomic_orders(charpoly(m), n)
-    big = lcm_all(factors.orders | {1})
-    return kernel_lattice((m ** big) - IntMatrix.identity(n))
+    power = m ** lcm_all(factors.orders | {1})
+    if power.is_identity:
+        return Lattice.full(n)
+    return kernel_lattice(power - IntMatrix.identity(n))
 
 
 def restrict_to_lattice(m: IntMatrix, lat: Lattice) -> IntMatrix | None:
@@ -297,17 +316,33 @@ class FiniteOrbitCert:
         return cert
 
 
-def _shrink_to_invariant(lat: Lattice, group: MatGroupGens) -> Lattice:
-    pairs = [(g, g.inverse_unimodular()) for g in group.gens]
-    while True:
-        nxt = lat
-        for g, ginv in pairs:
-            if nxt.rank == 0:
-                return nxt
-            nxt = nxt.intersect(nxt.image_under(g)).intersect(nxt.image_under(ginv))
-        if nxt == lat:
-            return nxt
-        lat = nxt
+def _restrictions(lat: Lattice, gens) -> tuple[IntMatrix, ...] | None:
+    """Every generator restricted to the lattice, or None if one moves it."""
+    induced = []
+    for g in gens:
+        a = restrict_to_lattice(g, lat)
+        if a is None:
+            return None
+        induced.append(a)
+    return tuple(induced)
+
+
+def _shrink_to_invariant(lat: Lattice, group: MatGroupGens) -> tuple[Lattice, tuple[IntMatrix, ...]]:
+    """The largest sublattice of ``lat`` invariant under the group, with
+    every generator restricted to it.
+
+    For g in GL(r, Z), g(L) in L already forces g(L) = L
+    (``CATALOG_AXIOMS.md`` section 12), so a lattice on which every
+    restriction exists is invariant under the inverses too, at the cost
+    of one triangular solve per basis vector and generator.  Otherwise
+    the lattice is intersected with its images under every generator
+    until the restrictions exist; an invariant sublattice M of L lies in
+    g(M) = M in g(L), so no step loses it, and no inverse is needed.
+    """
+    while (induced := _restrictions(lat, group.gens)) is None:
+        for g in group.gens:
+            lat = lat.intersect(lat.image_under(g))
+    return lat, induced
 
 
 def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
@@ -315,32 +350,30 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
 
     Exact algorithm: intersect the single-generator finite-orbit spaces,
     shrink to the largest sublattice invariant under all generators and
-    inverses, then certify finiteness of the induced action by closed
-    basis orbits (:func:`basis_orbits`); an infinite-order witness cuts
-    the candidate down by its own finite-orbit space (a strict rank
-    drop, since the witness lives in the torsion-free congruence kernel)
-    and the loop repeats.
+    inverses (a lattice every generator maps into itself is already
+    invariant, and needs no HNF), then certify finiteness of the induced
+    action by closed basis orbits (:func:`basis_orbits`); an
+    infinite-order witness cuts the candidate down by its own
+    finite-orbit space (a strict rank drop, since the witness lives in
+    the torsion-free congruence kernel) and the loop repeats.
     """
     r = group.rank
-    cand = Lattice.full(r)
-    for g in group.gens:
-        cand = cand.intersect(single_finite_orbit_space(g))
+    cand = single_finite_orbit_space(group.gens[0])
+    for g in group.gens[1:]:
+        space = single_finite_orbit_space(g)
+        if space.rank < r:  # a pure lattice of full rank is Z^r
+            cand = cand.intersect(space)
     witnesses: list[tuple[GenWord, IntMatrix]] = []
     while True:
-        cand = _shrink_to_invariant(cand, group)
+        cand, induced = _shrink_to_invariant(cand, group)
         if cand.rank == 0:
             return FiniteOrbitCert(cand, (), tuple(witnesses))
-        induced = []
-        for g in group.gens:
-            a = restrict_to_lattice(g, cand)
-            assert a is not None, "candidate lattice must be invariant here"
-            induced.append(a)
-        cert = basis_orbits(MatGroupGens(cand.rank, tuple(induced), group.labels))
+        cert = basis_orbits(MatGroupGens(cand.rank, induced, group.labels))
         if isinstance(cert, BasisOrbits):
             orbits = tuple(
                 frozenset(cand.member_from_coords(c) for c in orbit) for orbit in cert.orbits
             )
-            return FiniteOrbitCert(cand, orbits, tuple(witnesses), tuple(induced))
+            return FiniteOrbitCert(cand, orbits, tuple(witnesses), induced)
         witnesses.append((cert.witness_word, cert.witness_matrix))
         fixed = single_finite_orbit_space(cert.witness_matrix)
         ambient_rows = [cand.member_from_coords(c) for c in fixed.basis]
@@ -375,11 +408,7 @@ def orbit_bfs(group: MatGroupGens, start: Vec, cap: int = 10_000) -> OrbitResult
     if cap < 1:
         raise ValueError("cap must be >= 1")
     start = tuple(start)
-    maps = []
-    for g in group.gens:
-        maps.append(g)
-        maps.append(g.inverse_unimodular())
-    appliers = [_row_applier(m) for m in maps]
+    appliers = _appliers(group)
     seen = {start}
     queue = deque([start])
     while queue:

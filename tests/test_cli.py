@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -247,6 +250,53 @@ class TestRepeatedRuns:
                 code = e.code
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == fresh_interpreter_run(*argv), argv
+
+
+GOLDEN_JSON = sorted((ROOT / "tests" / "golden").glob("*.json"))
+
+
+class TestJsonText:
+    """``cli._json_text`` writes what ``json.dumps(obj, indent=2)`` writes,
+    without leaving reference cycles behind."""
+
+    @pytest.mark.parametrize("path", GOLDEN_JSON, ids=lambda p: p.stem)
+    def test_golden_reports(self, path):
+        text = path.read_text(encoding="utf-8")
+        obj = json.loads(text)
+        assert cli._json_text(obj) == json.dumps(obj, indent=2) == text.rstrip("\n")
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {}, [], {"a": {}, "b": [], "c": [[]], "d": [{}]},
+            [[1, [2, [3, []]]], [[]]],
+            {"caf\u00e9": "\u00fcber \u2192 \U0001d4b5", "quote\"\n": "tab\t\\"},
+            {"none": None, "yes": True, "no": False, "int": -7, "float": 0.5},
+            None, True, 3, "plain", ("tuple", [1, 2]),
+        ],
+    )
+    def test_edge_values(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+    def test_json_run_leaves_no_more_garbage_than_text(self):
+        argv = ["check", str(EXTENSIONS / "sol.ext"), "--format"]
+
+        def garbage_after(fmt):
+            gc.collect()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(argv + [fmt]) == 0
+            return gc.collect()
+
+        for fmt in ("json", "text"):  # warm the parser and caches
+            garbage_after(fmt)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            json_garbage, text_garbage = garbage_after("json"), garbage_after("text")
+        finally:
+            if enabled:
+                gc.enable()
+        assert json_garbage <= text_garbage
 
 
 class TestSchema:

@@ -49,21 +49,61 @@ def brute_force_closure(gens, cap):
     return len(seen)
 
 
+def reference_shrink(lat, group):
+    """The largest invariant sublattice by intersecting with images under
+    every generator and inverse until nothing moves: the shrink with no
+    shortcut, kept here as the reference for :func:`_shrink_to_invariant`."""
+    pairs = [(g, g.inverse_unimodular()) for g in group.gens]
+    while True:
+        nxt = lat
+        for g, ginv in pairs:
+            if nxt.rank == 0:
+                return nxt
+            nxt = nxt.intersect(nxt.image_under(g)).intersect(nxt.image_under(ginv))
+        if nxt == lat:
+            return nxt
+        lat = nxt
+
+
+def reference_schreier_certificate(group):
+    """The mod-3 Schreier search on whole matrices, one ``@`` per step:
+    the reference for the compiled column-wise search."""
+    identity = IntMatrix.identity(group.rank)
+    step = []
+    for i, g in enumerate(group.gens):
+        step += [(i + 1, g), (-(i + 1), g.inverse_unimodular())]
+    rep = {identity.mod(3): (identity, ())}
+    queue = deque([identity.mod(3)])
+    while queue:
+        mat, word = rep[queue.popleft()]
+        for letter, g in step:
+            prod = g @ mat
+            known = rep.get(prod.mod(3))
+            if known is None:
+                rep[prod.mod(3)] = (prod, (letter,) + word)
+                queue.append(prod.mod(3))
+            elif prod != known[0]:
+                witness_word = (letter,) + word + tuple(-l for l in reversed(known[1]))
+                return GroupInfinite(witness_word, prod @ known[0].inverse_unimodular())
+    return GroupFinite(len(rep))
+
+
 def reference_finite_orbit_sublattice(group):
-    """The finite-orbit sublattice with every induced action decided by
-    the full mod-3 enumeration of group_is_finite; an independent route
-    to the lattice that finite_orbit_sublattice certifies by basis
-    orbits."""
+    """The finite-orbit sublattice with every candidate shrunk by
+    :func:`reference_shrink` and every induced action decided by the full
+    mod-3 enumeration of :func:`reference_schreier_certificate`; an
+    independent route to the lattice that finite_orbit_sublattice
+    certifies by restrictions and basis orbits."""
     r = group.rank
     cand = Lattice.full(r)
     for g in group.gens:
         cand = cand.intersect(single_finite_orbit_space(g))
     while True:
-        cand = _shrink_to_invariant(cand, group)
+        cand = reference_shrink(cand, group)
         if cand.rank == 0:
             return cand
         induced = tuple(restrict_to_lattice(g, cand) for g in group.gens)
-        cert = group_is_finite(MatGroupGens(cand.rank, induced))
+        cert = reference_schreier_certificate(MatGroupGens(cand.rank, induced))
         if isinstance(cert, GroupFinite):
             return cand
         fixed = single_finite_orbit_space(cert.witness_matrix)
@@ -80,6 +120,33 @@ def random_generator_sets(seed, count):
             random_unimodular(rng, r, steps=rng.randint(1, 7), entry_bound=3)
             for _ in range(rng.randint(1, 3))
         ))
+
+
+def permutation_matrix(p):
+    """The matrix sending e_j to e_p(j)."""
+    n = len(p)
+    return IntMatrix.from_rows([[int(p[j] == i) for j in range(n)] for i in range(n)])
+
+
+def symmetric_group(n):
+    """S_n permuting a basis of Z^n, by a transposition and an n-cycle."""
+    swap = permutation_matrix((1, 0) + tuple(range(2, n)))
+    cycle = permutation_matrix(tuple(range(1, n)) + (0,))
+    return MatGroupGens(n, (swap, cycle))
+
+
+def signed_permutations(n):
+    """The signed permutation matrices of Z^n, of order 2^n n!."""
+    flip = IntMatrix.from_rows([[(-1 if i == 0 else 1) if i == j else 0 for j in range(n)]
+                                for i in range(n)])
+    return MatGroupGens(n, symmetric_group(n).gens + (flip,))
+
+
+def random_lattice(rng, r):
+    """A sublattice of Z^r spanned by 1 to r small random vectors, often
+    not pure."""
+    return Lattice.from_rows(r, [tuple(rng.randint(-3, 3) for _ in range(r))
+                                 for _ in range(rng.randint(1, r))])
 
 
 def assert_closed(group, orbit):
@@ -233,6 +300,128 @@ class TestBasisOrbits:
         assert cert.induced_finiteness == GroupFinite(4)
         assert cert.induced_finiteness == GroupFinite(4)
         assert len(calls) == 1
+
+
+class TestSchreierSearch:
+    """The compiled column-wise search gives the certificate of the
+    whole-matrix reference: the same order, or the same witness."""
+
+    @staticmethod
+    def assert_same_certificate(group):
+        ref = reference_schreier_certificate(group)
+        assert group_is_finite(group) == ref
+        cert = basis_orbits(group)
+        if isinstance(ref, GroupInfinite):
+            assert cert == ref
+        else:
+            assert isinstance(cert, BasisOrbits)
+        return ref
+
+    @pytest.mark.parametrize("seed", [3003, 4004])
+    def test_random_generator_sets(self, seed):
+        kinds = {GroupFinite: 0, GroupInfinite: 0}
+        for group in random_generator_sets(seed, 150):
+            kinds[type(self.assert_same_certificate(group))] += 1
+        assert min(kinds.values()) >= 30, kinds
+
+    @pytest.mark.parametrize(
+        "group,order",
+        [(symmetric_group(n), math.factorial(n)) for n in range(3, 7)]
+        + [(signed_permutations(n), 2 ** n * math.factorial(n)) for n in (2, 3, 4)]
+        + [(MatGroupGens(1, (IntMatrix.from_rows([[-1]]),)), 2)],
+    )
+    def test_finite_groups(self, group, order):
+        assert self.assert_same_certificate(group) == GroupFinite(order)
+
+
+class TestShrinkToInvariant:
+    """The restriction test with the intersect fallback against the
+    intersect-until-stable reference."""
+
+    SWAP = MatGroupGens(2, (IntMatrix.from_rows([[0, 1], [1, 0]]),))
+
+    @staticmethod
+    def assert_matches_reference(lat, group):
+        shrunk, induced = _shrink_to_invariant(lat, group)
+        assert shrunk == reference_shrink(lat, group)
+        assert induced == tuple(restrict_to_lattice(g, shrunk) for g in group.gens)
+        assert all(a.is_unimodular for a in induced)
+        return shrunk
+
+    def test_moved_line_shrinks_to_zero(self):
+        line = Lattice.from_rows(2, [(1, 0)])
+        assert self.assert_matches_reference(line, self.SWAP) == Lattice.zero(2)
+
+    def test_invariant_non_pure_lattice_is_kept(self):
+        lat = Lattice.from_rows(2, [(2, 0), (0, 1)])
+        group = MatGroupGens(2, (IntMatrix.from_rows([[1, 2], [0, -1]]),))
+        assert self.assert_matches_reference(lat, group) == lat
+
+    def test_non_pure_lattice_shrinks_to_index_four(self):
+        lat = Lattice.from_rows(2, [(2, 0), (0, 1)])
+        assert self.assert_matches_reference(lat, MatGroupGens(2, (SHEAR,))) == Lattice.from_rows(
+            2, [(2, 0), (0, 2)]
+        )
+
+    def test_seeded_pairs(self):
+        rng = random.Random(3005)
+        moved = 0
+        for group in random_generator_sets(3006, 120):
+            lat = random_lattice(rng, group.rank)
+            moved += _shrink_to_invariant(lat, group)[0] != lat
+            shrunk = self.assert_matches_reference(lat, group)
+            doubled = Lattice.from_rows(group.rank, [tuple(2 * x for x in b) for b in shrunk.basis])
+            assert self.assert_matches_reference(doubled, group) == doubled
+        assert moved >= 30
+
+    def test_mapped_into_itself_means_mapped_onto_itself(self):
+        """CATALOG_AXIOMS section 12: for g in GL(r, Z), g(L) in L gives g(L) = L."""
+        rng = random.Random(3007)
+        inside = 0
+        for _ in range(400):
+            r = rng.randint(1, 4)
+            g = random_unimodular(rng, r, steps=rng.randint(1, 8), entry_bound=3)
+            lat = random_lattice(rng, r)
+            lat = rng.choice((lat, reference_shrink(lat, MatGroupGens(r, (g,)))))
+            a = restrict_to_lattice(g, lat)
+            if a is None:
+                continue
+            inside += 1
+            assert lat.image_under(g) == lat
+            assert lat.image_under(g.inverse_unimodular()) == lat
+            assert a.det() in (1, -1)
+        assert inside >= 100
+
+
+class TestHnfBudget:
+    """Invariant candidates cost no HNF: what remains is the generators'
+    inverses and the finite-orbit spaces of infinite-order generators."""
+
+    @pytest.mark.parametrize(
+        "group,lattice,ceiling",
+        [
+            (symmetric_group(6), Lattice.full(6), 2),
+            # HYPER beside a rotation, then a swap of the finite block.
+            (MatGroupGens(4, (
+                IntMatrix.from_rows([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+                IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+            )), Lattice.from_rows(4, [(0, 0, 1, 0), (0, 0, 0, 1)]), 4),
+        ],
+    )
+    def test_hnf_calls_stay_few(self, monkeypatch, group, lattice, ceiling):
+        import icckit.intlinalg as intlinalg_mod
+
+        calls = 0
+
+        def counted_hnf(a):
+            nonlocal calls
+            calls += 1
+            return real_hnf(a)
+
+        real_hnf = intlinalg_mod.hnf
+        monkeypatch.setattr(intlinalg_mod, "hnf", counted_hnf)
+        assert finite_orbit_sublattice(group).lattice == lattice
+        assert calls <= ceiling
 
 
 class TestSingleFiniteOrbitSpace:
