@@ -25,7 +25,7 @@ refl = IntMatrix.from_rows([[1, 0], [0, -1]])
 print(f"<rot4, refl>: {group_is_finite(MatGroupGens(2, (rot, refl)))}")
 
 shear = IntMatrix.from_rows([[1, 1], [0, 1]])
-cert = group_is_finite(MatGroupGens(2, (shear,), ("s",)))
+cert = group_is_finite(MatGroupGens(2, (shear,)))
 assert isinstance(cert, GroupInfinite)
 print(f"<shear>: infinite, witness {cert.witness_matrix} "
       f"(word {cert.witness_word}) lies in the congruence kernel")
@@ -43,7 +43,7 @@ print("=== The finite-orbit sublattice ===")
 # product is a shear, so only the fixed line keeps finite orbits.
 g1 = IntMatrix.from_rows([[1, 1], [0, -1]])
 g2 = IntMatrix.from_rows([[1, 0], [0, -1]])
-cert = finite_orbit_sublattice(MatGroupGens(2, (g1, g2), ("g1", "g2")))
+cert = finite_orbit_sublattice(MatGroupGens(2, (g1, g2)))
 print(f"generators g1={g1}, g2={g2}")
 print(f"finite-orbit sublattice F = span{cert.lattice.basis}")
 print(f"closed basis orbits certifying a finite induced action: "

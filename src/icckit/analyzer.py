@@ -13,8 +13,8 @@ sub-questions (outer order, multi-generator abelian relations) surface
 as an ``unknown`` verdict with a named obstruction, never as a verdict
 guessed from a bounded search.
 
-Both injectivity conditions go through :func:`theta_fc_injective`, whose
-``identity`` argument (the identity matrix or the identity automorphism)
+Both injectivity conditions read the spec's ``Theta`` through
+:func:`theta_fc_injective`; its identity (a matrix or an automorphism)
 decides whether "acts trivially" means "is the identity" or "is inner".
 Matrices and free automorphisms share ``@`` and ``**``, so FC(Q) is
 enumerated once, by ``_fc_elements``, and the witness is the first
@@ -49,12 +49,11 @@ from .catalog import (
     ProductDesc,
     factor_offsets,
     fc_is_trivial,
-    generator_count,
     generator_labels,
     group_is_trivial,
     perm_order,
 )
-from .extension import ExtensionSpec, UnsupportedExtensionError
+from .extension import ExtensionSpec, Theta, UnsupportedExtensionError
 from .intlinalg import IntMatrix, Lattice, Vec
 from .matgroup import (
     FiniteOrbitCert,
@@ -193,37 +192,12 @@ def _shift_word(word: GenWord, offset: int) -> GenWord:
     return tuple(l + offset if l > 0 else l - offset for l in word)
 
 
-def _cached_power(powers: dict, actions, i: int, e: int):
-    """``actions[i] ** e``, built from the cached power one factor nearer
-    to ``actions[i] ** +-1``.  A module function rather than a closure: a
-    closure that calls itself is a reference cycle, and it would keep
-    ``powers`` alive until the next full garbage collection."""
-    p = powers.get((i, e))
-    if p is None:
-        step = 1 if e > 0 else -1
-        p = (actions[i] ** e if e == step
-             else _cached_power(powers, actions, i, e - step) @ _cached_power(powers, actions, i, step))
-        powers[(i, e)] = p
-    return p
-
-
 def _exponent_word(exps) -> GenWord:
     word: GenWord = ()
     for i, e in enumerate(exps):
         if e:
             word += (i + 1 if e > 0 else -(i + 1),) * abs(e)
     return word
-
-
-def _exponent_action(powers: dict, actions, exps):
-    """The action of an exponent vector: cached generator powers,
-    multiplied in generator order."""
-    action = None
-    for i, e in enumerate(exps):
-        if e:
-            p = _cached_power(powers, actions, i, e)
-            action = p if action is None else action @ p
-    return action
 
 
 def _box_size(f: GroupDesc, bound: int) -> int:
@@ -313,7 +287,7 @@ def _mod3_screen(actions, identity, limit: int) -> _Mod3Screen | None:
     return _Mod3Screen(tuple(rows), {e: m for m, e in elements.items()})
 
 
-def _fc_elements(quotient: GroupDesc, actions, identity, bound: int):
+def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0):
     """Yield ``(word, action)`` for the nontrivial elements of FC(quotient)
     that the injectivity search covers, in witness order, skipping those
     whose mod-3 image is not I (they cannot act trivially).
@@ -323,30 +297,27 @@ def _fc_elements(quotient: GroupDesc, actions, identity, bound: int):
     [-bound, bound].  Free quotients of rank >= 2: nothing (FC is
     trivial).  Products: ``itertools.product`` order over the factors'
     lists, each led by the identity, keeping the combinations whose
-    mod-3 images multiply to I.  Actions are built from earlier ones:
-    one product per finite-quotient element, and generator powers are
-    cached and extended one factor at a time from ``a ** +-1``.
+    mod-3 images multiply to I.  Actions come from ``theta``, at
+    ``offset``: its validated table, or its cached generator powers.
     """
     if isinstance(quotient, FiniteGroupDesc):
-        images = quotient.evaluate(actions, identity)
-        next(images)  # the identity element
-        yield from zip(quotient.element_words[1:], images)
+        yield from zip(quotient.element_words[1:], theta.finite_table(quotient, offset)[1:])
     elif isinstance(quotient, FgAbelianDesc):
-        screen = _mod3_screen(actions, identity, _box_size(quotient, bound))
-        powers = {}
+        screen = _mod3_screen(theta.actions[offset:offset + quotient.gen_count], theta.identity,
+                              _box_size(quotient, bound))
         for exps in _exponent_vectors(quotient.rank, quotient.divisors, bound):
             if screen is None or not any(screen.residue(exps)):
-                yield _exponent_word(exps), _exponent_action(powers, actions, exps)
+                yield _exponent_word(exps), theta.of_exponents(exps, offset)
     elif isinstance(quotient, FreeDesc):
         if quotient.rank < 2:
             raise AssertionError("rank-1 free quotients are normalized to abelian")
     elif isinstance(quotient, ProductDesc):
-        yield from _product_elements(quotient, actions, identity, bound)
+        yield from _product_elements(quotient, theta, bound)
     else:
         raise UnsupportedExtensionError(f"unsupported quotient class: {type(quotient).__name__}")
 
 
-def _product_elements(quotient: ProductDesc, actions, identity, bound: int):
+def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
     """The product case of :func:`_fc_elements`.
 
     Each factor's list holds ``(word, mod-3 image, part)`` entries, led by
@@ -357,22 +328,21 @@ def _product_elements(quotient: ProductDesc, actions, identity, bound: int):
     each prefix visits, in list order, only the entries that close it to
     I.  Without a screen for every abelian factor, every entry closes.
     """
-    eye = _mod3(identity)
-    lists, builders = [], []
+    eye = _mod3(theta.identity)
+    lists, exponent_offsets = [], []
     screened = True
     for f, offset in factor_offsets(quotient):
-        acts = actions[offset:offset + generator_count(f)]
         entries = [((), eye, None)]
         if isinstance(f, FgAbelianDesc):
-            screen = _mod3_screen(acts, identity, _box_size(f, bound))
+            screen = _mod3_screen(theta.actions[offset:offset + f.gen_count], theta.identity, _box_size(f, bound))
             screened = screened and screen is not None
             for exps in _exponent_vectors(f.rank, f.divisors, bound):
                 image = screen.image(exps) if screen is not None else None
                 entries.append((_shift_word(_exponent_word(exps), offset), image, exps))
-            builders.append(functools.partial(_exponent_action, {}, acts))
+            exponent_offsets.append(offset)
         else:
-            entries += [(_shift_word(w, offset), _mod3(a), a) for w, a in _fc_elements(f, acts, identity, bound)]
-            builders.append(None)
+            entries += [(_shift_word(w, offset), _mod3(a), a) for w, a in _fc_elements(f, theta, bound, offset)]
+            exponent_offsets.append(None)
         lists.append(entries)
     *heads, last = lists
     closing = {}
@@ -388,18 +358,18 @@ def _product_elements(quotient: ProductDesc, actions, identity, bound: int):
             combo = prefix + (tail,)
             word = tuple(itertools.chain.from_iterable(w for w, _, _ in combo))
             if word:
-                parts = [part if build is None else build(part)
-                         for (_, _, part), build in zip(combo, builders) if part is not None]
+                parts = [part if offset is None else theta.of_exponents(part, offset)
+                         for (_, _, part), offset in zip(combo, exponent_offsets) if part is not None]
                 yield word, functools.reduce(operator.matmul, parts)
 
 
-def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerLimits) -> InjectivityResult:
+def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits, offset: int = 0) -> InjectivityResult:
     """Is the action injective on the finite-class subgroup of the quotient?
 
-    ``identity`` is the identity action and fixes what "trivial" means:
-    for an :class:`IntMatrix` (abelian kernels) an action is trivial when
-    it is the identity matrix; for a :class:`FreeAut` (free kernels) when
-    it is inner.
+    The quotient's generator i acts by ``theta``'s generator ``offset + i``,
+    and its identity fixes what "trivial" means: for an :class:`IntMatrix`
+    (abelian kernels) the identity matrix; for a :class:`FreeAut` (free
+    kernels) any inner automorphism.
 
     Exact for finite quotients (full enumeration), for free quotients of
     rank >= 2 (vacuous), and for the infinite cyclic quotient on the
@@ -412,17 +382,19 @@ def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerL
     of exponent vectors for abelian ones, the least power for a lone
     infinite cyclic quotient, and ``itertools.product`` order over the
     factors' candidate lists for products (a product with one factor of
-    nontrivial FC defers to that factor).
+    nontrivial FC defers to that factor, at its offset).
     """
+    matrices = isinstance(theta.identity, IntMatrix)
     if isinstance(quotient, FgAbelianDesc) and quotient.rank == 1 and not quotient.divisors:
-        if isinstance(identity, IntMatrix):
-            n = matrix_order(actions[0])
+        action = theta.actions[offset]
+        if matrices:
+            n = matrix_order(action)
             if n is None:
                 return Injective()
             return InjectivityWitness((1,) * n, "action-identity", action_order=n)
-        power = identity
+        power = theta.identity
         for n in range(1, limits.out_order_cap + 1):
-            power = power @ actions[0]
+            power = power @ action
             c = is_inner(power)
             if c is not None:
                 return InjectivityWitness((1,) * n, "inner-automorphism", conjugator=c)
@@ -432,22 +404,20 @@ def theta_fc_injective(quotient: GroupDesc, actions, identity, limits: AnalyzerL
     if isinstance(quotient, ProductDesc):
         # Per-factor triviality gives an immediate witness, but actions of
         # different factors may cancel, so the search runs over the product.
-        fc = [(f, actions[offset:offset + generator_count(f)], offset)
-              for f, offset in factor_offsets(quotient) if not fc_is_trivial(f)]
+        fc = [(f, at) for f, at in factor_offsets(quotient) if not fc_is_trivial(f)]
         if len(fc) == 1:
-            f, acts, off = fc[0]
-            res = theta_fc_injective(f, acts, identity, limits)
+            f, at = fc[0]
+            res = theta_fc_injective(f, theta, limits, at)
             if isinstance(res, InjectivityWitness):
                 return InjectivityWitness(
-                    _shift_word(res.word, off), res.evidence_kind, res.conjugator, res.action_order
+                    _shift_word(res.word, at), res.evidence_kind, res.conjugator, res.action_order
                 )
             return res
-        total = math.prod(_box_size(f, bound) for f, _, _ in fc)
+        total = math.prod(_box_size(f, bound) for f, _ in fc)
         if total > PRODUCT_ITERATION_CAP:
             return InjectivityUnknown("fc-enumeration-too-large")
 
-    matrices = isinstance(identity, IntMatrix)
-    for word, action in _fc_elements(quotient, actions, identity, bound):
+    for word, action in _fc_elements(quotient, theta, bound, offset):
         if matrices:
             if action.is_identity:
                 return InjectivityWitness(word, "action-identity")
@@ -535,9 +505,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         return Report("not_icc", "theorem-1(i)", witness, None, tuple(conditions))
 
     if spec.actions:
-        cert = finite_orbit_sublattice(
-            MatGroupGens(kernel.rank, spec.actions, generator_labels(spec.quotient))
-        )
+        cert = finite_orbit_sublattice(MatGroupGens(kernel.rank, spec.actions))
     else:
         full = Lattice.full(kernel.rank)
         cert = FiniteOrbitCert(full, tuple(frozenset({b}) for b in full.basis))
@@ -559,7 +527,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
             a.is_identity or (-a).is_identity for a in cert.induced_gens
         )
         if not induced_pm_identity:
-            res = theta_fc_injective(spec.quotient, spec.actions, spec.identity, limits)
+            res = theta_fc_injective(spec.quotient, spec.theta, limits)
             if isinstance(res, InjectivityWitness):
                 return _fc_report(res, spec.quotient, conditions, "theorem-1")
         # The witness is a basis row of F, so the certificate holds its orbit.
@@ -571,7 +539,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         ConditionResult("kernel-orbits-infinite", "holds", "finite-orbit sublattice has rank 0")
     )
 
-    res = theta_fc_injective(spec.quotient, spec.actions, spec.identity, limits)
+    res = theta_fc_injective(spec.quotient, spec.theta, limits)
     return _fc_report(res, spec.quotient, conditions, "theorem-1")
 
 
@@ -587,7 +555,7 @@ def thm3_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
     conditions = [
         ConditionResult("kernel-icc", "holds", "free kernels of rank >= 2 have trivial FC")
     ]
-    res = theta_fc_injective(spec.quotient, spec.actions, spec.identity, limits)
+    res = theta_fc_injective(spec.quotient, spec.theta, limits)
     return _fc_report(res, spec.quotient, conditions, "theorem-3")
 
 

@@ -107,20 +107,6 @@ class FiniteGroupDesc:
     def word_of(self, p: Perm) -> tuple[int, ...]:
         return self.element_words[self._index[p]]
 
-    def evaluate(self, images, identity):
-        """Yield the image of every element, in ``elements`` order, under
-        the homomorphism sending generator i to ``images[i-1]``.
-
-        Words are prefix-closed (breadth-first closure), so each image is
-        one product: the image of the word minus its last letter, then
-        that letter's image.
-        """
-        table = {(): identity}
-        for w in self.element_words:
-            if w:
-                table[w] = table[w[:-1]] @ images[w[-1] - 1]
-            yield table[w]
-
 
 @dataclass(frozen=True)
 class FgAbelianDesc:

@@ -133,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conjugacy-ball cross-check radius; 0 disables")
     check.add_argument("--oracle-cap", type=int, default=5000, metavar="N",
                        help="conjugacy-ball set-size cap")
-    check.add_argument("--orbit-cap", type=int, default=10_000, metavar="N",
-                       help="orbit enumeration cap")
     check.add_argument("--out-order-cap", type=int, default=16, metavar="N",
                        help="bound on the searched outer-automorphism order")
     check.add_argument("--relation-bound", type=int, default=8, metavar="B",
@@ -181,7 +179,6 @@ def run(argv) -> int:
                 spec, report,
                 radius=args.oracle_radius,
                 cap=args.oracle_cap,
-                orbit_cap=args.orbit_cap,
             )
         except UnsupportedExtensionError as e:
             print(f"{args.file}: unsupported construction: {e}", file=sys.stderr)

@@ -10,13 +10,14 @@ and abelian (and product) quotients.
 
 Only the action homomorphism matters for the verdicts downstream, so one
 validated spec covers every extension (split or not) inducing the same
-action; the oracle materializes the split representative.
+action; the oracle materializes the split representative.  The action
+is one :class:`Theta` per spec, and every reader shares its caches.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .catalog import (
     FgAbelianDesc,
@@ -45,6 +46,55 @@ class UnsupportedExtensionError(ValueError):
 KernelDesc = FgAbelianDesc | FreeDesc | FiniteGroupDesc
 
 
+class Theta:
+    """The action homomorphism theta: Q -> Aut(K), generator i acting by
+    ``actions[i]``.  Its two caches serve every reader: the powers A_i^e,
+    keyed by ``(i, e)``, and each finite factor's element actions in
+    ``elements`` order, keyed by the factor's ``factor_offsets`` offset.
+    Actions are exact, so a cached value equals every product that
+    computes it.  Holds no reference to the spec that holds it."""
+
+    __slots__ = ("actions", "identity", "_powers", "_tables")
+
+    def __init__(self, actions, identity):
+        self.actions, self.identity = tuple(actions), identity
+        self._powers, self._tables = {}, {}
+
+    def power(self, i: int, e: int):
+        """A_i^e for e != 0, extended one factor at a time from A_i^+-1."""
+        p = self._powers.get((i, e))
+        if p is None:
+            step = 1 if e > 0 else -1
+            for k in range(step, e + step, step):
+                q = self._powers.get((i, k))
+                if q is None:
+                    q = self._powers[i, k] = self.actions[i] ** step if k == step else p @ self._powers[i, step]
+                p = q
+        return p
+
+    def of_exponents(self, exps, offset: int = 0):
+        """The action of the product of generator ``offset + i`` to the
+        ``exps[i]``, in generator order; None for the zero vector."""
+        action = None
+        for i, e in enumerate(exps):
+            if e:
+                p = self.power(offset + i, e)
+                action = p if action is None else action @ p
+        return action
+
+    def finite_table(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
+        """The action of every element of the finite factor ``group`` at
+        ``offset``, in ``elements`` order: one product per element, its
+        word's prefix (words are prefix-closed) times its last letter."""
+        table = self._tables.get(offset)
+        if table is None:
+            by_word = {(): self.identity}
+            for w in group.element_words[1:]:
+                by_word[w] = by_word[w[:-1]] @ self.actions[offset + w[-1] - 1]
+            table = self._tables[offset] = tuple(by_word.values())
+        return table
+
+
 @dataclass(frozen=True)
 class ExtensionSpec:
     """A validated extension; build through :func:`make_extension`."""
@@ -53,6 +103,7 @@ class ExtensionSpec:
     quotient: GroupDesc
     actions: tuple  # IntMatrix per quotient generator, or FreeAut, or ()
     identity: IntMatrix | FreeAut | None  # the trivial action; None for finite kernels
+    theta: Theta | None = field(compare=False, repr=False)  # None for finite kernels
 
 
 def _normalize_kernel(kernel, actions):
@@ -76,19 +127,24 @@ def _normalize_quotient(q: GroupDesc) -> GroupDesc:
     return q
 
 
-def _validate_relations(quotient, actions, identity):
+def _validate_relations(quotient, theta: Theta, offset: int = 0):
     """Check that generator images satisfy the quotient's relations.
 
     Finite quotients: theta extends iff theta(e) * theta(g) = theta(e g)
-    across the element table.  Abelian quotients: images commute and
-    torsion generators have the divisor's order.  Products additionally
-    need cross-factor commutation; free factors impose nothing.
+    on every edge; ``theta``'s table makes it hold on the breadth-first
+    tree, so only the other edges are checked.  Abelian quotients: images
+    commute and torsion generators have the divisor's order.  Products
+    additionally need cross-factor commutation; free factors impose
+    nothing.  Generator i is ``theta``'s ``offset + i``.
     """
+    actions = theta.actions[offset:offset + generator_count(quotient)]
     if isinstance(quotient, FiniteGroupDesc):
-        theta = dict(zip(quotient.elements, quotient.evaluate(actions, identity)))
-        for e in quotient.elements:
+        action_of = dict(zip(quotient.elements, theta.finite_table(quotient, offset)))
+        for e, word in zip(quotient.elements, quotient.element_words):
             for i, g in enumerate(quotient.generators):
-                if theta[e] @ actions[i] != theta[perm_compose(e, g)]:
+                child = perm_compose(e, g)
+                if (quotient.word_of(child) != word + (i + 1,)
+                        and action_of[e] @ actions[i] != action_of[child]):
                     raise ExtensionValidationError(
                         "relation violation: actions do not extend to the finite quotient"
                     )
@@ -97,18 +153,18 @@ def _validate_relations(quotient, actions, identity):
             if a @ b != b @ a:
                 raise ExtensionValidationError("relation violation: abelian quotient, non-commuting actions")
         for d, a in zip(quotient.divisors, actions[quotient.rank:]):
-            if a ** d != identity:
+            if a ** d != theta.identity:
                 raise ExtensionValidationError(
                     f"relation violation: torsion generator of order {d} maps to an action whose order does not divide {d}"
                 )
     elif isinstance(quotient, FreeDesc):
         pass
     elif isinstance(quotient, ProductDesc):
-        slices = [(f, actions[offset:offset + generator_count(f)])
-                  for f, offset in factor_offsets(quotient)]
-        for f, acts in slices:
-            _validate_relations(f, acts, identity)
-        for (_, acts1), (_, acts2) in itertools.combinations(slices, 2):
+        slices = []
+        for f, at in factor_offsets(quotient):
+            _validate_relations(f, theta, at)
+            slices.append(actions[at:at + generator_count(f)])
+        for acts1, acts2 in itertools.combinations(slices, 2):
             for a in acts1:
                 for b in acts2:
                     if a @ b != b @ a:
@@ -135,7 +191,7 @@ def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
             raise UnsupportedExtensionError(
                 "actions on finite kernels are not supported; omit the action lines"
             )
-        return ExtensionSpec(kernel, quotient, (), None)
+        return ExtensionSpec(kernel, quotient, (), None, None)
 
     if isinstance(kernel, FgAbelianDesc):
         identity = IntMatrix.identity(kernel.rank)
@@ -164,5 +220,6 @@ def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
             )
         elif not a.is_unimodular:
             raise ExtensionValidationError(f"non-unimodular matrix, det={a.det()}")
-    _validate_relations(quotient, actions, identity)
-    return ExtensionSpec(kernel, quotient, actions, identity)
+    theta = Theta(actions, identity)
+    _validate_relations(quotient, theta)
+    return ExtensionSpec(kernel, quotient, actions, identity, theta)

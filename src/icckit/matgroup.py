@@ -62,7 +62,6 @@ class MatGroupGens:
 
     rank: int
     gens: tuple[IntMatrix, ...]
-    labels: tuple[str, ...] = field(compare=False, default=())
 
     def __post_init__(self):
         if not self.gens:
@@ -72,10 +71,6 @@ class MatGroupGens:
                 raise ValueError("generator size != rank")
             if not g.is_unimodular:
                 raise ValueError(f"non-unimodular generator, det={g.det()}")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"g{i+1}" for i in range(len(self.gens))))
-        elif len(self.labels) != len(self.gens):
-            raise ValueError("one label per generator required")
 
     def word_to_matrix(self, word: GenWord) -> IntMatrix:
         out = IntMatrix.identity(self.rank)
@@ -368,7 +363,7 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
         cand, induced = _shrink_to_invariant(cand, group)
         if cand.rank == 0:
             return FiniteOrbitCert(cand, (), tuple(witnesses))
-        cert = basis_orbits(MatGroupGens(cand.rank, induced, group.labels))
+        cert = basis_orbits(MatGroupGens(cand.rank, induced))
         if isinstance(cert, BasisOrbits):
             orbits = tuple(
                 frozenset(cand.member_from_coords(c) for c in orbit) for orbit in cert.orbits

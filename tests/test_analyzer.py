@@ -16,7 +16,7 @@ from icckit.analyzer import (
     theta_fc_injective,
 )
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, make_product
-from icckit.extension import ExtensionValidationError, make_extension
+from icckit.extension import ExtensionValidationError, Theta, make_extension
 from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut
 from tests.helpers import random_unimodular
@@ -40,88 +40,88 @@ def mk(kernel, quotient, actions=()):
 
 class TestThetaFcInjective:
     def test_hyperbolic_action_injective_on_z(self):
-        res = theta_fc_injective(Z, (HYPER,), IntMatrix.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(Z, Theta((HYPER,), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, Injective)
 
     def test_order_four_action_witnessed(self):
-        res = theta_fc_injective(Z, (ROT4,), IntMatrix.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(Z, Theta((ROT4,), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, InjectivityWitness)
         assert res.word == (1, 1, 1, 1)
         assert res.action_order == 4
         assert ROT4 ** 4 == IntMatrix.identity(2)
 
     def test_free_quotient_vacuous(self):
-        res = theta_fc_injective(FreeDesc(2), (HYPER, ROT4), IntMatrix.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(FreeDesc(2), Theta((HYPER, ROT4), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, Injective)
 
     def test_finite_quotient_exact(self):
         c2 = FiniteGroupDesc.from_generators(2, [(1, 0)], ("q",))
         swap = FreeAut(2, ((2,), (1,)))
-        res = theta_fc_injective(c2, (swap,), FreeAut.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(c2, Theta((swap,), FreeAut.identity(2)), AnalyzerLimits())
         assert isinstance(res, Injective)
 
     def test_out_side_identity_power(self):
         phi = FreeAut.identity(2)
-        res = theta_fc_injective(Z, (phi,), FreeAut.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(Z, Theta((phi,), FreeAut.identity(2)), AnalyzerLimits())
         assert isinstance(res, InjectivityWitness)
         assert res.word == (1,)
         assert res.conjugator == ()
 
     def test_out_side_order_two(self):
         swap = FreeAut(2, ((2,), (1,)))
-        res = theta_fc_injective(Z, (swap,), FreeAut.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(Z, Theta((swap,), FreeAut.identity(2)), AnalyzerLimits())
         assert isinstance(res, InjectivityWitness)
         assert res.word == (1, 1)
 
     def test_out_side_cap_monotone(self):
         swap = FreeAut(2, ((2,), (1,)))
-        low = theta_fc_injective(Z, (swap,), FreeAut.identity(2), AnalyzerLimits(out_order_cap=1))
+        low = theta_fc_injective(Z, Theta((swap,), FreeAut.identity(2)), AnalyzerLimits(out_order_cap=1))
         assert isinstance(low, InjectivityUnknown)
         assert low.tag == "out-order-unbounded"
-        high = theta_fc_injective(Z, (swap,), FreeAut.identity(2), AnalyzerLimits(out_order_cap=2))
+        high = theta_fc_injective(Z, Theta((swap,), FreeAut.identity(2)), AnalyzerLimits(out_order_cap=2))
         assert isinstance(high, InjectivityWitness)
 
     def test_relation_bound_monotone(self):
         # raising the exponent bound resolves an unknown, never flips it
         z2 = FgAbelianDesc(2, (), ("u", "v"))
         acts = (HYPER ** 5, (HYPER ** 5).inverse_unimodular())
-        low = theta_fc_injective(z2, acts, IntMatrix.identity(2), AnalyzerLimits(relation_bound=0))
+        low = theta_fc_injective(z2, Theta(acts, IntMatrix.identity(2)), AnalyzerLimits(relation_bound=0))
         assert isinstance(low, InjectivityUnknown)
-        high = theta_fc_injective(z2, acts, IntMatrix.identity(2), AnalyzerLimits(relation_bound=2))
+        high = theta_fc_injective(z2, Theta(acts, IntMatrix.identity(2)), AnalyzerLimits(relation_bound=2))
         assert isinstance(high, InjectivityWitness)
 
     def test_rank_two_abelian_relation_found(self):
         z2 = FgAbelianDesc(2, (), ("u", "v"))
         hyper_inv = HYPER.inverse_unimodular()
-        res = theta_fc_injective(z2, (HYPER, hyper_inv), IntMatrix.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(z2, Theta((HYPER, hyper_inv), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, InjectivityWitness)
         assert res.word == (-1, -2)  # u^-1 v^-1, the (norm, lex) first relation
 
     def test_rank_two_abelian_unknown(self):
         z2 = FgAbelianDesc(2, (), ("u", "v"))
         a, b = _commuting_block_pair()
-        res = theta_fc_injective(z2, (a, b), IntMatrix.identity(4), AnalyzerLimits())
+        res = theta_fc_injective(z2, Theta((a, b), IntMatrix.identity(4)), AnalyzerLimits())
         assert isinstance(res, InjectivityUnknown)
         assert res.tag == "abelian-relation-bound"
 
     def test_finite_abelian_exact(self):
         c4 = FgAbelianDesc(0, (4,), ("q",))
-        res = theta_fc_injective(c4, (ROT4,), IntMatrix.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(c4, Theta((ROT4,), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, Injective)
         c2 = FgAbelianDesc(0, (2,), ("q",))
         neg = IntMatrix.from_rows([[-1, 0], [0, -1]])
-        res = theta_fc_injective(c2, (neg,), IntMatrix.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(c2, Theta((neg,), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, Injective)
 
     def test_product_single_relevant_factor(self):
         q = make_product([FreeDesc(2, ("u", "v")), Z])
-        res = theta_fc_injective(q, (HYPER, HYPER, ROT4), IntMatrix.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(q, Theta((HYPER, HYPER, ROT4), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, InjectivityWitness)
         assert res.word == (3, 3, 3, 3)  # q^4 in the third generator
 
     def test_product_cross_factor_cancellation(self):
         q = make_product([FgAbelianDesc(1, (), ("u",)), FgAbelianDesc(1, (), ("v",))])
-        res = theta_fc_injective(q, (HYPER, HYPER.inverse_unimodular()), IntMatrix.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(q, Theta((HYPER, HYPER.inverse_unimodular()), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, InjectivityWitness)
         # a cross-factor product acts trivially even though each factor
         # alone is injective; the found word must be nontrivial and cancel
@@ -130,7 +130,7 @@ class TestThetaFcInjective:
     def test_product_mixed_unknown(self):
         q = make_product([FgAbelianDesc(1, (), ("u",)), FgAbelianDesc(1, (), ("v",))])
         a, b = _commuting_block_pair()
-        res = theta_fc_injective(q, (a, b), IntMatrix.identity(4), AnalyzerLimits())
+        res = theta_fc_injective(q, Theta((a, b), IntMatrix.identity(4)), AnalyzerLimits())
         assert isinstance(res, InjectivityUnknown)
         assert res.tag == "product-relation-bound"
 
@@ -140,7 +140,7 @@ class TestThetaFcInjective:
             FgAbelianDesc(0, (2,), ("v",)),
         ])
         neg = IntMatrix.from_rows([[-1, 0], [0, -1]])
-        res = theta_fc_injective(q, (neg, neg), IntMatrix.identity(2), AnalyzerLimits())
+        res = theta_fc_injective(q, Theta((neg, neg), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, InjectivityWitness)
         assert sorted(res.word) == [1, 2]  # u v acts trivially
 

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +218,21 @@ class TestCliRuns:
         data = json.loads(out)
         assert data["verdict"] == "unknown"
         assert data["obstruction"] == "abelian-relation-bound"
+
+
+def readme_check_synopsis():
+    """The README's ``icckit check`` synopsis: from its first line to the
+    end of its code block."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index("icckit check FILE")
+    return text[start:text.index("```", start)]
+
+
+class TestReadmeSynopsis:
+    def test_names_exactly_the_check_options(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {o for a in sub.choices["check"]._actions for o in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", readme_check_synopsis())) == options
 
 
 FRESH_RUN = "import sys; from icckit.cli import run; sys.exit(run(sys.argv[1:]))"

@@ -1,9 +1,11 @@
 """The pieces of the finite-class injectivity search.
 
 The exponent-vector stream against the sort-the-box order it replaces,
-``FiniteGroupDesc.evaluate`` against word-by-word composition, the cost
-of building a finite quotient's action table, and the mod-3 screen
-against a reference search that builds every candidate's action.
+the finite table of ``extension.Theta`` against word-by-word
+composition, the cost of building and validating that table, the
+validation of finite quotients against a reference that checks every
+(element, generator) pair, and the mod-3 screen against a reference
+search that builds every candidate's action.
 """
 
 import contextlib
@@ -32,9 +34,18 @@ from icckit.analyzer import (
     analyze,
     theta_fc_injective,
 )
-from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, ProductDesc, generator_count, make_product
+from icckit.catalog import (
+    FgAbelianDesc,
+    FiniteGroupDesc,
+    FreeDesc,
+    ProductDesc,
+    generator_count,
+    make_product,
+    perm_compose,
+)
 from icckit.cli import run
-from icckit.extension import make_extension
+from icckit.extension import ExtensionValidationError, Theta, make_extension
+from icckit.oracle import crosscheck
 from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut, is_inner
 from tests.helpers import random_unimodular
@@ -81,14 +92,16 @@ def perm_matrix(p):
 
 
 class TestEvaluate:
+    """The finite table of ``Theta`` against word-by-word composition."""
+
     def test_matrix_images_match_word_composition(self):
-        # Any images will do: evaluate multiplies along the words.
+        # Any images will do: the table multiplies along the words.
         rng = random.Random(5)
         for _ in range(5):
             images = [random_unimodular(rng, 3, steps=3) for _ in S4.generators]
             identity = IntMatrix.identity(3)
-            got = list(S4.evaluate(images, identity))
-            assert got == [compose_word(w, images, identity) for w in S4.element_words]
+            got = Theta(images, identity).finite_table(S4)
+            assert got == tuple(compose_word(w, images, identity) for w in S4.element_words)
 
     def test_aut_images_match_word_composition(self):
         s3 = FiniteGroupDesc.from_generators(3, [(1, 0, 2), (1, 2, 0)])
@@ -96,11 +109,14 @@ class TestEvaluate:
         cycle = FreeAut(3, ((2,), (3,), (1,)))
         images = [transvection, cycle]
         identity = FreeAut.identity(3)
-        got = list(s3.evaluate(images, identity))
-        assert got == [compose_word(w, images, identity) for w in s3.element_words]
+        got = Theta(images, identity).finite_table(s3)
+        assert got == tuple(compose_word(w, images, identity) for w in s3.element_words)
         assert got[0] == identity and len(got) == s3.order
 
     def test_make_extension_builds_table_in_one_product_per_element(self, monkeypatch):
+        """The table costs |Q| - 1 products and validation one more per
+        edge off the breadth-first tree: |Q| * |gens| in all.  The FC
+        search then reads the table and builds no action of its own."""
         calls = []
         matmul = IntMatrix.__matmul__
 
@@ -110,9 +126,100 @@ class TestEvaluate:
 
         actions = [perm_matrix(g) for g in S4.generators]
         monkeypatch.setattr(IntMatrix, "__matmul__", counting)
-        make_extension(FgAbelianDesc(4), S4, actions)
+        spec = make_extension(FgAbelianDesc(4), S4, actions)
         assert S4.order == 24
-        assert len(calls) <= S4.order * (1 + len(S4.generators))
+        assert len(calls) <= S4.order * len(S4.generators)
+        calls.clear()
+        report = analyze(spec)
+        assert report.verdict == "not_icc"
+        assert len(calls) < S4.order
+
+
+# -- validation of finite quotients against every (element, generator) pair -----
+
+
+S3 = FiniteGroupDesc.from_generators(3, [(1, 0, 2), (1, 2, 0)])
+D4 = FiniteGroupDesc.from_generators(4, [(1, 2, 3, 0), (3, 2, 1, 0)])
+
+
+def reference_failures(quotient, actions, identity):
+    """The (element, generator index) pairs on which theta(e) * A_g !=
+    theta(e g), with theta composed from each element's whole word."""
+    theta = {e: compose_word(w, actions, identity) for e, w in zip(quotient.elements, quotient.element_words)}
+    return [(e, i) for e in quotient.elements for i, g in enumerate(quotient.generators)
+            if theta[e] @ actions[i] != theta[perm_compose(e, g)]]
+
+
+def tree_edges(quotient):
+    """The (element, generator index) pairs along which the breadth-first
+    closure first reached an element."""
+    by_word = dict(zip(quotient.element_words, quotient.elements))
+    return {(by_word[w[:-1]], w[-1] - 1) for w in quotient.element_words[1:]}
+
+
+def permutation_aut(p):
+    """x_i -> x_p(i), so permutation_aut(p) @ permutation_aut(q) is
+    permutation_aut(p o q)."""
+    return FreeAut(len(p), tuple((p[i] + 1,) for i in range(len(p))))
+
+
+def image_assignment(rng, quotient):
+    """Seeded generator images: unimodular matrices, permutation matrices
+    (of the quotient's own generators, or of random permutations) under a
+    random change of basis, or permutation automorphisms of a free group,
+    sometimes composed with an inner one."""
+    n, gens = quotient.degree, quotient.generators
+    perms = gens if rng.random() < 0.5 else [tuple(rng.sample(range(n), n)) for _ in gens]
+    kind = rng.choice(("unimodular", "permutation", "free"))
+    if kind == "unimodular":
+        return IntMatrix.identity(n), [random_unimodular(rng, n, steps=rng.randint(0, 3)) for _ in gens]
+    if kind == "permutation":
+        p = random_unimodular(rng, n, steps=4, entry_bound=3)
+        p_inv = p.inverse_unimodular()
+        return IntMatrix.identity(n), [p @ perm_matrix(g) @ p_inv for g in perms]
+    auts = [permutation_aut(g) for g in perms]
+    if rng.random() < 0.3:
+        i = rng.randrange(len(auts))
+        auts[i] = FreeAut.conjugation(n, (rng.choice((1, -1, 2)),)) @ auts[i]
+    return FreeAut.identity(n), auts
+
+
+class TestFiniteQuotientValidation:
+    @pytest.mark.parametrize("quotient", (S3, D4, S4), ids=("S3", "D4", "S4"))
+    def test_rejects_exactly_what_every_pair_rejects(self, quotient):
+        rng = random.Random(quotient.order)
+        tree = tree_edges(quotient)
+        kernels = {IntMatrix: FgAbelianDesc(quotient.degree), FreeAut: FreeDesc(quotient.degree)}
+        outcomes = set()
+        for _ in range(60):
+            identity, actions = image_assignment(rng, quotient)
+            failures = reference_failures(quotient, actions, identity)
+            kernel = kernels[type(identity)]
+            if failures:
+                with pytest.raises(ExtensionValidationError) as err:
+                    make_extension(kernel, quotient, actions)
+                assert str(err.value) == "relation violation: actions do not extend to the finite quotient"
+                # Words extend one another along the tree, so a violation
+                # can only show on an edge off it: the ones validation checks.
+                assert not tree.intersection(failures)
+            else:
+                spec = make_extension(kernel, quotient, actions)
+                table = tuple(compose_word(w, actions, identity) for w in quotient.element_words)
+                assert spec.theta.finite_table(quotient) == table
+            outcomes.add((type(identity), bool(failures)))
+        assert outcomes == {(IntMatrix, True), (IntMatrix, False), (FreeAut, True), (FreeAut, False)}
+
+
+def finite_quotient_spec():
+    """S_3 permuting a basis of Z^3."""
+    return make_extension(FgAbelianDesc(3), S3, [perm_matrix(g) for g in S3.generators])
+
+
+def product_quotient_spec():
+    """product(Z, Z/2 as a permutation group) on Z^4, acting blockwise."""
+    i2 = IntMatrix.identity(2)
+    return make_extension(FgAbelianDesc(4), make_product([z(), C2]),
+                          [block_diag(H, i2), block_diag(i2, i2.scale(-1))])
 
 
 class TestNoReferenceCycles:
@@ -133,8 +240,8 @@ class TestNoReferenceCycles:
             gc.enable()
 
     def test_product_fc_search_leaves_no_cyclic_garbage(self):
-        """The product search keeps per-factor lists, builders holding a
-        power cache, and an index of the last factor."""
+        """The product search keeps per-factor lists, powers cached on the
+        spec's action homomorphism, and an index of the last factor."""
         h = IntMatrix.from_rows([[2, 1], [1, 1]])
         spec = make_extension(
             FgAbelianDesc(2), make_product([FgAbelianDesc(2, (), ("u", "v")), FgAbelianDesc(1, (), ("t",))]),
@@ -148,17 +255,37 @@ class TestNoReferenceCycles:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("build", (finite_quotient_spec, product_quotient_spec),
+                             ids=("finite", "product"))
+    def test_spec_analysis_and_crosscheck_leave_no_cyclic_garbage(self, build):
+        """The spec holds its action homomorphism, which holds its caches
+        and no reference back; the oracle's group holds the spec.  Built
+        without the DSL, whose matrix literals leave cycles of their own."""
+
+        def pipeline():
+            spec = build()
+            summary, _ = crosscheck(spec, analyze(spec), radius=2)
+            return summary["consistent"]
+
+        assert pipeline()
+        gc.collect()
+        gc.disable()
+        try:
+            assert pipeline()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 # -- the mod-3 screen against the unscreened search ------------------------------
 
 
 def reference_fc_elements(quotient, actions, identity, bound):
     """The search's enumerator without the mod-3 screen: every candidate,
-    with its action built, in witness order."""
+    with its action composed from its whole word, in witness order."""
     if isinstance(quotient, FiniteGroupDesc):
-        images = quotient.evaluate(actions, identity)
-        next(images)  # the identity element
-        yield from zip(quotient.element_words[1:], images)
+        for w in quotient.element_words[1:]:
+            yield w, compose_word(w, actions, identity)
     elif isinstance(quotient, FgAbelianDesc):
         for exps in _exponent_vectors(quotient.rank, quotient.divisors, bound):
             word, action = (), identity
@@ -179,6 +306,12 @@ def reference_fc_elements(quotient, actions, identity, bound):
             if word:
                 yield word, functools.reduce(operator.matmul, [a for _, a in combo])
     # free quotients of rank >= 2 have trivial FC: nothing to yield
+
+
+def reference_fc_candidates(quotient, theta, bound, offset=0):
+    """``reference_fc_elements`` in place of ``analyzer._fc_elements``: it
+    reads only the generator images and the identity off ``theta``."""
+    return reference_fc_elements(quotient, theta.actions[offset:], theta.identity, bound)
 
 
 def reference_search(quotient, actions, identity, bound):
@@ -202,7 +335,7 @@ def reference_search(quotient, actions, identity, bound):
 
 def screened_and_reference(spec, bound):
     identity = spec.identity
-    got = theta_fc_injective(spec.quotient, spec.actions, identity, AnalyzerLimits(relation_bound=bound))
+    got = theta_fc_injective(spec.quotient, spec.theta, AnalyzerLimits(relation_bound=bound))
     return got, reference_search(spec.quotient, spec.actions, identity, bound)
 
 
@@ -345,7 +478,7 @@ class TestMod3Screen:
 
         screened = report()
         with monkeypatch.context() as m:
-            m.setattr(analyzer, "_fc_elements", reference_fc_elements)
+            m.setattr(analyzer, "_fc_elements", reference_fc_candidates)
             assert report() == screened
         assert '"element": "u^-1 v^-1 w^-1"' in screened[1]
         # The same actions as product(Z^2, Z): the Z^2 factor's 9 candidates
@@ -372,7 +505,7 @@ class TestMod3Screen:
             return matmul(a, b)
 
         monkeypatch.setattr(IntMatrix, "__matmul__", counting)
-        res = theta_fc_injective(spec.quotient, spec.actions, IntMatrix.identity(4), AnalyzerLimits(relation_bound=5))
+        res = theta_fc_injective(spec.quotient, spec.theta, AnalyzerLimits(relation_bound=5))
         assert res == InjectivityUnknown("abelian-relation-bound")
         assert len(calls) <= 400
 
@@ -412,7 +545,7 @@ class TestMod3Screen:
         i2 = IntMatrix.identity(2)
         mats = [block_diag(*(H if j == i else i2 for j in range(4))) for i in range(4)]
         spec = make_extension(FgAbelianDesc(8), FgAbelianDesc(4), mats)
-        candidates = analyzer._fc_elements(spec.quotient, spec.actions, IntMatrix.identity(8), 8)
+        candidates = analyzer._fc_elements(spec.quotient, spec.theta, 8)
         assert sum(1 for _ in candidates) == 5 ** 4 - 1
         report = analyze(spec)
         assert (report.verdict, report.obstruction) == ("unknown", "abelian-relation-bound")
