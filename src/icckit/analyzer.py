@@ -24,13 +24,6 @@ quotients, (max-norm, lex) order of exponent vectors for abelian ones,
 identity) for products.  A lone infinite cyclic quotient is decided by
 the action's order instead, and a product with a single factor of
 nontrivial FC defers to that factor.
-
-Reduction mod 3 (of the matrix, or of the automorphism's abelianization)
-is a homomorphism that sends every trivially acting element to I, so the
-search screens abelian and product candidates by their mod-3 image
-before it builds any exact action: an integer test against the lattice
-L_3 of exponent vectors whose image is I (``CATALOG_AXIOMS.md`` §11).
-Skipped candidates cannot act trivially, so the witness is unchanged.
 """
 
 from __future__ import annotations
@@ -58,8 +51,12 @@ from .intlinalg import IntMatrix, Lattice, Vec
 from .matgroup import (
     FiniteOrbitCert,
     MatGroupGens,
+    _inverse3,
+    _mul3,
     finite_orbit_sublattice,
     matrix_order,
+    mod3,
+    mod3_screen,
 )
 from .words import Word, is_inner
 
@@ -207,86 +204,6 @@ def _box_size(f: GroupDesc, bound: int) -> int:
     return (2 * bound + 1) ** f.rank * math.prod(f.divisors)
 
 
-def _mod3(action) -> tuple[Vec, ...]:
-    """Reduction mod 3 of the matrix, or of the free automorphism's
-    abelianization.  Both are homomorphisms that send every trivially
-    acting element (the identity, or an inner automorphism) to I."""
-    return (action if isinstance(action, IntMatrix) else action.abelianization()).mod(3)
-
-
-def _mul3(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % 3 for col in cols) for row in a)
-
-
-def _inverse3(m):
-    """The inverse of an invertible matrix over Z/3, by Gauss-Jordan."""
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if a[i][c])
-        a[c], a[p] = a[p], a[c]
-        a[c] = [x * a[c][c] % 3 for x in a[c]]  # 1 and 2 are their own inverses
-        for i in range(n):
-            if i != c and a[i][c]:
-                a[i] = [(x - a[i][c] * y) % 3 for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
-class _Mod3Screen:
-    """The lattice L_3 = {x : prod A_i^x_i = I mod 3} of commuting actions
-    A_i, and their mod-3 image (CATALOG_AXIOMS.md §11).
-
-    ``rows[i]`` is k_i e_i - (exponents of A_i^k_i), where k_i is the least
-    k > 0 with A_i^k in <A_1, ..., A_{i-1}> mod 3.  The rows are a
-    triangular basis of L_3, and ``elements`` maps each canonical residue
-    (0 <= r_i < k_i) to its mod-3 element.
-    """
-
-    def __init__(self, rows, elements):
-        self.rows = rows
-        self.elements = elements
-
-    def residue(self, x) -> GenWord:
-        x = list(x)
-        for i in reversed(range(len(x))):
-            row = self.rows[i]
-            q, x[i] = divmod(x[i], row[i])
-            if q:
-                for j in range(i):
-                    x[j] -= q * row[j]
-        return tuple(x)
-
-    def image(self, x):
-        return self.elements[self.residue(x)]
-
-
-def _mod3_screen(actions, identity, limit: int) -> _Mod3Screen | None:
-    """The screen of commuting ``actions``, built along the subgroup chain
-    of their mod-3 images; None once the image would hold more than
-    ``limit`` elements, so building it never costs more than the search
-    it screens."""
-    gens = [_mod3(a) for a in actions]
-    n = len(gens)
-    elements = {_mod3(identity): (0,) * n}  # mod-3 element -> exponents
-    rows = []
-    for i, g in enumerate(gens):
-        k, p = 1, g
-        while p not in elements:
-            k += 1
-            if len(elements) * k > limit:
-                return None
-            p = _mul3(p, g)
-        rows.append(tuple(k if j == i else -e for j, e in enumerate(elements[p])))
-        layer, step = dict(elements), g
-        for j in range(1, k):
-            for m, e in elements.items():
-                layer[_mul3(step, m)] = e[:i] + (j,) + e[i + 1:]
-            step = _mul3(step, g)
-        elements = layer
-    return _Mod3Screen(tuple(rows), {e: m for m, e in elements.items()})
-
-
 def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0):
     """Yield ``(word, action)`` for the nontrivial elements of FC(quotient)
     that the injectivity search covers, in witness order, skipping those
@@ -303,8 +220,8 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
     if isinstance(quotient, FiniteGroupDesc):
         yield from zip(quotient.element_words[1:], theta.finite_table(quotient, offset)[1:])
     elif isinstance(quotient, FgAbelianDesc):
-        screen = _mod3_screen(theta.actions[offset:offset + quotient.gen_count], theta.identity,
-                              _box_size(quotient, bound))
+        screen = mod3_screen(theta.actions[offset:offset + quotient.gen_count], theta.identity,
+                             _box_size(quotient, bound))
         for exps in _exponent_vectors(quotient.rank, quotient.divisors, bound):
             if screen is None or not any(screen.residue(exps)):
                 yield _exponent_word(exps), theta.of_exponents(exps, offset)
@@ -328,20 +245,20 @@ def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
     each prefix visits, in list order, only the entries that close it to
     I.  Without a screen for every abelian factor, every entry closes.
     """
-    eye = _mod3(theta.identity)
+    eye = mod3(theta.identity)
     lists, exponent_offsets = [], []
     screened = True
     for f, offset in factor_offsets(quotient):
         entries = [((), eye, None)]
         if isinstance(f, FgAbelianDesc):
-            screen = _mod3_screen(theta.actions[offset:offset + f.gen_count], theta.identity, _box_size(f, bound))
+            screen = mod3_screen(theta.actions[offset:offset + f.gen_count], theta.identity, _box_size(f, bound))
             screened = screened and screen is not None
             for exps in _exponent_vectors(f.rank, f.divisors, bound):
-                image = screen.image(exps) if screen is not None else None
+                image = screen.elements[screen.residue(exps)] if screen is not None else None
                 entries.append((_shift_word(_exponent_word(exps), offset), image, exps))
             exponent_offsets.append(offset)
         else:
-            entries += [(_shift_word(w, offset), _mod3(a), a) for w, a in _fc_elements(f, theta, bound, offset)]
+            entries += [(_shift_word(w, offset), mod3(a), a) for w, a in _fc_elements(f, theta, bound, offset)]
             exponent_offsets.append(None)
         lists.append(entries)
     *heads, last = lists

@@ -155,10 +155,6 @@ class IntMatrix:
             x == (i == j) for i, row in enumerate(self.rows) for j, x in enumerate(row)
         )
 
-    def mod(self, m: int) -> tuple[Vec, ...]:
-        """Entry-wise residues; a hashable key for congruence images."""
-        return tuple(tuple(a % m for a in r) for r in self.rows)
-
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "]"
 

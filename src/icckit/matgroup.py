@@ -32,6 +32,13 @@ lattice intersections.  The sublattice keeps the basis orbits as its
 certificate and computes the exact order of the induced action only
 when it is read.
 
+Reduction mod 3 (:func:`mod3`), of a matrix or of an automorphism's
+abelianization, is a homomorphism that sends every trivially acting
+element to I.  So the FC search screens abelian and product candidates
+before it builds any exact action, by an integer test against the
+lattice L_3 of exponent vectors whose image is I (:func:`mod3_screen`,
+``CATALOG_AXIOMS.md`` §11); skipped candidates leave the witness as is.
+
 Words over a generating set are tuples of signed 1-based indices; ``+i``
 is the i-th generator, ``-i`` its inverse.
 """
@@ -80,12 +87,18 @@ class MatGroupGens:
         return out
 
 
+def _cyclotomic_power(m: IntMatrix) -> tuple[int, IntMatrix]:
+    """(L, M^L) for L the lcm of the cyclotomic orders dividing charpoly(M), or 1."""
+    big = lcm_all(cyclotomic_orders(charpoly(m), m.nrows).orders | {1})
+    return big, m ** big
+
+
 def matrix_order(m: IntMatrix) -> int | None:
     """The multiplicative order of a unimodular matrix, or None if infinite.
 
-    Finite order forces the characteristic polynomial to be a product of
-    cyclotomics; the candidate order is the lcm of their indices, and the
-    true order is its minimal divisor n with M^n = I.
+    The candidate order L is the lcm of the indices of the cyclotomic
+    factors of charpoly(M); M has finite order iff M^L = I, and then its
+    order is the least divisor n of L with M^n = I.
 
     >>> matrix_order(IntMatrix.from_rows([[0, -1], [1, 0]]))
     4
@@ -94,20 +107,12 @@ def matrix_order(m: IntMatrix) -> int | None:
     """
     if not m.is_unimodular:
         raise ValueError("matrix_order requires a unimodular matrix")
-    n = m.nrows
-    if n == 0:
+    if m.nrows == 0:
         return 1
-    factors = cyclotomic_orders(charpoly(m), n)
-    if not factors.all_cyclotomic:
+    big, power = _cyclotomic_power(m)
+    if not power.is_identity:
         return None
-    big = lcm_all(factors.orders | {1})
-    if (m ** big) != IntMatrix.identity(n):
-        return None  # non-semisimple (unipotent part present)
-
-    for d in _divisors(big):
-        if (m ** d) == IntMatrix.identity(n):
-            return d
-    raise AssertionError("unreachable: big itself divides big")
+    return next(d for d in _divisors(big) if (m ** d).is_identity)
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,87 @@ def _inverse_word(word: GenWord) -> GenWord:
     return tuple(-l for l in reversed(word))
 
 
+def _residues(entries) -> Vec:
+    """Entry-wise residues mod 3: the rows of :func:`mod3`, and the keys of the Schreier search."""
+    return tuple([x % 3 for x in entries])
+
+
+def mod3(action) -> tuple[Vec, ...]:
+    """Reduction mod 3 of the matrix, or of the free automorphism's
+    abelianization.  Both are homomorphisms that send every trivially
+    acting element (the identity, or an inner automorphism) to I."""
+    return tuple(map(_residues, (action if isinstance(action, IntMatrix) else action.abelianization()).rows))
+
+
+def _mul3(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % 3 for col in cols) for row in a)
+
+
+def _inverse3(m):
+    """The inverse of an invertible matrix over Z/3, by Gauss-Jordan."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if a[i][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x * a[c][c] % 3 for x in a[c]]  # 1 and 2 are their own inverses
+        for i in range(n):
+            if i != c and a[i][c]:
+                a[i] = [(x - a[i][c] * y) % 3 for x, y in zip(a[i], a[c])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+@dataclass(frozen=True)
+class Mod3Screen:
+    """The lattice L_3 = {x : prod A_i^x_i = I mod 3} of commuting actions
+    A_i, and their mod-3 image (CATALOG_AXIOMS.md §11).
+
+    ``rows[i]`` is k_i e_i - (exponents of A_i^k_i), where k_i is the least
+    k > 0 with A_i^k in <A_1, ..., A_{i-1}> mod 3.  The rows are a
+    triangular basis of L_3, and ``elements`` maps each canonical residue
+    (0 <= r_i < k_i) to its mod-3 element.
+    """
+
+    rows: tuple[Vec, ...]
+    elements: dict[Vec, tuple[Vec, ...]]
+
+    def residue(self, x) -> Vec:
+        x = list(x)
+        for i in reversed(range(len(x))):
+            row = self.rows[i]
+            q, x[i] = divmod(x[i], row[i])
+            if q:
+                for j in range(i):
+                    x[j] -= q * row[j]
+        return tuple(x)
+
+
+def mod3_screen(actions, identity, limit: int) -> Mod3Screen | None:
+    """The screen of commuting ``actions``, built along the subgroup chain
+    of their mod-3 images; None once the image would hold more than
+    ``limit`` elements, so building it never costs more than the search
+    it screens."""
+    gens = [mod3(a) for a in actions]
+    elements = {mod3(identity): (0,) * len(gens)}  # mod-3 element -> exponents
+    rows = []
+    for i, g in enumerate(gens):
+        k, p = 1, g
+        while p not in elements:
+            k += 1
+            if len(elements) * k > limit:
+                return None
+            p = _mul3(p, g)
+        rows.append(tuple(k if j == i else -e for j, e in enumerate(elements[p])))
+        layer, step = dict(elements), g
+        for j in range(1, k):
+            for m, e in elements.items():
+                layer[_mul3(step, m)] = e[:i] + (j,) + e[i + 1:]
+            step = _mul3(step, g)
+        elements = layer
+    return Mod3Screen(tuple(rows), {e: m for m, e in elements.items()})
+
+
 def _appliers(group: MatGroupGens) -> list:
     """The compiled actions of g1, g1^-1, g2, g2^-1, ... (:func:`_row_applier`)."""
     return [_row_applier(m) for g in group.gens for m in (g, g.inverse_unimodular())]
@@ -168,14 +254,14 @@ def _schreier_search(rank: int, appliers):
 
     # rep: image key -> (preimage columns, word)
     identity = IntMatrix.identity(rank).rows  # its own columns
-    identity_key = tuple(x % 3 for col in identity for x in col)
+    identity_key = _residues(sum(identity, ()))
     rep = {identity_key: (identity, ())}
     queue = deque([identity_key])
     while queue:
         cols, word = rep[queue.popleft()]
         for letter, apply_m in step:
             prod = tuple(map(apply_m, cols))
-            prod_key = tuple(x % 3 for col in prod for x in col)
+            prod_key = _residues(sum(prod, ()))
             known = rep.get(prod_key)
             if known is None:
                 rep[prod_key] = (prod, (letter,) + word)
@@ -257,8 +343,7 @@ def single_finite_orbit_space(m: IntMatrix) -> Lattice:
     n = m.nrows
     if n == 0:
         return Lattice.zero(0)
-    factors = cyclotomic_orders(charpoly(m), n)
-    power = m ** lcm_all(factors.orders | {1})
+    _, power = _cyclotomic_power(m)
     if power.is_identity:
         return Lattice.full(n)
     return kernel_lattice(power - IntMatrix.identity(n))
@@ -348,9 +433,10 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
     inverses (a lattice every generator maps into itself is already
     invariant, and needs no HNF), then certify finiteness of the induced
     action by closed basis orbits (:func:`basis_orbits`); an
-    infinite-order witness cuts the candidate down by its own
-    finite-orbit space (a strict rank drop, since the witness lives in
-    the torsion-free congruence kernel) and the loop repeats.
+    infinite-order witness W cuts the candidate down to its own
+    finite-orbit space, which is ker(W - I) as W = I mod 3
+    (``CATALOG_AXIOMS.md`` §6; a strict rank drop, since W lives in the
+    torsion-free congruence kernel), and the loop repeats.
     """
     r = group.rank
     cand = single_finite_orbit_space(group.gens[0])
@@ -370,7 +456,7 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
             )
             return FiniteOrbitCert(cand, orbits, tuple(witnesses), induced)
         witnesses.append((cert.witness_word, cert.witness_matrix))
-        fixed = single_finite_orbit_space(cert.witness_matrix)
+        fixed = kernel_lattice(cert.witness_matrix - IntMatrix.identity(cand.rank))
         ambient_rows = [cand.member_from_coords(c) for c in fixed.basis]
         smaller = Lattice.from_rows(r, ambient_rows)
         assert smaller.rank < cand.rank, "witness must cut the rank down"

@@ -29,6 +29,23 @@ def random_unimodular(rng, n: int, steps: int = 6, entry_bound: int | None = Non
     return IntMatrix.from_rows(rows)
 
 
+def block_diag(*blocks):
+    n = sum(b.nrows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for r in b.rows:
+            rows.append([0] * at + list(r) + [0] * (n - at - b.nrows))
+        at += b.nrows
+    return IntMatrix.from_rows(rows)
+
+
+def conjugated(rng, mats):
+    """The matrices conjugated by one small random unimodular matrix."""
+    p = random_unimodular(rng, mats[0].nrows, steps=4, entry_bound=3)
+    p_inv = p.inverse_unimodular()
+    return [p @ m @ p_inv for m in mats]
+
+
 def enumerate_box(ambient: int, radius: int):
     """All integer vectors with entries in [-radius, radius]."""
     return itertools.product(range(-radius, radius + 1), repeat=ambient)

@@ -26,10 +26,6 @@ from icckit.analyzer import (
     InjectivityUnknown,
     InjectivityWitness,
     _exponent_vectors,
-    _inverse3,
-    _mod3,
-    _mod3_screen,
-    _mul3,
     _shift_word,
     analyze,
     theta_fc_injective,
@@ -47,8 +43,9 @@ from icckit.cli import run
 from icckit.extension import ExtensionValidationError, Theta, make_extension
 from icckit.oracle import crosscheck
 from icckit.intlinalg import IntMatrix
+from icckit.matgroup import _inverse3, _mul3, mod3, mod3_screen
 from icckit.words import FreeAut, is_inner
-from tests.helpers import random_unimodular
+from tests.helpers import block_diag, conjugated, random_unimodular
 
 
 def sorted_box(free_rank, divisors, bound):
@@ -348,24 +345,8 @@ FIB = IntMatrix.from_rows([[1, 1], [1, 0]])  # order 8 mod 3
 C2 = FiniteGroupDesc.from_generators(2, [(1, 0)])
 
 
-def block_diag(*blocks):
-    n = sum(b.nrows for b in blocks)
-    rows, at = [], 0
-    for b in blocks:
-        for r in b.rows:
-            rows.append([0] * at + list(r) + [0] * (n - at - b.nrows))
-        at += b.nrows
-    return IntMatrix.from_rows(rows)
-
-
 def signed_power(rng, m, top=3):
     return (m ** rng.randint(-top, top)).scale(rng.choice((1, -1)))
-
-
-def conjugated(rng, mats):
-    p = random_unimodular(rng, mats[0].nrows, steps=4, entry_bound=3)
-    p_inv = p.inverse_unimodular()
-    return [p @ m @ p_inv for m in mats]
 
 
 def abelian(rank, divisors=()):
@@ -450,8 +431,8 @@ class TestMod3Screen:
         each factor on its own would lose it."""
         spec = make_extension(FgAbelianDesc(2), make_product([z(), FgAbelianDesc(1, (), ("s",))]),
                               [H, H.inverse_unimodular()])
-        eye = _mod3(IntMatrix.identity(2))
-        assert _mod3(H) != eye and _mod3(H.inverse_unimodular()) != eye
+        eye = mod3(IntMatrix.identity(2))
+        assert mod3(H) != eye and mod3(H.inverse_unimodular()) != eye
         got, want = screened_and_reference(spec, 8)
         assert got == want == InjectivityWitness((-1, -2), "action-identity")
         assert analyze(spec).witness.rendered == "t^-1 s^-1"
@@ -464,8 +445,8 @@ class TestMod3Screen:
         i2 = IntMatrix.identity(2)
         mats = [block_diag(FIB, i2), block_diag(i2, FIB), block_diag(f_inv, f_inv)]
         identity = IntMatrix.identity(4)
-        assert _mod3_screen(mats, identity, 27) is None
-        assert len(_mod3_screen(mats, identity, 64).elements) == 64
+        assert mod3_screen(mats, identity, 27) is None
+        assert len(mod3_screen(mats, identity, 64).elements) == 64
         path = tmp_path / "big_image.ext"
         path.write_text("kernel: Z^4\nquotient: Z^3\n"
                         + "".join(f"action {g} -> {m}\n" for g, m in zip("uvw", mats)))
@@ -515,10 +496,10 @@ class TestMod3Screen:
         for _ in range(10):
             spec = family(rng)
             identity = spec.identity
-            screen = _mod3_screen(spec.actions, identity, 10 ** 6)
-            gens = [_mod3(a) for a in spec.actions]
+            screen = mod3_screen(spec.actions, identity, 10 ** 6)
+            gens = [mod3(a) for a in spec.actions]
             inverses = [_inverse3(g) for g in gens]
-            eye = _mod3(identity)
+            eye = mod3(identity)
             assert len(screen.elements) == functools.reduce(operator.mul, (row[i] for i, row in enumerate(screen.rows)))
             for x in itertools.product(range(-4, 5), repeat=len(gens)):
                 want = eye
@@ -527,15 +508,15 @@ class TestMod3Screen:
                         want = _mul3(want, g if e > 0 else g_inv)
                 r = screen.residue(x)
                 assert all(0 <= c < row[i] for i, (c, row) in enumerate(zip(r, screen.rows)))
-                assert screen.image(x) == want
+                assert screen.elements[r] == want
                 assert (not any(r)) == (want == eye)
 
     def test_inverse_mod_3(self):
         rng = random.Random(2)
         for n in (1, 2, 3, 4):
-            eye = _mod3(IntMatrix.identity(n))
+            eye = mod3(IntMatrix.identity(n))
             for _ in range(20):
-                m = _mod3(random_unimodular(rng, n, steps=8))
+                m = mod3(random_unimodular(rng, n, steps=8))
                 assert _mul3(m, _inverse3(m)) == eye == _mul3(_inverse3(m), m)
 
     def test_blocks_family_decides_its_bound_quickly(self):

@@ -1,10 +1,13 @@
 import math
 import random
+import re
 from collections import deque
+from pathlib import Path
 
 import pytest
 
-from icckit.intlinalg import IntMatrix, Lattice
+import icckit
+from icckit.intlinalg import IntMatrix, Lattice, charpoly, cyclotomic_orders
 from icckit.matgroup import (
     BasisOrbits,
     FiniteOrbit,
@@ -17,16 +20,21 @@ from icckit.matgroup import (
     finite_orbit_sublattice,
     group_is_finite,
     matrix_order,
+    mod3,
+    mod3_screen,
     orbit_bfs,
     restrict_to_lattice,
     single_finite_orbit_space,
 )
-from tests.helpers import random_unimodular
+from tests.helpers import block_diag, conjugated, random_unimodular
 
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
 SHEAR = IntMatrix.from_rows([[1, 1], [0, 1]])
 HYPER = IntMatrix.from_rows([[2, 1], [1, 1]])
 NEG_I = IntMatrix.from_rows([[-1, 0], [0, -1]])
+# Finite-order blocks: rotations of order 4, 3 and 6, a swap, and -1.
+ROTATIONS = (ROT4, IntMatrix.from_rows([[0, -1], [1, -1]]), IntMatrix.from_rows([[1, -1], [1, 0]]),
+             IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.from_rows([[-1]]))
 
 
 def brute_force_closure(gens, cap):
@@ -72,16 +80,16 @@ def reference_schreier_certificate(group):
     step = []
     for i, g in enumerate(group.gens):
         step += [(i + 1, g), (-(i + 1), g.inverse_unimodular())]
-    rep = {identity.mod(3): (identity, ())}
-    queue = deque([identity.mod(3)])
+    rep = {mod3(identity): (identity, ())}
+    queue = deque([mod3(identity)])
     while queue:
         mat, word = rep[queue.popleft()]
         for letter, g in step:
             prod = g @ mat
-            known = rep.get(prod.mod(3))
+            known = rep.get(mod3(prod))
             if known is None:
-                rep[prod.mod(3)] = (prod, (letter,) + word)
-                queue.append(prod.mod(3))
+                rep[mod3(prod)] = (prod, (letter,) + word)
+                queue.append(mod3(prod))
             elif prod != known[0]:
                 witness_word = (letter,) + word + tuple(-l for l in reversed(known[1]))
                 return GroupInfinite(witness_word, prod @ known[0].inverse_unimodular())
@@ -191,6 +199,55 @@ class TestMatrixOrder:
                 assert matrix ** d != IntMatrix.identity(2)
 
 
+def brute_force_order(m, limit=60):
+    """The least n <= limit with M^n = I, or None."""
+    power = m
+    for n in range(1, limit + 1):
+        if power.is_identity:
+            return n
+        power = power @ m
+    return None
+
+
+def rotation_jordan_block(rng):
+    """[[R, I], [0, R]] for a rotation R: cyclotomic, not semisimple."""
+    r = rng.choice(ROTATIONS[:3])
+    zero, one = IntMatrix.from_rows([[0, 0], [0, 0]]), IntMatrix.identity(2)
+    return IntMatrix.from_rows([a + b for a, b in zip(r.rows, one.rows)]
+                               + [a + b for a, b in zip(zero.rows, r.rows)])
+
+
+class TestMatrixOrderMixedSpectra:
+    """Conjugated block diagonals against the least n <= 60 with M^n = I.
+
+    ``hyperbolic``: rotation blocks beside a hyperbolic one, so charpoly
+    is only partly cyclotomic.  ``shear``: rotation blocks beside a shear
+    or a rotation Jordan block, so charpoly is cyclotomic but M is not
+    semisimple.  ``finite``: rotation blocks only."""
+
+    @staticmethod
+    def draw(rng, kind):
+        blocks = [rng.choice(ROTATIONS) ** rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+        if kind == "hyperbolic":
+            blocks.append(rng.choice((HYPER, HYPER.inverse_unimodular(), HYPER.scale(-1))))
+        elif kind == "shear":
+            blocks.append(rng.choice((SHEAR, SHEAR.scale(-1), rotation_jordan_block(rng))))
+        rng.shuffle(blocks)
+        return conjugated(rng, [block_diag(*blocks)])[0]
+
+    @pytest.mark.parametrize("kind", ["finite", "hyperbolic", "shear"])
+    def test_order_is_least_power_to_identity(self, kind):
+        rng = random.Random(f"matrix-order:{kind}")
+        for _ in range(40):
+            m = self.draw(rng, kind)
+            factors = cyclotomic_orders(charpoly(m), m.nrows)
+            assert factors.all_cyclotomic == (kind != "hyperbolic")
+            assert factors.orders  # every draw has a rotation block
+            order = matrix_order(m)
+            assert order == brute_force_order(m)
+            assert (order is None) == (kind != "finite")
+
+
 class TestGroupIsFinite:
     def test_trivial(self):
         cert = group_is_finite(MatGroupGens(2, (IntMatrix.identity(2),)))
@@ -206,7 +263,7 @@ class TestGroupIsFinite:
         w = cert.witness_matrix
         assert w == SHEAR ** 3  # m mod 3 has order 3, so the cube closes first
         assert not w.is_identity
-        assert w.mod(3) == IntMatrix.identity(2).mod(3)
+        assert mod3(w) == mod3(IntMatrix.identity(2))
         assert matrix_order(w) is None
         g = MatGroupGens(2, (SHEAR,))
         assert g.word_to_matrix(cert.witness_word) == w
@@ -246,7 +303,7 @@ class TestGroupIsFinite:
             if isinstance(cert, GroupInfinite):
                 found += 1
                 assert not cert.witness_matrix.is_identity
-                assert cert.witness_matrix.mod(3) == IntMatrix.identity(2).mod(3)
+                assert mod3(cert.witness_matrix) == mod3(IntMatrix.identity(2))
                 assert matrix_order(cert.witness_matrix) is None
                 assert group.word_to_matrix(cert.witness_word) == cert.witness_matrix
 
@@ -445,6 +502,40 @@ class TestSingleFiniteOrbitSpace:
         assert space.basis == ((0, 0, 1),)
 
 
+class TestMod3:
+    def test_screen_and_schreier_search_count_the_same_image(self):
+        """Commuting finite families, each generator a signed power of one
+        signed permutation or rotation per block, all conjugated: the
+        screen's subgroup chain and the Schreier search enumerate the
+        same mod-3 image through one reducer."""
+        rng = random.Random(16)
+        bases = ROTATIONS[:3] + tuple(
+            permutation_matrix(tuple(range(1, k)) + (0,)).scale(sign) for k in (1, 2, 3) for sign in (1, -1))
+        orders = set()
+        for _ in range(40):
+            blocks = [rng.choice(bases) for _ in range(rng.randint(1, 3))]
+            gens = [block_diag(*((b ** rng.randint(0, 5)).scale(rng.choice((1, -1))) for b in blocks))
+                    for _ in range(rng.randint(1, 3))]
+            gens = conjugated(rng, gens)
+            n = gens[0].nrows
+            screen = mod3_screen(gens, IntMatrix.identity(n), 10 ** 6)
+            cert = group_is_finite(MatGroupGens(n, tuple(gens)))
+            assert len(screen.elements) == cert.order
+            orders.add(cert.order)
+        assert len(orders) >= 6, orders
+
+    def test_mod3_arithmetic_lives_in_matgroup(self):
+        """No other module reduces mod 3: ``% 3`` and ``.mod(`` appear in
+        matgroup.py only."""
+        pattern = re.compile(r"%\s*3\b|\.mod\(")
+        found = {path.name: [line for line in path.read_text(encoding="utf-8").splitlines()
+                             if pattern.search(line)]
+                 for path in sorted(Path(icckit.__file__).parent.glob("*.py"))}
+        assert found.pop("matgroup.py"), "the pattern finds matgroup's own arithmetic"
+        assert {name: lines for name, lines in found.items() if lines} == {}
+        assert not hasattr(IntMatrix, "mod")
+
+
 class TestOrbitBfs:
     def test_zero_vector(self):
         res = orbit_bfs(MatGroupGens(2, (HYPER,)), (0, 0), 10)
@@ -487,6 +578,25 @@ class TestFiniteOrbitSublattice:
         assert cert.infinite_order_witnesses  # a unipotent product was found
         assert orbit_bfs(gens, (1, 0), 5) == FiniteOrbit(frozenset({(1, 0)}))
         assert orbit_bfs(gens, (0, 1), 1000) == OrbitCapExceeded(1000)
+
+    def test_witness_cut_takes_no_charpoly(self, monkeypatch):
+        """Each generator's finite-orbit space takes one charpoly; a
+        witness W (W = I mod 3) cuts by ker(W - I) and takes none."""
+        import icckit.matgroup as matgroup_mod
+
+        calls = []
+        original = matgroup_mod.charpoly
+        monkeypatch.setattr(matgroup_mod, "charpoly", lambda m: calls.append(m) or original(m))
+        dihedral = MatGroupGens(
+            2, (IntMatrix.from_rows([[1, 1], [0, -1]]), IntMatrix.from_rows([[1, 0], [0, -1]])))
+        cut = 0
+        for group in [dihedral, *random_generator_sets(3004, 150)]:
+            calls.clear()
+            cert = finite_orbit_sublattice(group)
+            assert len(calls) == len(group.gens)
+            cut += bool(cert.infinite_order_witnesses)
+            assert cert.lattice == reference_finite_orbit_sublattice(group)
+        assert cut >= 5, cut
 
     def test_agrees_with_single_generator_space(self):
         rng = random.Random(11)
