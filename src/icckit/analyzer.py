@@ -14,8 +14,8 @@ as an ``unknown`` verdict with a named obstruction, never as a verdict
 guessed from a bounded search.
 
 Both injectivity conditions read the spec's ``Theta`` through
-:func:`theta_fc_injective`; its identity (a matrix or an automorphism)
-decides whether "acts trivially" means "is the identity" or "is inner".
+:func:`theta_fc_injective`, and ``Theta.trivial`` decides whether an
+action is trivial: the identity matrix, or an inner automorphism.
 Matrices and free automorphisms share ``@`` and ``**``, so FC(Q) is
 enumerated once, by ``_fc_elements``, and the witness is the first
 trivially acting element in its order: element-word order for finite
@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .catalog import (
     FgAbelianDesc,
@@ -58,7 +58,7 @@ from .matgroup import (
     mod3,
     mod3_screen,
 )
-from .words import Word, is_inner
+from .words import Word
 
 GenWord = tuple[int, ...]
 
@@ -75,6 +75,11 @@ class AnalyzerLimits:
 
     out_order_cap: int = 16
     relation_bound: int = 8
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
 
 
 @dataclass(frozen=True)
@@ -284,9 +289,8 @@ def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits
     """Is the action injective on the finite-class subgroup of the quotient?
 
     The quotient's generator i acts by ``theta``'s generator ``offset + i``,
-    and its identity fixes what "trivial" means: for an :class:`IntMatrix`
-    (abelian kernels) the identity matrix; for a :class:`FreeAut` (free
-    kernels) any inner automorphism.
+    and :meth:`Theta.trivial` decides what acts trivially: the identity
+    matrix on abelian kernels, any inner automorphism on free kernels.
 
     Exact for finite quotients (full enumeration), for free quotients of
     rank >= 2 (vacuous), and for the infinite cyclic quotient on the
@@ -301,20 +305,21 @@ def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits
     factors' candidate lists for products (a product with one factor of
     nontrivial FC defers to that factor, at its offset).
     """
-    matrices = isinstance(theta.identity, IntMatrix)
     if isinstance(quotient, FgAbelianDesc) and quotient.rank == 1 and not quotient.divisors:
         action = theta.actions[offset]
-        if matrices:
+        if isinstance(action, IntMatrix):
             n = matrix_order(action)
             if n is None:
                 return Injective()
             return InjectivityWitness((1,) * n, "action-identity", action_order=n)
+        # A running power, not theta.power: that would cache every power,
+        # and word length can grow exponentially with the exponent.
         power = theta.identity
         for n in range(1, limits.out_order_cap + 1):
             power = power @ action
-            c = is_inner(power)
-            if c is not None:
-                return InjectivityWitness((1,) * n, "inner-automorphism", conjugator=c)
+            trivial = theta.trivial(power)
+            if trivial is not None:
+                return InjectivityWitness((1,) * n, *trivial)
         return InjectivityUnknown("out-order-unbounded")
 
     bound = limits.relation_bound
@@ -335,13 +340,9 @@ def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits
             return InjectivityUnknown("fc-enumeration-too-large")
 
     for word, action in _fc_elements(quotient, theta, bound, offset):
-        if matrices:
-            if action.is_identity:
-                return InjectivityWitness(word, "action-identity")
-        else:
-            c = is_inner(action)
-            if c is not None:
-                return InjectivityWitness(word, "inner-automorphism", c)
+        trivial = theta.trivial(action)
+        if trivial is not None:
+            return InjectivityWitness(word, *trivial)
 
     factors = quotient.factors if isinstance(quotient, ProductDesc) else (quotient,)
     if all(not isinstance(f, FgAbelianDesc) or f.is_finite for f in factors):

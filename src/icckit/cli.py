@@ -120,6 +120,17 @@ def _json_text(obj, indent: str = "") -> str:
     return json.dumps(obj)
 
 
+def _count(text: str) -> int:
+    """An argparse ``type``: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``icckit`` argument parser, built on first use and then shared:
@@ -133,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conjugacy-ball cross-check radius; 0 disables")
     check.add_argument("--oracle-cap", type=int, default=5000, metavar="N",
                        help="conjugacy-ball set-size cap")
-    check.add_argument("--out-order-cap", type=int, default=16, metavar="N",
+    check.add_argument("--out-order-cap", type=_count, default=16, metavar="N",
                        help="bound on the searched outer-automorphism order")
-    check.add_argument("--relation-bound", type=int, default=8, metavar="B",
+    check.add_argument("--relation-bound", type=_count, default=8, metavar="B",
                        help="exponent bound for abelian relation search")
     check.add_argument("--emit-growth", metavar="PATH", default=None,
                        help="write the cross-check growth curve as CSV")
@@ -155,6 +166,10 @@ def run(argv) -> int:
 
     try:
         spec = parse_extension(text)
+        report = analyze(spec, AnalyzerLimits(args.out_order_cap, args.relation_bound))
+        oracle_result, curve = None, None
+        if args.oracle_radius > 0:
+            oracle_result, curve = crosscheck(spec, report, radius=args.oracle_radius, cap=args.oracle_cap)
     except Diagnostic as d:
         print(f"{args.file}:{d.line}:{d.col}: [{d.code}] {d.message}", file=sys.stderr)
         return 2
@@ -162,33 +177,12 @@ def run(argv) -> int:
         print(f"{args.file}: unsupported construction: {e}", file=sys.stderr)
         return 3
 
-    limits = AnalyzerLimits(
-        out_order_cap=args.out_order_cap,
-        relation_bound=args.relation_bound,
-    )
-    try:
-        report = analyze(spec, limits)
-    except UnsupportedExtensionError as e:
-        print(f"{args.file}: unsupported construction: {e}", file=sys.stderr)
-        return 3
-
-    oracle_result = None
-    if args.oracle_radius > 0:
-        try:
-            oracle_result, curve = crosscheck(
-                spec, report,
-                radius=args.oracle_radius,
-                cap=args.oracle_cap,
-            )
-        except UnsupportedExtensionError as e:
-            print(f"{args.file}: unsupported construction: {e}", file=sys.stderr)
-            return 3
-        if args.emit_growth:
-            with open(args.emit_growth, "w", encoding="utf-8") as f:
-                f.write("\n".join(curve.csv_rows()) + "\n")
-    elif args.emit_growth:
-        print("--emit-growth requires --oracle-radius > 0", file=sys.stderr)
-        return 2
+    if args.emit_growth:
+        if curve is None:
+            print("--emit-growth requires --oracle-radius > 0", file=sys.stderr)
+            return 2
+        with open(args.emit_growth, "w", encoding="utf-8") as f:
+            f.write("\n".join(curve.csv_rows()) + "\n")
 
     if args.format == "json":
         sys.stdout.write(_json_text(report_json(report, spec, oracle_result)) + "\n")

@@ -11,7 +11,11 @@ and abelian (and product) quotients.
 Only the action homomorphism matters for the verdicts downstream, so one
 validated spec covers every extension (split or not) inducing the same
 action; the oracle materializes the split representative.  The action
-is one :class:`Theta` per spec, and every reader shares its caches.
+is one :class:`Theta` per spec, and every reader shares its caches.  It
+is also the only code that composes the action along a word
+(:meth:`Theta.of_pairs`) and that decides whether an action is trivial
+(:meth:`Theta.trivial`: the identity matrix on abelian kernels, an
+inner automorphism on free ones).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .catalog import (
     perm_compose,
 )
 from .intlinalg import IntMatrix
-from .words import FreeAut
+from .words import FreeAut, is_inner
 
 
 class ExtensionValidationError(ValueError):
@@ -72,15 +76,31 @@ class Theta:
                 p = q
         return p
 
+    def of_pairs(self, pairs):
+        """The action of the product of generator i to the e over the
+        ``(i, e)`` pairs (e != 0), in order; ``identity`` for none."""
+        action = None
+        for i, e in pairs:
+            p = self.power(i, e)
+            action = p if action is None else action @ p
+        return self.identity if action is None else action
+
     def of_exponents(self, exps, offset: int = 0):
         """The action of the product of generator ``offset + i`` to the
-        ``exps[i]``, in generator order; None for the zero vector."""
-        action = None
-        for i, e in enumerate(exps):
-            if e:
-                p = self.power(offset + i, e)
-                action = p if action is None else action @ p
-        return action
+        ``exps[i]``, in generator order."""
+        return self.of_pairs((offset + i, e) for i, e in enumerate(exps) if e)
+
+    def trivial(self, action):
+        """How ``action`` acts trivially, or None when it does not.
+
+        On an abelian kernel (theorem 1) trivial means the identity
+        matrix: ``("action-identity", None)``.  On a free kernel
+        (theorem 3) it means inner: ``("inner-automorphism", w)`` for
+        x -> w x w^-1."""
+        if isinstance(self.identity, IntMatrix):
+            return ("action-identity", None) if action.is_identity else None
+        w = is_inner(action)
+        return None if w is None else ("inner-automorphism", w)
 
     def finite_table(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
         """The action of every element of the finite factor ``group`` at
@@ -102,7 +122,6 @@ class ExtensionSpec:
     kernel: KernelDesc
     quotient: GroupDesc
     actions: tuple  # IntMatrix per quotient generator, or FreeAut, or ()
-    identity: IntMatrix | FreeAut | None  # the trivial action; None for finite kernels
     theta: Theta | None = field(compare=False, repr=False)  # None for finite kernels
 
 
@@ -191,7 +210,7 @@ def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
             raise UnsupportedExtensionError(
                 "actions on finite kernels are not supported; omit the action lines"
             )
-        return ExtensionSpec(kernel, quotient, (), None, None)
+        return ExtensionSpec(kernel, quotient, (), None)
 
     if isinstance(kernel, FgAbelianDesc):
         identity = IntMatrix.identity(kernel.rank)
@@ -222,4 +241,4 @@ def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
             raise ExtensionValidationError(f"non-unimodular matrix, det={a.det()}")
     theta = Theta(actions, identity)
     _validate_relations(quotient, theta)
-    return ExtensionSpec(kernel, quotient, actions, identity, theta)
+    return ExtensionSpec(kernel, quotient, actions, theta)

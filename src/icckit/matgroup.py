@@ -59,6 +59,7 @@ from .intlinalg import (
     kernel_lattice,
     lcm_all,
 )
+from .words import word_inverse
 
 GenWord = tuple[int, ...]
 
@@ -146,10 +147,6 @@ class BasisOrbits:
     """
 
     orbits: tuple[frozenset[Vec], ...]
-
-
-def _inverse_word(word: GenWord) -> GenWord:
-    return tuple(-l for l in reversed(word))
 
 
 def _residues(entries) -> Vec:
@@ -267,7 +264,7 @@ def _schreier_search(rank: int, appliers):
                 rep[prod_key] = (prod, (letter,) + word)
                 queue.append(prod_key)
             elif prod != known[0]:  # the Schreier element prod * known^-1 is not 1
-                witness_word = (letter,) + word + _inverse_word(known[1])
+                witness_word = (letter,) + word + word_inverse(known[1])
                 prod_m, known_m = (IntMatrix._trusted(tuple(zip(*c))) for c in (prod, known[0]))
                 yield GroupInfinite(witness_word, prod_m @ known_m.inverse_unimodular())
                 return

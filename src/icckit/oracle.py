@@ -58,7 +58,7 @@ from .catalog import (
 )
 from .extension import ExtensionSpec, UnsupportedExtensionError
 from .intlinalg import IntMatrix
-from .matgroup import MatGroupGens, OrbitCapExceeded, OrbitResult, orbit_bfs
+from .matgroup import FiniteOrbit, MatGroupGens, OrbitCapExceeded, OrbitResult, orbit_bfs
 from .words import FreeAut, Word, word_inverse, word_mul
 
 
@@ -215,21 +215,17 @@ class ConcreteGroup:
         self.identity = (self.kernel_part.identity, self.quotient_part.identity)
 
     def theta(self, q):
-        """The action of q: cached generator powers along its exponent pairs."""
+        """The action of q, composed along its exponent pairs by
+        ``Theta.of_pairs`` and memoized per q; None for a finite kernel,
+        which ``_FinitePart.act`` ignores."""
         if self._theta is None:
-            return None  # finite kernel: trivial action
-        cached = self._theta_cache.get(q)
-        if cached is not None:
-            return cached
-        action = self._theta.identity
-        for i, e in self.quotient_part.exponent_pairs(q):
-            action = action @ self._theta.power(i, e)
-        self._theta_cache[q] = action
+            return None
+        action = self._theta_cache.get(q)
+        if action is None:
+            action = self._theta_cache[q] = self._theta.of_pairs(self.quotient_part.exponent_pairs(q))
         return action
 
     def act(self, q, k):
-        if self._theta is None:
-            return k
         return self.kernel_part.act(self.theta(q), k)
 
     def mul(self, a, b):
@@ -277,9 +273,7 @@ class ConcreteGroup:
         p_conj = self._quotient_conjugates.get((q, p))
         if p_conj is None:
             p_conj = self._quotient_conjugates[q, p] = quotient.mul(quotient.mul(qi, p), q)
-        if action is not None:
-            a = kernel.act(action, a)
-        return (a, p_conj)
+        return (kernel.act(action, a), p_conj)
 
     def kernel_element(self, k):
         return (k, self.quotient_part.identity)
@@ -401,33 +395,20 @@ def conjugacy_ball(group: ConcreteGroup, element, radius: int, cap: int = 5000) 
     return GrowthCurve(tuple(sizes), closed_at)
 
 
-@dataclass(frozen=True)
-class ExactClass:
-    elements: frozenset
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class ClassCapExceeded:
-    cap: int
-
-
-def exact_abelian_class(group: ConcreteGroup, k, cap: int = 10_000):
+def exact_abelian_class(group: ConcreteGroup, k, cap: int = 10_000) -> OrbitResult:
     """The exact class of a kernel element of an abelian-kernel group:
-    its orbit under the action (independent of any ball radius)."""
+    its orbit under the action (independent of any ball radius), with
+    the fixed torsion coordinates of ``k`` on every vector."""
     if not isinstance(group.kernel_part, _AbelianPart):
         raise ValueError("exact_abelian_class needs an abelian kernel")
     part = group.kernel_part
     free, tors = k[: part.rank], k[part.rank:]
     if not group.spec.actions or part.rank == 0:
-        return ExactClass(frozenset({k}))
-    result: OrbitResult = orbit_bfs(MatGroupGens(part.rank, group.spec.actions), free, cap)
+        return FiniteOrbit(frozenset({k}))
+    result = orbit_bfs(MatGroupGens(part.rank, group.spec.actions), free, cap)
     if isinstance(result, OrbitCapExceeded):
-        return ClassCapExceeded(cap)
-    return ExactClass(frozenset(v + tors for v in result.vectors))
+        return result
+    return FiniteOrbit(frozenset(v + tors for v in result.vectors))
 
 
 def _witness_element(group: ConcreteGroup, witness):
@@ -484,12 +465,12 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
             exact = exact_abelian_class(group, element[0])
             expected = frozenset(group.kernel_element(v)[0] for v in report.witness.orbit)
             check["kind"] = "witness-exact-class"
-            check["exact_size"] = exact.size if isinstance(exact, ExactClass) else None
+            check["exact_size"] = exact.size if isinstance(exact, FiniteOrbit) else None
             # The ball lies inside the exact class, so reaching its size
             # is the whole class, closure certified or not.
             consistent = (
-                isinstance(exact, ExactClass)
-                and exact.elements == expected
+                isinstance(exact, FiniteOrbit)
+                and exact.vectors == expected
                 and curve.final_size == exact.size
             )
         elif isinstance(report.witness, KernelTorsionWitness):

@@ -324,6 +324,12 @@ class TestValidation:
         with pytest.raises(ExtensionValidationError):
             mk(FgAbelianDesc(3), Z, [HYPER])
 
+    @pytest.mark.parametrize("field", ["out_order_cap", "relation_bound"])
+    def test_negative_limits_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            AnalyzerLimits(**{field: -1})
+        assert getattr(AnalyzerLimits(**{field: 0}), field) == 0
+
 
 class TestVerdictInvariance:
     @pytest.mark.parametrize("seed", range(8))

@@ -23,6 +23,16 @@ EXTENSIONS = ROOT / "extensions"
 SCHEMA_PATH = ROOT / "src" / "icckit" / "report.schema.json"
 
 
+# Two hyperbolic blocks on disjoint coordinates: no relation, so the
+# verdict rests on the bounded exponent search.
+Z2_QUOTIENT = (
+    "kernel: Z^4\n"
+    "quotient: Z^2\n"
+    "action u -> [[2,1,0,0],[1,1,0,0],[0,0,1,0],[0,0,0,1]]\n"
+    "action v -> [[1,0,0,0],[0,1,0,0],[0,0,2,1],[0,0,1,1]]\n"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -55,7 +65,7 @@ class TestParsing:
         text = ROUND_TRIP_TEXTS.get(source) or (EXTENSIONS / source).read_text()
         spec = parse_extension(text)
         assert parse_extension(pretty_print(spec)) == spec
-        assert spec.identity == expected_identity(spec.kernel)
+        assert (spec.theta and spec.theta.identity) == expected_identity(spec.kernel)
 
     def test_free_action_with_inverse_letters_round_trip(self):
         spec = parse_extension(
@@ -197,6 +207,31 @@ class TestCliRuns:
         assert lines[0] == "radius,size,status"
         assert lines[1] == "0,1,growing"
         assert lines[-1].endswith("closed")
+
+    @pytest.mark.parametrize("flag", ["--relation-bound", "--out-order-cap"])
+    def test_negative_limit_is_a_usage_error(self, flag, tmp_path, capsys):
+        # A Z^2 quotient: a negative bound used to reach the exponent
+        # search and raise IndexError there.
+        f = tmp_path / "z2.ext"
+        f.write_text(Z2_QUOTIENT)
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["check", str(f), flag, "-1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert f"argument {flag}: must be >= 0, got -1" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--relation-bound", "--out-order-cap"])
+    def test_zero_limit_accepted(self, flag, tmp_path, capsys):
+        f = tmp_path / "z2.ext"
+        f.write_text(Z2_QUOTIENT)
+        code, out, err = run(capsys, "check", str(f), flag, "0", "--format", "json")
+        assert code == 0 and not err
+        assert json.loads(out)["obstruction"] == "abelian-relation-bound"
+
+    def test_non_integer_limit_message(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.run(["check", str(EXTENSIONS / "sol.ext"), "--relation-bound", "x"])
+        assert "argument --relation-bound: invalid int value: 'x'" in capsys.readouterr().err
 
     def test_emit_growth_needs_oracle(self, tmp_path, capsys):
         code, _, err = run(

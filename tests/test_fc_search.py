@@ -15,10 +15,13 @@ import io
 import itertools
 import operator
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import icckit
 from icckit import analyzer
 from icckit.analyzer import (
     AnalyzerLimits,
@@ -44,7 +47,7 @@ from icckit.extension import ExtensionValidationError, Theta, make_extension
 from icckit.oracle import crosscheck
 from icckit.intlinalg import IntMatrix
 from icckit.matgroup import _inverse3, _mul3, mod3, mod3_screen
-from icckit.words import FreeAut, is_inner
+from icckit.words import FreeAut, free_reduce, is_inner
 from tests.helpers import block_diag, conjugated, random_unimodular
 
 
@@ -130,6 +133,87 @@ class TestEvaluate:
         report = analyze(spec)
         assert report.verdict == "not_icc"
         assert len(calls) < S4.order
+
+
+class TestThetaAlgebra:
+    """``Theta.of_pairs`` against whole-word composition, and
+    ``Theta.trivial`` against ``is_identity`` and ``is_inner``."""
+
+    @staticmethod
+    def whole_word(theta, pairs):
+        """The product over the pairs, one letter at a time."""
+        action = theta.identity
+        for i, e in pairs:
+            for _ in range(abs(e)):
+                action = action @ (theta.actions[i] if e > 0 else theta.actions[i] ** -1)
+        return action
+
+    def check_pairs(self, rng, theta, ngens, offset):
+        """Random pairs and exponent vectors at ``offset``, composed both
+        ways; returns the pairs' action."""
+        pairs = [(offset + rng.randrange(ngens), rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for _ in range(rng.randint(0, 4))]
+        action = theta.of_pairs(pairs)
+        assert action == self.whole_word(theta, pairs)
+        exps = [rng.randint(-2, 2) for _ in range(ngens)]
+        assert theta.of_exponents(exps, offset) == self.whole_word(
+            theta, [(offset + i, e) for i, e in enumerate(exps)])
+        return action
+
+    def test_matrices(self):
+        rng = random.Random(17)
+        hits = 0
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            # Finite-order generators make identities likely.
+            finite = [IntMatrix.from_rows([[-1]])] if n == 1 else [
+                block_diag(FINITE_2X2[rng.randrange(3)], *([IntMatrix.identity(1)] * (n - 2)))]
+            gens = [random_unimodular(rng, n, steps=3) for _ in range(2)] + conjugated(rng, finite)
+            offset = rng.randrange(3)
+            theta = Theta([IntMatrix.identity(n)] * offset + gens, IntMatrix.identity(n))
+            for _ in range(10):
+                action = self.check_pairs(rng, theta, len(gens), offset)
+                want = ("action-identity", None) if action.is_identity else None
+                assert theta.trivial(action) == want
+                hits += want is not None
+            assert theta.of_pairs([]) == theta.identity
+            assert theta.trivial(theta.identity) == ("action-identity", None)
+        assert hits >= 20
+
+    def test_free_automorphisms(self):
+        rng = random.Random(18)
+        inner = outer = 0
+        for _ in range(30):
+            k = rng.randint(2, 3)
+            swap = FreeAut(k, ((2,), (1,)) + tuple((i,) for i in range(3, k + 1)))
+            transvection = FreeAut(k, ((1, 2),) + tuple((i,) for i in range(2, k + 1)))
+            psi = rng.choice((swap, transvection))
+            words = [tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(3)) for _ in range(4)]
+            c = [FreeAut.conjugation(k, w) for w in words]
+            # c_w, c_w o psi and psi o c_w: the last two are never inner.
+            gens = [c[0], c[1] @ psi, psi @ c[2]]
+            offset = rng.randrange(2)
+            theta = Theta([FreeAut.identity(k)] * offset + gens, FreeAut.identity(k))
+            for _ in range(10):
+                action = self.check_pairs(rng, theta, len(gens), offset)
+                w = is_inner(action)
+                assert theta.trivial(action) == (None if w is None else ("inner-automorphism", w))
+                inner += w is not None
+                outer += w is None
+            assert theta.trivial(c[3]) == ("inner-automorphism", free_reduce(words[3]))
+            assert theta.trivial(gens[1]) is None and theta.trivial(gens[2]) is None
+            assert theta.trivial(theta.identity) == ("inner-automorphism", ())
+        assert inner >= 30 and outer >= 30
+
+    def test_is_inner_is_called_by_theta_only(self):
+        """Triviality is decided in one place: ``is_inner(`` is called in
+        extension.py only, by ``Theta.trivial``."""
+        pattern = re.compile(r"(?<!def )\bis_inner\(")
+        found = {path.name: [line for line in path.read_text(encoding="utf-8").splitlines()
+                             if pattern.search(line)]
+                 for path in sorted(Path(icckit.__file__).parent.glob("*.py"))}
+        assert found.pop("extension.py"), "the pattern finds Theta.trivial's call"
+        assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # -- validation of finite quotients against every (element, generator) pair -----
@@ -331,7 +415,7 @@ def reference_search(quotient, actions, identity, bound):
 
 
 def screened_and_reference(spec, bound):
-    identity = spec.identity
+    identity = spec.theta.identity
     got = theta_fc_injective(spec.quotient, spec.theta, AnalyzerLimits(relation_bound=bound))
     return got, reference_search(spec.quotient, spec.actions, identity, bound)
 
@@ -495,7 +579,7 @@ class TestMod3Screen:
         rng = random.Random(11)
         for _ in range(10):
             spec = family(rng)
-            identity = spec.identity
+            identity = spec.theta.identity
             screen = mod3_screen(spec.actions, identity, 10 ** 6)
             gens = [mod3(a) for a in spec.actions]
             inverses = [_inverse3(g) for g in gens]

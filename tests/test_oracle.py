@@ -9,10 +9,9 @@ from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, make_produc
 from icckit.dsl import parse_extension
 from icckit.extension import make_extension
 from icckit.intlinalg import IntMatrix
+from icckit.matgroup import FiniteOrbit, OrbitCapExceeded
 from icckit.oracle import (
-    ClassCapExceeded,
     ConcreteGroup,
-    ExactClass,
     _AbelianPart,
     conjugacy_ball,
     crosscheck,
@@ -295,15 +294,15 @@ class TestConjugacyBall:
 class TestExactAbelianClass:
     def test_zero_is_singleton(self):
         g = materialize(sol_spec())
-        assert exact_abelian_class(g, (0, 0)) == ExactClass(frozenset({(0, 0)}))
+        assert exact_abelian_class(g, (0, 0)) == FiniteOrbit(frozenset({(0, 0)}))
 
     def test_klein_class(self):
         g = materialize(klein_spec())
-        assert exact_abelian_class(g, (1,)) == ExactClass(frozenset({(1,), (-1,)}))
+        assert exact_abelian_class(g, (1,)) == FiniteOrbit(frozenset({(1,), (-1,)}))
 
     def test_sol_class_exceeds(self):
         g = materialize(sol_spec())
-        assert exact_abelian_class(g, (1, 0)) == ClassCapExceeded(10_000)
+        assert exact_abelian_class(g, (1, 0)) == OrbitCapExceeded(10_000)
 
     def test_contained_in_ball_with_equality_on_closure(self):
         g = materialize(klein_spec())
@@ -318,7 +317,7 @@ class TestExactAbelianClass:
         spec = make_extension(FgAbelianDesc(1, (2,)), Z, [IntMatrix.from_rows([[-1]])])
         g = materialize(spec)
         cls = exact_abelian_class(g, (1, 1))
-        assert cls == ExactClass(frozenset({(1, 1), (-1, 1)}))
+        assert cls == FiniteOrbit(frozenset({(1, 1), (-1, 1)}))
 
     def test_requires_abelian_kernel(self):
         g = materialize(f2xz_spec())
