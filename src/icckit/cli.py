@@ -120,15 +120,21 @@ def _json_text(obj, indent: str = "") -> str:
     return json.dumps(obj)
 
 
-def _count(text: str) -> int:
-    """An argparse ``type``: a non-negative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def _at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return parse
+
+
+_count = _at_least(0)
+_positive = _at_least(1)
 
 
 @functools.cache
@@ -140,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="analyze an extension description file")
     check.add_argument("file")
     check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument("--oracle-radius", type=int, default=0, metavar="R",
+    check.add_argument("--oracle-radius", type=_count, default=0, metavar="R",
                        help="conjugacy-ball cross-check radius; 0 disables")
-    check.add_argument("--oracle-cap", type=int, default=5000, metavar="N",
+    check.add_argument("--oracle-cap", type=_positive, default=5000, metavar="N",
                        help="conjugacy-ball set-size cap")
     check.add_argument("--out-order-cap", type=_count, default=16, metavar="N",
                        help="bound on the searched outer-automorphism order")

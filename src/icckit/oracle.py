@@ -32,6 +32,12 @@ their quotient parts repeat, so most steps reuse these values.  Each is
 a pure function of its key, so a memoized step gives the same tuple as
 a fresh one.  The memos live as long as the group, which ``crosscheck``
 builds once per call.
+
+A ball is closed within radius R exactly when some round r <= R adds
+nothing, so once round R has found one new conjugate the rest of that
+round cannot change whether the ball closed.  ``crosscheck`` reads only
+that for every sample after the first, and grows those balls with
+``closure_only``, which stops the last (and largest) round there.
 """
 
 from __future__ import annotations
@@ -334,7 +340,9 @@ class GrowthCurve:
     ``closed_at`` is the smallest radius at which the ball equals the
     full class (certified by one further round adding nothing); None
     while the ball is still growing.  ``cap_hit`` marks a run stopped by
-    the set-size safety cap.
+    the set-size safety cap.  A ``closure_only`` ball has the same
+    ``closed_at`` as the full one, but its last size is a lower bound
+    and its last round never sets ``cap_hit``.
     """
 
     sizes: tuple[int, ...]
@@ -360,12 +368,30 @@ class GrowthCurve:
         return rows
 
 
-def conjugacy_ball(group: ConcreteGroup, element, radius: int, cap: int = 5000) -> GrowthCurve:
+def _new_conjugates(group: ConcreteGroup, conjugators, frontier, seen):
+    """One ball round: each conjugate of the frontier not yet in ``seen``,
+    added to ``seen`` and yielded as soon as it is found."""
+    for x in frontier:
+        for g in conjugators:
+            y = group.conjugate(g, x)
+            if y not in seen:
+                seen.add(y)
+                yield y
+
+
+def conjugacy_ball(group: ConcreteGroup, element, radius: int, cap: int = 5000, *,
+                   closure_only: bool = False) -> GrowthCurve:
     """Iteratively conjugate by all ball generators and inverses.
 
     Closed means a full extra round added nothing, so the returned size
     is the exact class size.  Deterministic: generator order as listed,
     inverse directly after each generator, FIFO frontier.
+
+    With ``closure_only`` the last round stops at its first new
+    conjugate: the ball is then not closed within ``radius`` whatever
+    the rest of the round adds, so ``is_closed`` and ``closed_at`` are
+    those of the full walk, ``sizes[-1]`` is a lower bound on the full
+    walk's last size, and that round never sets ``cap_hit``.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -376,23 +402,17 @@ def conjugacy_ball(group: ConcreteGroup, element, radius: int, cap: int = 5000) 
     seen = {element}
     frontier = [element]
     sizes = [1]
-    closed_at = None
     for rnd in range(1, radius + 1):
-        new = []
-        for x in frontier:
-            for g in conjugators:
-                y = group.conjugate(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
+        last = closure_only and rnd == radius
+        fresh = _new_conjugates(group, conjugators, frontier, seen)
+        new = list(itertools.islice(fresh, 1 if last else None))
         sizes.append(len(seen))
         if not new:
-            closed_at = rnd - 1
-            break
-        if len(seen) > cap:
+            return GrowthCurve(tuple(sizes), rnd - 1)
+        if len(seen) > cap and not last:
             return GrowthCurve(tuple(sizes), None, cap_hit=True)
         frontier = new
-    return GrowthCurve(tuple(sizes), closed_at)
+    return GrowthCurve(tuple(sizes), None)
 
 
 def exact_abelian_class(group: ConcreteGroup, k, cap: int = 10_000) -> OrbitResult:
@@ -447,8 +467,12 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
     Unknown verdicts only gather evidence.
 
     Returns ``(summary_dict, growth_curve)`` where the curve belongs to
-    the witness (negative case) or the first sample.
+    the witness (negative case) or the first sample.  Both are full
+    walks; the other samples' balls are grown with ``closure_only``,
+    which decides the same ``is_closed``.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     group = materialize(spec)
     summary = {"radius": radius, "cap": cap}
 
@@ -483,7 +507,9 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
         return summary, curve
 
     elements = group.sample_nontrivial(samples)
-    curves = [conjugacy_ball(group, e, radius, cap) for e in elements]
+    # Only the first curve is returned; the others decide closure alone.
+    curves = [conjugacy_ball(group, e, radius, cap, closure_only=i > 0)
+              for i, e in enumerate(elements)]
     closed = sum(1 for c in curves if c.is_closed)
     consistent = closed == 0 if report.verdict == "icc" else True
     summary.update(

@@ -228,6 +228,27 @@ class TestCliRuns:
         assert code == 0 and not err
         assert json.loads(out)["obstruction"] == "abelian-relation-bound"
 
+    @pytest.mark.parametrize("flag,value,low", [
+        ("--oracle-cap", "0", 1), ("--oracle-cap", "-1", 1), ("--oracle-radius", "-1", 0)])
+    def test_bad_oracle_flag_is_a_usage_error(self, flag, value, low, capsys):
+        # A cap below 1 used to stop every ball after one round, so an icc
+        # verdict read consistent; a negative radius turned the oracle off.
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["check", str(EXTENSIONS / "sol.ext"), "--format", "json", flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert f"argument {flag}: must be >= {low}, got {value}" in captured.err
+
+    def test_smallest_oracle_flags_accepted(self, capsys):
+        sol = str(EXTENSIONS / "sol.ext")
+        code, out, err = run(capsys, "check", sol, "--format", "json", "--oracle-radius", "0")
+        assert code == 0 and not err
+        assert json.loads(out)["oracle_crosscheck"] is None
+        code, out, err = run(capsys, "check", sol, "--format", "json",
+                             "--oracle-radius", "2", "--oracle-cap", "1")
+        assert code == 0 and not err
+        assert json.loads(out)["oracle_crosscheck"]["cap"] == 1
+
     def test_non_integer_limit_message(self, capsys):
         with pytest.raises(SystemExit):
             cli.run(["check", str(EXTENSIONS / "sol.ext"), "--relation-bound", "x"])
@@ -376,3 +397,13 @@ class TestSchema:
         )
         assert code == 0
         validator(json.loads(out))
+
+    @pytest.mark.parametrize("field", ["radius", "cap"])
+    def test_oracle_bounds_below_one_invalid(self, validator, field):
+        import jsonschema
+
+        doc = json.loads((ROOT / "tests" / "golden" / "oracle_sol.json").read_text())
+        validator(doc)
+        doc["oracle_crosscheck"][field] = 0
+        with pytest.raises(jsonschema.ValidationError):
+            validator(doc)

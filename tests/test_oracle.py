@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from icckit.oracle import (
 )
 from icckit.words import FreeAut
 
+EXTENSIONS = Path(__file__).resolve().parent.parent / "extensions"
 Z = FgAbelianDesc(1, (), ("t",))
 HYPER = IntMatrix.from_rows([[2, 1], [1, 1]])
 
@@ -241,6 +243,51 @@ class TestClosedFormConjugate:
         assert closed and capped
 
 
+class TestClosureOnly:
+    """``closure_only`` balls against full ones, and what they save."""
+
+    def test_agrees_with_full_ball_on_closure(self):
+        closed = growing = last_round_capped = 0
+        for name, spec in sorted(closed_form_specs().items()):
+            g = materialize(spec)
+            for x in g.sample_nontrivial(6):
+                for radius, cap in ((1, 5000), (3, 5000), (4, 50), (4, 5000)):
+                    full = conjugacy_ball(g, x, radius, cap)
+                    fast = conjugacy_ball(g, x, radius, cap, closure_only=True)
+                    assert (fast.is_closed, fast.closed_at) == (full.is_closed, full.closed_at), name
+                    assert fast.sizes[:-1] == full.sizes[:-1], name
+                    assert len(fast.sizes) == len(full.sizes)
+                    assert fast.final_size <= full.final_size
+                    # the last round never sets cap_hit; earlier rounds as before
+                    ran_last = len(full.sizes) == radius + 1
+                    assert fast.cap_hit == (full.cap_hit and not ran_last), name
+                    closed += full.is_closed
+                    growing += not full.is_closed and not full.cap_hit
+                    last_round_capped += full.cap_hit and ran_last
+        assert closed and growing and last_round_capped
+
+    @pytest.mark.parametrize("name,most", [("sol", 1377), ("swap", 1729)])
+    def test_crosscheck_conjugation_budget(self, name, most, monkeypatch):
+        """Samples after the first stop their last round early: at radius
+        4 a full walk of every sample makes 2970 conjugations on
+        ``sol.ext`` and 4710 on ``swap.ext``."""
+        spec = parse_extension((EXTENSIONS / f"{name}.ext").read_text())
+        report = analyze(spec)
+        calls = []
+        conjugate = ConcreteGroup.conjugate
+
+        def spy(self, g, x):
+            calls.append(None)
+            return conjugate(self, g, x)
+
+        monkeypatch.setattr(ConcreteGroup, "conjugate", spy)
+        summary, curve = crosscheck(spec, report, radius=4)
+        assert len(calls) <= most
+        assert summary["consistent"] and summary["samples_checked"] == 20
+        group = materialize(spec)
+        assert curve == conjugacy_ball(group, group.sample_nontrivial(1)[0], 4)
+
+
 class TestConjugacyBall:
     def test_central_element_closes_immediately(self):
         g = materialize(f2xz_spec())
@@ -403,6 +450,12 @@ class TestCrosscheck:
                 summary, _ = crosscheck(spec, bad, radius=radius)
                 assert summary["witness_check"]["exact_size"] == 8
                 assert not summary["consistent"], (orbit, radius)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        spec = sol_spec()
+        with pytest.raises(ValueError):
+            crosscheck(spec, analyze(spec), radius=3, cap=cap)
 
     def test_sample_pool_is_deterministic_and_big_enough(self):
         g = materialize(sol_spec())
