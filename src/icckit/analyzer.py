@@ -8,9 +8,10 @@ injective on the quotient's finite-class subgroup.  Free kernels of rank
 classes remains.  Nontrivial finite kernels refute the property
 outright: they are finite normal subgroups with finite orbits.
 
-Every negative verdict carries a re-verifiable witness; semi-decidable
-sub-questions (outer order, multi-generator abelian relations) surface
-as an ``unknown`` verdict with a named obstruction, never as a verdict
+Every negative verdict carries a re-verifiable witness; open
+sub-questions (an infinite or large outer order, relations of
+multi-generator abelian quotients past the search bound) surface as an
+``unknown`` verdict with a named obstruction, never as a verdict
 guessed from a bounded search.
 
 Both injectivity conditions read the spec's ``Theta`` through
@@ -22,8 +23,9 @@ trivially acting element in its order: element-word order for finite
 quotients, (max-norm, lex) order of exponent vectors for abelian ones,
 ``itertools.product`` order over per-factor lists (each led by the
 identity) for products.  A lone infinite cyclic quotient is decided by
-the action's order instead, and a product with a single factor of
-nontrivial FC defers to that factor.
+the action's order instead: on a free kernel, the order m of its
+abelianization and one innerness test of the m-th power.  A product
+with a single factor of nontrivial FC defers to that factor.
 """
 
 from __future__ import annotations
@@ -65,15 +67,18 @@ GenWord = tuple[int, ...]
 # Largest product-quotient candidate count the FC search enumerates;
 # beyond it the search reports fc-enumeration-too-large.
 PRODUCT_ITERATION_CAP = 1_000_000
+# Largest outer order of a lone cyclic quotient's action that is
+# reported; beyond it, or when infinite, out-order-unbounded.
+OUT_ORDER_CAP = 16
 
 
 @dataclass(frozen=True)
 class AnalyzerLimits:
-    """Caps for the semi-decidable searches; raising them can only turn
-    an unknown verdict into a decided one, never flip icc <-> not_icc.
-    (All other enumerations are bounded by their own certificates.)"""
+    """The bound of the semi-decidable relation search; raising it can
+    only turn an unknown verdict into a decided one, never flip
+    icc <-> not_icc.  (All other enumerations are bounded by their own
+    certificates or by a module constant.)"""
 
-    out_order_cap: int = 16
     relation_bound: int = 8
 
     def __post_init__(self):
@@ -293,10 +298,13 @@ def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits
     matrix on abelian kernels, any inner automorphism on free kernels.
 
     Exact for finite quotients (full enumeration), for free quotients of
-    rank >= 2 (vacuous), and for the infinite cyclic quotient on the
-    matrix side (element order).  The outer order of an automorphism and
-    relations in multi-generator abelian or mixed product quotients are
-    searched up to the configured bounds and otherwise reported unknown.
+    rank >= 2 (vacuous), and for the infinite cyclic quotient: on the
+    matrix side by element order; on the free side the least inner power
+    of phi is the order m of its abelianization when phi^m is inner, and
+    no power is inner otherwise.  The witness is reported when
+    m <= ``OUT_ORDER_CAP``; a larger or infinite outer order is unknown.
+    Relations in multi-generator abelian or mixed product quotients are
+    searched up to the configured bound and otherwise reported unknown.
 
     The witness is the first trivially acting element in a fixed order:
     ``element_words`` order for finite quotients, (max-norm, lex) order
@@ -312,14 +320,14 @@ def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits
             if n is None:
                 return Injective()
             return InjectivityWitness((1,) * n, "action-identity", action_order=n)
-        # A running power, not theta.power: that would cache every power,
-        # and word length can grow exponentially with the exponent.
-        power = theta.identity
-        for n in range(1, limits.out_order_cap + 1):
-            power = power @ action
-            trivial = theta.trivial(power)
+        # An inner power acts as I on the abelianization, so its exponent
+        # is a multiple of m; phi^m is in IA_k, torsion-free in Out(F_k),
+        # so phi^m is inner iff some power is (CATALOG_AXIOMS.md §13).
+        m = matrix_order(action.abelianization())
+        if m is not None and m <= OUT_ORDER_CAP:
+            trivial = theta.trivial(action ** m)
             if trivial is not None:
-                return InjectivityWitness((1,) * n, *trivial)
+                return InjectivityWitness((1,) * m, *trivial)
         return InjectivityUnknown("out-order-unbounded")
 
     bound = limits.relation_bound
@@ -478,20 +486,16 @@ def thm3_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
 
 
 def _first_fc_generator(quotient: GroupDesc) -> tuple[GenWord, str] | None:
-    """A nontrivial finite-class element of the quotient (as a generator
-    word), or None when FC is trivial."""
+    """A nontrivial finite-class element of a normalized, nontrivial
+    quotient (as a generator word), or None when FC is trivial."""
     labels = generator_labels(quotient)
     if isinstance(quotient, FiniteGroupDesc):
-        if quotient.order == 1:
-            return None
         w = tuple(quotient.element_words[1])
         return w, render_gen_word(w, labels)
     if isinstance(quotient, FgAbelianDesc):
-        if quotient.is_trivial:
-            return None
         return (1,), render_gen_word((1,), labels)
     if isinstance(quotient, FreeDesc):
-        return None if quotient.rank >= 2 else ((1,), labels[0])
+        return None
     for f, offset in factor_offsets(quotient):
         sub = _first_fc_generator(f)
         if sub is not None:

@@ -5,7 +5,8 @@ analyzer, optionally cross-checks the verdict against the brute-force
 oracle, and prints a text or JSON report.
 
 Exit codes: 0 = analysis completed (whatever the verdict), 1 = the
-``--assert`` expectation failed, 2 = parse or validation error,
+``--assert`` expectation failed, 2 = usage error, parse or validation
+error, or a file that cannot be read as UTF-8 text or written,
 3 = unsupported construction.
 """
 
@@ -150,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conjugacy-ball cross-check radius; 0 disables")
     check.add_argument("--oracle-cap", type=_positive, default=5000, metavar="N",
                        help="conjugacy-ball set-size cap")
-    check.add_argument("--out-order-cap", type=_count, default=16, metavar="N",
-                       help="bound on the searched outer-automorphism order")
     check.add_argument("--relation-bound", type=_count, default=8, metavar="B",
                        help="exponent bound for abelian relation search")
     check.add_argument("--emit-growth", metavar="PATH", default=None,
@@ -161,18 +160,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_error(path: str, error: Exception) -> int:
+    """Report an unreadable or unwritable file on one line; exit code 2."""
+    print(f"{path}: {getattr(error, 'strerror', None) or error}", file=sys.stderr)
+    return 2
+
+
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.file, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
-        print(f"{args.file}: {e.strerror or e}", file=sys.stderr)
-        return 2
+    except (OSError, UnicodeDecodeError) as e:
+        return _file_error(args.file, e)
 
     try:
         spec = parse_extension(text)
-        report = analyze(spec, AnalyzerLimits(args.out_order_cap, args.relation_bound))
+        report = analyze(spec, AnalyzerLimits(args.relation_bound))
         oracle_result, curve = None, None
         if args.oracle_radius > 0:
             oracle_result, curve = crosscheck(spec, report, radius=args.oracle_radius, cap=args.oracle_cap)
@@ -187,8 +191,11 @@ def run(argv) -> int:
         if curve is None:
             print("--emit-growth requires --oracle-radius > 0", file=sys.stderr)
             return 2
-        with open(args.emit_growth, "w", encoding="utf-8") as f:
-            f.write("\n".join(curve.csv_rows()) + "\n")
+        try:
+            with open(args.emit_growth, "w", encoding="utf-8") as f:
+                f.write("\n".join(curve.csv_rows()) + "\n")
+        except OSError as e:
+            return _file_error(args.emit_growth, e)
 
     if args.format == "json":
         sys.stdout.write(_json_text(report_json(report, spec, oracle_result)) + "\n")

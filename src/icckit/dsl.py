@@ -20,7 +20,6 @@ All diagnostics carry a 1-based line and column.
 
 from __future__ import annotations
 
-import ast
 import re
 from dataclasses import dataclass
 
@@ -203,17 +202,33 @@ def _parse_group(text: str, cur: _Cursor, allow_product: bool) -> GroupDesc:
     return _parse_abelian(body, cur)
 
 
+_MATRIX_CHARS_RE = re.compile(r"[-+0-9.,()\[\]\s]*")
+_INT_RE = re.compile(r"\s*[-+]?[0-9]+\s*")
+
+
+def _list_items(text: str) -> list[str] | None:
+    """The top-level items of ``[a, b, ...]`` (none for ``[]``), or None
+    when ``text`` is not bracketed."""
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        return None
+    inner = text[1:-1]
+    return _split_top_level(inner, ",") if inner.strip() else []
+
+
 def _parse_matrix(text: str, cur: _Cursor) -> IntMatrix:
-    try:
-        value = ast.literal_eval(text.strip())
-    except (ValueError, SyntaxError):
-        raise cur.err("syntax", f"bad matrix literal: {text.strip()!r}")
-    if not (
-        isinstance(value, list)
-        and value
-        and all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in value)
-    ):
+    """A square unimodular matrix ``[[a, b], [c, d]]`` of optionally
+    signed decimal integers.  Malformed text is a bad literal; balanced
+    number-like text of another shape (``[]``, ``[1]``, ``[[1.0]]``,
+    ``([1],)``) is not a list of integer rows."""
+    body = text.strip()
+    unbalanced = body.count("[") != body.count("]") or body.count("(") != body.count(")")
+    if unbalanced or not _MATRIX_CHARS_RE.fullmatch(body):
+        raise cur.err("syntax", f"bad matrix literal: {body!r}")
+    rows = [_list_items(r) for r in _list_items(body) or ()]
+    if not rows or None in rows or not all(_INT_RE.fullmatch(x) for r in rows for x in r):
         raise cur.err("syntax", "matrix must be a list of integer rows")
+    value = [[int(x) for x in r] for r in rows]
     if len({len(r) for r in value}) != 1 or len(value) != len(value[0]):
         raise cur.err("validation", "matrix must be square")
     m = IntMatrix.from_rows(value)

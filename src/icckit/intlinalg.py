@@ -361,12 +361,6 @@ class IntPoly:
                     rem[i + j] -= c * b
         return IntPoly(tuple(q)), IntPoly(tuple(rem[:dd]))
 
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def __str__(self):
         if self.is_zero:
             return "0"

@@ -89,7 +89,10 @@ class MatGroupGens:
 
 
 def _cyclotomic_power(m: IntMatrix) -> tuple[int, IntMatrix]:
-    """(L, M^L) for L the lcm of the cyclotomic orders dividing charpoly(M), or 1."""
+    """(L, M^L) for L the lcm of the cyclotomic orders dividing charpoly(M), or 1;
+    (1, I) for the identity, without a charpoly."""
+    if m.is_identity:
+        return 1, m
     big = lcm_all(cyclotomic_orders(charpoly(m), m.nrows).orders | {1})
     return big, m ** big
 

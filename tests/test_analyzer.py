@@ -18,8 +18,9 @@ from icckit.analyzer import (
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, make_product
 from icckit.extension import ExtensionValidationError, Theta, make_extension
 from icckit.intlinalg import IntMatrix
-from icckit.words import FreeAut
+from icckit.words import FreeAut, is_inner
 from tests.helpers import random_unimodular
+from tests.test_words import nielsen_product_images, random_reduced_word, signed_permutation
 
 HYPER = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -72,14 +73,6 @@ class TestThetaFcInjective:
         res = theta_fc_injective(Z, Theta((swap,), FreeAut.identity(2)), AnalyzerLimits())
         assert isinstance(res, InjectivityWitness)
         assert res.word == (1, 1)
-
-    def test_out_side_cap_monotone(self):
-        swap = FreeAut(2, ((2,), (1,)))
-        low = theta_fc_injective(Z, Theta((swap,), FreeAut.identity(2)), AnalyzerLimits(out_order_cap=1))
-        assert isinstance(low, InjectivityUnknown)
-        assert low.tag == "out-order-unbounded"
-        high = theta_fc_injective(Z, Theta((swap,), FreeAut.identity(2)), AnalyzerLimits(out_order_cap=2))
-        assert isinstance(high, InjectivityWitness)
 
     def test_relation_bound_monotone(self):
         # raising the exponent bound resolves an unknown, never flips it
@@ -143,6 +136,88 @@ class TestThetaFcInjective:
         res = theta_fc_injective(q, Theta((neg, neg), IntMatrix.identity(2)), AnalyzerLimits())
         assert isinstance(res, InjectivityWitness)
         assert sorted(res.word) == [1, 2]  # u v acts trivially
+
+
+# a -> a c^-1, b -> b a b, c -> c b: its abelianization has infinite order.
+FOUR_MOVES = FreeAut(3, ((1, -3), (2, 1, 2), (3, 2)))
+
+
+def reference_outer_order(phi, cap=16, max_letters=20_000):
+    """The least n <= cap with phi^n inner, by a running power and an
+    innerness test of every power; None once a power passes
+    ``max_letters`` letters (word length can grow exponentially)."""
+    power = FreeAut.identity(phi.rank)
+    for n in range(1, cap + 1):
+        power = power @ phi
+        if sum(map(len, power.images)) > max_letters:
+            return None
+        w = is_inner(power)
+        if w is not None:
+            return InjectivityWitness((1,) * n, "inner-automorphism", w)
+    return InjectivityUnknown("out-order-unbounded")
+
+
+def commutator_twist(rank, rng):
+    """x_i -> x_i [x_j, x_l] (rank >= 3) or the partial conjugation
+    x_i -> x_j x_i x_j^-1; both act as I on the abelianization."""
+    images = [(k,) for k in range(1, rank + 1)]
+    if rank >= 3 and rng.random() < 0.5:
+        i, j, l = rng.sample(range(1, rank + 1), 3)
+        images[i - 1] = (i, j, l, -j, -l)
+    else:
+        i, j = rng.sample(range(1, rank + 1), 2)
+        images[i - 1] = (j, i, -j)
+    return FreeAut(rank, tuple(images))
+
+
+def outer_order_samples(seed, count):
+    """Seeded automorphisms of F_2 to F_4 in three kinds, in turn:
+    c_w psi sigma psi^-1 for a signed permutation sigma (finite outer
+    order); psi tau psi^-1 for a commutator twist tau, sometimes times a
+    signed permutation; and random Nielsen products."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rank = rng.randint(2, 4)
+        psi = FreeAut(rank, nielsen_product_images(rank, rng.randint(0, 3), rng))
+        if i % 3 == 0:
+            inner = FreeAut.conjugation(rank, random_reduced_word(rank, 4, rng))
+            yield inner @ psi @ signed_permutation(rank, rng) @ psi.inverse()
+        elif i % 3 == 1:
+            tau = commutator_twist(rank, rng)
+            if rng.random() < 0.5:
+                tau = tau @ signed_permutation(rank, rng)
+            yield psi @ tau @ psi.inverse()
+        else:
+            yield FreeAut(rank, nielsen_product_images(rank, rng.randint(1, 4), rng))
+
+
+class TestOuterOrder:
+    """CATALOG_AXIOMS.md §13: a lone Z quotient on a free kernel is
+    decided by the order m of the abelianization and one innerness test
+    of phi^m."""
+
+    def test_matches_least_inner_power(self):
+        kinds = {InjectivityWitness: 0, InjectivityUnknown: 0}
+        for phi in outer_order_samples(13, 300):
+            expected = reference_outer_order(phi)
+            if expected is None:
+                continue
+            got = theta_fc_injective(Z, Theta((phi,), FreeAut.identity(phi.rank)), AnalyzerLimits())
+            assert got == expected, phi
+            kinds[type(got)] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+    @pytest.mark.parametrize("phi,compositions", [
+        (FOUR_MOVES, 0), (FreeAut(2, ((2,), (1,))), 2)], ids=["four-moves", "swap"])
+    def test_compositions(self, phi, compositions, monkeypatch):
+        """One power phi^m, and none when the abelianization has infinite
+        order; an out-order loop composed phi up to 16 times."""
+        calls = []
+        compose = FreeAut.compose
+        monkeypatch.setattr(FreeAut, "compose", lambda f, g: calls.append(1) or compose(f, g))
+        res = theta_fc_injective(Z, Theta((phi,), FreeAut.identity(phi.rank)), AnalyzerLimits())
+        assert len(calls) == compositions
+        assert isinstance(res, InjectivityUnknown if compositions == 0 else InjectivityWitness)
 
 
 class TestAnalyzeAbelian:
@@ -324,7 +399,7 @@ class TestValidation:
         with pytest.raises(ExtensionValidationError):
             mk(FgAbelianDesc(3), Z, [HYPER])
 
-    @pytest.mark.parametrize("field", ["out_order_cap", "relation_bound"])
+    @pytest.mark.parametrize("field", ["relation_bound"])
     def test_negative_limits_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             AnalyzerLimits(**{field: -1})

@@ -89,6 +89,34 @@ class TestParsing:
         assert exc.value.code == "syntax"
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("literal,message", [
+        ("[[2,1],[1,1]]]", "bad matrix literal"),
+        ("[[2,1],[1,1", "bad matrix literal"),
+        ("[[a]]", "bad matrix literal"),
+        ("[]", "matrix must be a list of integer rows"),
+        ("[1]", "matrix must be a list of integer rows"),
+        ("[[1.0]]", "matrix must be a list of integer rows"),
+        ("([1],)", "matrix must be a list of integer rows"),
+        ("[[2,1],[1]]", "matrix must be square"),
+        ("[[]]", "matrix must be square"),
+        # Entries are decimal integers: no booleans, hex or trailing comments.
+        ("[[2,1],[1,True]]", "bad matrix literal"),
+        ("[[0x2,1],[1,1]]", "bad matrix literal"),
+        ("[[2,1],[1,1]] # hyperbolic", "bad matrix literal"),
+    ])
+    def test_bad_matrix_literal(self, literal, message):
+        with pytest.raises(Diagnostic) as exc:
+            parse_extension(f"kernel: Z^2\nquotient: Z\naction t -> {literal}\n")
+        assert exc.value.message.startswith(message)
+
+    @pytest.mark.parametrize("literal,rows", [
+        (" [ [ 2 , 1 ] , [ 1 , 1 ] ] ", [[2, 1], [1, 1]]),
+        ("[[+2, -1], [-1, +1]]", [[2, -1], [-1, 1]]),
+    ])
+    def test_matrix_literal_spacing_and_signs(self, literal, rows):
+        spec = parse_extension(f"kernel: Z^2\nquotient: Z\naction t -> {literal}\n")
+        assert spec.actions[0] == IntMatrix.from_rows(rows)
+
     def test_z_means_rank_one(self):
         spec = parse_extension("kernel: Z\nquotient: Z\naction t -> [[-1]]\n")
         assert spec.kernel.rank == 1
@@ -175,6 +203,26 @@ class TestCliRuns:
         code, _, err = run(capsys, "check", str(EXTENSIONS / "nope.ext"))
         assert code == 2 and err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "latin1.ext"
+        f.write_bytes(b"kernel: Z\xff\nquotient: Z\n")
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 2 and not out
+        assert err.startswith(f"{f}: ") and err.count("\n") == 1
+
+    def test_unwritable_growth_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "x.csv"
+        code, out, err = run(capsys, "check", str(EXTENSIONS / "sol.ext"),
+                             "--emit-growth", str(target), "--oracle-radius", "2")
+        assert code == 2 and not out
+        assert err.startswith(f"{target}: ") and err.count("\n") == 1
+
+    def test_out_order_cap_is_gone(self, capsys):
+        """The outer order is read off the abelianization; no cap option."""
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["check", str(EXTENSIONS / "swap.ext"), "--out-order-cap", "8"])
+        assert exc.value.code == 2 and not capsys.readouterr().out
+
     def test_unsupported_exits_3(self, tmp_path, capsys):
         f = tmp_path / "finite_action.ext"
         f.write_text(
@@ -208,7 +256,7 @@ class TestCliRuns:
         assert lines[1] == "0,1,growing"
         assert lines[-1].endswith("closed")
 
-    @pytest.mark.parametrize("flag", ["--relation-bound", "--out-order-cap"])
+    @pytest.mark.parametrize("flag", ["--relation-bound"])
     def test_negative_limit_is_a_usage_error(self, flag, tmp_path, capsys):
         # A Z^2 quotient: a negative bound used to reach the exponent
         # search and raise IndexError there.
@@ -220,7 +268,7 @@ class TestCliRuns:
         assert exc.value.code == 2 and not captured.out
         assert f"argument {flag}: must be >= 0, got -1" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--relation-bound", "--out-order-cap"])
+    @pytest.mark.parametrize("flag", ["--relation-bound"])
     def test_zero_limit_accepted(self, flag, tmp_path, capsys):
         f = tmp_path / "z2.ext"
         f.write_text(Z2_QUOTIENT)
@@ -370,6 +418,26 @@ class TestJsonText:
             if enabled:
                 gc.enable()
         assert json_garbage <= text_garbage
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_matrix_file_run_leaves_no_cyclic_garbage(self, fmt):
+        """Matrix literals are parsed without ``ast``, whose evaluator
+        left 11 cyclic objects per literal for the collector."""
+        argv = ["check", str(EXTENSIONS / "sol.ext"), "--format", fmt]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(argv) == 0
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSchema:

@@ -246,7 +246,6 @@ ORACLE = ("--oracle-radius", "4")
 ORACLE_SHIPPED = {f"oracle_{name}": name for name in SHIPPED}
 ARGS = {
     "fc_z3_on_z4_past_bound": ("--relation-bound", "5"),
-    "fc_free_four_moves": ("--out-order-cap", "8"),
     **{name: ORACLE for name in (*INLINE, *ORACLE_SHIPPED) if name.startswith("oracle_")},
     "oracle_sl2_free": (*ORACLE, "--oracle-cap", "100"),
 }

@@ -167,6 +167,20 @@ class TestMatrixOrder:
     def test_identity(self):
         assert matrix_order(IntMatrix.identity(3)) == 1
 
+    def test_identity_takes_no_charpoly(self, monkeypatch):
+        """Trivial actions are common, and a charpoly costs n - 1 products
+        of n x n matrices: the identity is answered without one."""
+        import icckit.matgroup as matgroup_mod
+
+        calls = []
+        original = matgroup_mod.charpoly
+        monkeypatch.setattr(matgroup_mod, "charpoly", lambda m: calls.append(m) or original(m))
+        for n in (1, 2, 5, 12):
+            assert matrix_order(IntMatrix.identity(n)) == 1
+            assert single_finite_orbit_space(IntMatrix.identity(n)) == Lattice.full(n)
+        assert calls == []
+        assert matrix_order(ROT4) == 4 and len(calls) == 1
+
     def test_rotation(self):
         assert matrix_order(ROT4) == 4
         assert ROT4 ** 4 == IntMatrix.identity(2)
@@ -580,8 +594,9 @@ class TestFiniteOrbitSublattice:
         assert orbit_bfs(gens, (0, 1), 1000) == OrbitCapExceeded(1000)
 
     def test_witness_cut_takes_no_charpoly(self, monkeypatch):
-        """Each generator's finite-orbit space takes one charpoly; a
-        witness W (W = I mod 3) cuts by ker(W - I) and takes none."""
+        """Each non-identity generator's finite-orbit space takes one
+        charpoly (the identity's takes none); a witness W (W = I mod 3)
+        cuts by ker(W - I) and takes none."""
         import icckit.matgroup as matgroup_mod
 
         calls = []
@@ -593,7 +608,7 @@ class TestFiniteOrbitSublattice:
         for group in [dihedral, *random_generator_sets(3004, 150)]:
             calls.clear()
             cert = finite_orbit_sublattice(group)
-            assert len(calls) == len(group.gens)
+            assert len(calls) == sum(not g.is_identity for g in group.gens)
             cut += bool(cert.infinite_order_witnesses)
             assert cert.lattice == reference_finite_orbit_sublattice(group)
         assert cut >= 5, cut

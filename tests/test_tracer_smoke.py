@@ -18,8 +18,8 @@ SPEC = (
     "action u -> [[2,1],[1,1]]\n"
     "action v -> [[5,3],[3,2]]\n"
 )
-# A free kernel: the out-order search composes powers of the swap and
-# tests each for innerness.
+# A free kernel: the outer order of the swap is read off its
+# abelianization (matrix_order), and its square is tested for innerness.
 FREE_SPEC = (
     "kernel: free(a, b)\n"
     "quotient: Z\n"
@@ -61,6 +61,7 @@ def test_traced_check_counts_free_kernel_work(tmp_path):
     result = traced_check(FREE_SPEC, tmp_path)
     assert result["calls"]["words.is_inner"] > 0
     assert result["calls"]["words.freeaut_compose"] > 0
+    assert result["values"]["analyzer.fc_candidates"] > 0
 
 
 def test_traced_check_counts_oracle_conjugations(tmp_path):
