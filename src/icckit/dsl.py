@@ -217,10 +217,11 @@ def _list_items(text: str) -> list[str] | None:
 
 
 def _parse_matrix(text: str, cur: _Cursor) -> IntMatrix:
-    """A square unimodular matrix ``[[a, b], [c, d]]`` of optionally
-    signed decimal integers.  Malformed text is a bad literal; balanced
-    number-like text of another shape (``[]``, ``[1]``, ``[[1.0]]``,
-    ``([1],)``) is not a list of integer rows."""
+    """A square matrix ``[[a, b], [c, d]]`` of optionally signed decimal
+    integers; :func:`make_extension` checks that it is unimodular.
+    Malformed text is a bad literal; balanced number-like text of another
+    shape (``[]``, ``[1]``, ``[[1.0]]``, ``([1],)``) is not a list of
+    integer rows."""
     body = text.strip()
     unbalanced = body.count("[") != body.count("]") or body.count("(") != body.count(")")
     if unbalanced or not _MATRIX_CHARS_RE.fullmatch(body):
@@ -231,10 +232,7 @@ def _parse_matrix(text: str, cur: _Cursor) -> IntMatrix:
     value = [[int(x) for x in r] for r in rows]
     if len({len(r) for r in value}) != 1 or len(value) != len(value[0]):
         raise cur.err("validation", "matrix must be square")
-    m = IntMatrix.from_rows(value)
-    if not m.is_unimodular:
-        raise cur.err("validation", f"non-unimodular matrix, det={m.det()}")
-    return m
+    return IntMatrix.from_rows(value)
 
 
 def _tokenize_word(text: str, names: tuple[str, ...], cur: _Cursor) -> Word:
@@ -343,11 +341,10 @@ def parse_extension(text: str) -> ExtensionSpec:
     kernel = _parse_group(k_line.strip()[len("kernel:"):], k_cur, allow_product=False)
     quotient = _parse_group(q_line.strip()[len("quotient:"):], q_cur, allow_product=True)
 
-    action_lines = significant[2:]
     names: list[str] = []
     actions: list = []
-    first_action_cur = None
-    for line_no, line in action_lines:
+    curs: list[_Cursor] = []  # one per action line
+    for line_no, line in significant[2:]:
         cur = _Cursor(line_no, line)
         stripped = line.strip()
         if not stripped.startswith("action"):
@@ -371,25 +368,24 @@ def parse_extension(text: str) -> ExtensionSpec:
                 "actions on finite kernels are not supported; omit the action lines"
             )
         names.append(name)
-        if first_action_cur is None:
-            first_action_cur = cur
+        curs.append(cur)
+    first_cur = curs[0] if curs else q_cur
     if len(set(names)) != len(names):
-        raise (first_action_cur or q_cur).err("validation", "duplicate action generator names")
+        raise first_cur.err("validation", "duplicate action generator names")
 
     ngens = generator_count(quotient)
     if actions and len(actions) != ngens:
-        raise (first_action_cur or q_cur).err(
+        raise first_cur.err(
             "validation",
             f"the quotient has {ngens} generators but {len(actions)} action lines were given",
         )
     if names and len(names) == ngens:
-        quotient = _relabel_quotient(quotient, names, first_action_cur or q_cur)
+        quotient = _relabel_quotient(quotient, names, first_cur)
 
     try:
         return make_extension(kernel, quotient, tuple(actions))
     except ExtensionValidationError as e:
-        where = first_action_cur or q_cur
-        raise Diagnostic(where.line_no, where.base_col, "validation", str(e))
+        raise (first_cur if e.action is None else curs[e.action]).err("validation", str(e))
 
 
 def _format_perm(p) -> str:

@@ -40,7 +40,12 @@ from .words import FreeAut, is_inner
 
 class ExtensionValidationError(ValueError):
     """The description is malformed or the actions violate the quotient's
-    relations."""
+    relations.  ``action`` is the index of the one action at fault, or
+    None when the fault is not one action's (a count or a relation)."""
+
+    def __init__(self, message: str, action: int | None = None):
+        super().__init__(message)
+        self.action = action
 
 
 class UnsupportedExtensionError(ValueError):
@@ -130,9 +135,9 @@ def _normalize_kernel(kernel, actions):
     if isinstance(kernel, FreeDesc) and kernel.rank == 1:
         # F_1 is Z: each automorphism is +-identity, acting as a 1x1 matrix.
         mats = []
-        for a in actions:
+        for i, a in enumerate(actions):
             if not isinstance(a, FreeAut) or a.rank != 1:
-                raise ExtensionValidationError("rank-1 free kernel expects rank-1 automorphisms")
+                raise ExtensionValidationError("rank-1 free kernel expects rank-1 automorphisms", i)
             mats.append(IntMatrix.from_rows([[1 if a.images[0] == (1,) else -1]]))
         return FgAbelianDesc(1), tuple(mats)
     return kernel, tuple(actions)
@@ -218,27 +223,26 @@ def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
         identity = FreeAut.identity(kernel.rank)
     else:
         raise UnsupportedExtensionError(f"unsupported kernel class: {type(kernel).__name__}")
-    if not actions:
-        # Identity default; torsion-only kernels need no action data.
-        actions = (identity,) * ngens
-    if len(actions) != ngens:
+    if actions and len(actions) != ngens:
         raise ExtensionValidationError(
             f"expected {ngens} actions (one per quotient generator), got {len(actions)}"
         )
-    for a in actions:
+    for i, a in enumerate(actions):
         if isinstance(kernel, FreeDesc):
             if not isinstance(a, FreeAut):
-                raise ExtensionValidationError("free kernel expects automorphism actions")
+                raise ExtensionValidationError("free kernel expects automorphism actions", i)
             if a.rank != kernel.rank:
-                raise ExtensionValidationError("automorphism rank != kernel rank")
+                raise ExtensionValidationError("automorphism rank != kernel rank", i)
         elif not isinstance(a, IntMatrix):
-            raise ExtensionValidationError("abelian kernel expects matrix actions")
+            raise ExtensionValidationError("abelian kernel expects matrix actions", i)
         elif a.nrows != kernel.rank or a.ncols != kernel.rank:
             raise ExtensionValidationError(
-                f"action matrix is {a.nrows}x{a.ncols}, kernel rank is {kernel.rank}"
+                f"action matrix is {a.nrows}x{a.ncols}, kernel rank is {kernel.rank}", i
             )
-        elif not a.is_unimodular:
-            raise ExtensionValidationError(f"non-unimodular matrix, det={a.det()}")
+        elif (d := a.det()) not in (1, -1):  # the one check; derived matrices are trusted
+            raise ExtensionValidationError(f"non-unimodular matrix, det={d}", i)
+    # Identity default; torsion-only kernels need no action data.
+    actions = actions or (identity,) * ngens
     theta = Theta(actions, identity)
     _validate_relations(quotient, theta)
     return ExtensionSpec(kernel, quotient, actions, theta)

@@ -137,10 +137,6 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    @property
-    def is_unimodular(self) -> bool:
-        return self.is_square and self.det() in (1, -1)
-
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a determinant-+-1 matrix (integer entries)."""
         h, u = hnf(self)

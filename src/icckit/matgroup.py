@@ -66,7 +66,10 @@ GenWord = tuple[int, ...]
 
 @dataclass(frozen=True)
 class MatGroupGens:
-    """A finitely generated subgroup of GL(r, Z), given by generators."""
+    """A finitely generated subgroup of GL(r, Z), given by generators in
+    GL(r, Z): only shapes are checked, as ``make_extension`` validates the
+    actions every generator derives from.  A generator outside GL(r, Z)
+    makes ``inverse_unimodular`` raise ``ValueError`` when the group is walked."""
 
     rank: int
     gens: tuple[IntMatrix, ...]
@@ -77,8 +80,6 @@ class MatGroupGens:
         for g in self.gens:
             if g.nrows != self.rank or g.ncols != self.rank:
                 raise ValueError("generator size != rank")
-            if not g.is_unimodular:
-                raise ValueError(f"non-unimodular generator, det={g.det()}")
 
     def word_to_matrix(self, word: GenWord) -> IntMatrix:
         out = IntMatrix.identity(self.rank)
@@ -98,7 +99,9 @@ def _cyclotomic_power(m: IntMatrix) -> tuple[int, IntMatrix]:
 
 
 def matrix_order(m: IntMatrix) -> int | None:
-    """The multiplicative order of a unimodular matrix, or None if infinite.
+    """The multiplicative order of a square integer matrix, or None if
+    infinite.  Only matrices in GL(r, Z) have finite order (M^n = I
+    forces det M = +-1), so any other matrix gets None.
 
     The candidate order L is the lcm of the indices of the cyclotomic
     factors of charpoly(M); M has finite order iff M^L = I, and then its
@@ -109,8 +112,6 @@ def matrix_order(m: IntMatrix) -> int | None:
     >>> matrix_order(IntMatrix.from_rows([[1, 1], [0, 1]])) is None
     True
     """
-    if not m.is_unimodular:
-        raise ValueError("matrix_order requires a unimodular matrix")
     if m.nrows == 0:
         return 1
     big, power = _cyclotomic_power(m)
@@ -336,10 +337,9 @@ def single_finite_orbit_space(m: IntMatrix) -> Lattice:
     """The pure sublattice of vectors with finite orbit under <M>.
 
     Equals ker(M^L - I) where L is the lcm of the cyclotomic orders that
-    divide charpoly(M) (L = 1 when there are none).
+    divide charpoly(M) (L = 1 when there are none).  M must lie in
+    GL(r, Z); it is not checked here (see :class:`MatGroupGens`).
     """
-    if not m.is_unimodular:
-        raise ValueError("requires a unimodular matrix")
     n = m.nrows
     if n == 0:
         return Lattice.zero(0)
@@ -364,7 +364,7 @@ def restrict_to_lattice(m: IntMatrix, lat: Lattice) -> IntMatrix | None:
         rows.append(coords)
     if not rows:
         return IntMatrix.identity(0)
-    return IntMatrix.from_rows(rows).transpose()
+    return IntMatrix._trusted(tuple(zip(*rows)))
 
 
 @dataclass(frozen=True)

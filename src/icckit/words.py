@@ -295,7 +295,7 @@ class FreeAut:
             for a in im:
                 col[abs(a) - 1] += 1 if a > 0 else -1
             cols.append(col)
-        return IntMatrix.from_rows(cols).transpose()
+        return IntMatrix._trusted(tuple(zip(*cols)))
 
     def inverse(self) -> "FreeAut":
         """The inverse, read off the folded rose of the image tuple."""

@@ -399,6 +399,17 @@ class TestValidation:
         with pytest.raises(ExtensionValidationError):
             mk(FgAbelianDesc(3), Z, [HYPER])
 
+    def test_error_names_the_failing_action(self):
+        """A fault of one action carries its index; a count or relation
+        fault carries None."""
+        z2 = FgAbelianDesc(2)
+        for actions, index in (([HYPER, HYPER.scale(2)], 1), ([HYPER, IntMatrix.from_rows([[1]])], 1),
+                               ([IntMatrix.from_rows([[0, 1], [1, 1], [1, 0]]), HYPER], 0),
+                               ([ROT4, IntMatrix.from_rows([[1, 1], [0, 1]])], None), ([HYPER], None)):
+            with pytest.raises(ExtensionValidationError) as err:
+                mk(z2, z2, actions)
+            assert err.value.action == index, actions
+
     @pytest.mark.parametrize("field", ["relation_bound"])
     def test_negative_limits_rejected(self, field):
         with pytest.raises(ValueError, match=field):

@@ -164,6 +164,23 @@ class TestParsing:
         with pytest.raises(Diagnostic):
             parse_extension("kernel: Z^2\nquotient: Z^2\naction t -> [[2,1],[1,1]]\n")
 
+    @pytest.mark.parametrize("second,where,message", [
+        ("[[1]]", (4, 12), "action matrix is 1x1, kernel rank is 2"),
+        ("[[2,0],[0,1]]", (4, 12), "non-unimodular matrix, det=2"),
+        ("[[1,1],[0,1]]", (3, 12), "relation violation: abelian quotient, non-commuting actions"),
+    ])
+    def test_action_diagnostic_on_its_own_line(self, second, where, message):
+        """A fault of one action is reported on that action's line; a
+        relation violation, which no one action owns, on the first."""
+        with pytest.raises(Diagnostic) as exc:
+            parse_extension(f"kernel: Z^2\nquotient: Z^2\naction a -> [[0,-1],[1,0]]\naction b -> {second}\n")
+        assert (exc.value.line, exc.value.col, exc.value.message) == (*where, message)
+
+    def test_action_count_reported_before_singular_matrix(self):
+        with pytest.raises(Diagnostic) as exc:
+            parse_extension("kernel: Z^2\nquotient: Z^2\naction t -> [[2,0],[0,2]]\n")
+        assert exc.value.message == "the quotient has 2 generators but 1 action lines were given"
+
     def test_free_quotient_name_mismatch(self):
         with pytest.raises(Diagnostic):
             parse_extension(
@@ -322,6 +339,46 @@ class TestCliRuns:
         data = json.loads(out)
         assert data["verdict"] == "unknown"
         assert data["obstruction"] == "abelian-relation-bound"
+
+
+class TestValidateOnce:
+    """Unimodularity is checked once per input matrix, by ``make_extension``;
+    every matrix derived from a checked one is trusted."""
+
+    @pytest.fixture
+    def det_calls(self, monkeypatch):
+        calls = []
+        det = IntMatrix.det
+
+        def spy(m):
+            calls.append(m)
+            return det(m)
+
+        monkeypatch.setattr(IntMatrix, "det", spy)
+        return calls
+
+    @pytest.mark.parametrize("text,options,count", [
+        ("kernel: Z^2\nquotient: Z^2\naction u -> [[-1,0],[0,-1]]\naction v -> [[2,1],[1,1]]\n",
+         ("--oracle-radius", "2"), 2),
+        ("kernel: Z^40\nquotient: Z\n", (), 0),
+    ])
+    def test_one_det_per_input_matrix(self, tmp_path, capsys, det_calls, text, options, count):
+        f = tmp_path / "spec.ext"
+        f.write_text(text)
+        code, _, err = run(capsys, "check", str(f), "--format", "json", *options)
+        assert code == 0 and not err
+        assert len(det_calls) == count
+
+    def test_det_is_called_only_in_extension(self):
+        """``.det(`` appears in extension.py only, and nothing is left of
+        a second unimodularity test."""
+        pattern = re.compile(r"\.det\(|is_unimodular")
+        found = {path.name: [line for line in path.read_text(encoding="utf-8").splitlines()
+                             if pattern.search(line)]
+                 for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
+        assert found.pop("extension.py"), "the pattern finds make_extension's own check"
+        assert {name: lines for name, lines in found.items() if lines} == {}
+        assert not hasattr(IntMatrix, "is_unimodular")
 
 
 def readme_check_synopsis():

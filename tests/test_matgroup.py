@@ -193,8 +193,10 @@ class TestMatrixOrder:
         assert matrix_order(HYPER) is None
 
     def test_non_unimodular_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_order(IntMatrix.from_rows([[2, 0], [0, 2]]))
+        """M^n = I forces det M = +-1, so a matrix outside GL(r, Z) has
+        no finite order: None is the exact answer, with no det check."""
+        assert matrix_order(IntMatrix.from_rows([[2, 0], [0, 2]])) is None
+        assert matrix_order(IntMatrix.from_rows([[2, 0], [0, -1]])) is None
 
     @pytest.mark.parametrize(
         "matrix,order",
@@ -416,7 +418,7 @@ class TestShrinkToInvariant:
         shrunk, induced = _shrink_to_invariant(lat, group)
         assert shrunk == reference_shrink(lat, group)
         assert induced == tuple(restrict_to_lattice(g, shrunk) for g in group.gens)
-        assert all(a.is_unimodular for a in induced)
+        assert all(a.det() in (1, -1) for a in induced)
         return shrunk
 
     def test_moved_line_shrinks_to_zero(self):
