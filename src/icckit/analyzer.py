@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .catalog import (
     FgAbelianDesc,
@@ -49,9 +49,8 @@ from .catalog import (
     perm_order,
 )
 from .extension import ExtensionSpec, Theta, UnsupportedExtensionError
-from .intlinalg import IntMatrix, Lattice, Vec
+from .intlinalg import IntMatrix, Vec
 from .matgroup import (
-    FiniteOrbitCert,
     MatGroupGens,
     _inverse3,
     _mul3,
@@ -82,9 +81,8 @@ class AnalyzerLimits:
     relation_bound: int = 8
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
+        if self.relation_bound < 0:
+            raise ValueError(f"relation_bound must be >= 0, got {self.relation_bound}")
 
 
 @dataclass(frozen=True)
@@ -430,11 +428,9 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         )
         return Report("not_icc", "theorem-1(i)", witness, None, tuple(conditions))
 
-    if spec.actions:
-        cert = finite_orbit_sublattice(MatGroupGens(kernel.rank, spec.actions))
-    else:
-        full = Lattice.full(kernel.rank)
-        cert = FiniteOrbitCert(full, tuple(frozenset({b}) for b in full.basis))
+    # Identity actions add nothing to theta(Q), so they are left out.
+    group = MatGroupGens(kernel.rank, tuple(a for a in spec.actions if not a.is_identity))
+    cert = finite_orbit_sublattice(group)
 
     if cert.lattice.rank > 0:
         conditions.append(

@@ -202,8 +202,10 @@ def _validate_relations(quotient, theta: Theta, offset: int = 0):
 def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
     """Validate and normalize an extension description.
 
-    Raises :class:`ExtensionValidationError` on malformed data or
-    relation violations, :class:`UnsupportedExtensionError` on
+    Omitted actions default to the identity, which is not validated: it
+    satisfies every relation of the quotient, so only given actions are
+    checked.  Raises :class:`ExtensionValidationError` on malformed data
+    or relation violations, :class:`UnsupportedExtensionError` on
     combinations outside the catalog.
     """
     quotient = _normalize_quotient(quotient)
@@ -242,7 +244,7 @@ def make_extension(kernel, quotient, actions=()) -> ExtensionSpec:
         elif (d := a.det()) not in (1, -1):  # the one check; derived matrices are trusted
             raise ExtensionValidationError(f"non-unimodular matrix, det={d}", i)
     # Identity default; torsion-only kernels need no action data.
-    actions = actions or (identity,) * ngens
-    theta = Theta(actions, identity)
-    _validate_relations(quotient, theta)
-    return ExtensionSpec(kernel, quotient, actions, theta)
+    theta = Theta(actions or (identity,) * ngens, identity)
+    if actions:
+        _validate_relations(quotient, theta)
+    return ExtensionSpec(kernel, quotient, theta.actions, theta)

@@ -69,14 +69,13 @@ class MatGroupGens:
     """A finitely generated subgroup of GL(r, Z), given by generators in
     GL(r, Z): only shapes are checked, as ``make_extension`` validates the
     actions every generator derives from.  A generator outside GL(r, Z)
-    makes ``inverse_unimodular`` raise ``ValueError`` when the group is walked."""
+    makes ``inverse_unimodular`` raise ``ValueError`` when the group is walked.
+    An empty generating set is the trivial group."""
 
     rank: int
     gens: tuple[IntMatrix, ...]
 
     def __post_init__(self):
-        if not self.gens:
-            raise ValueError("at least one generator required")
         for g in self.gens:
             if g.nrows != self.rank or g.ncols != self.rank:
                 raise ValueError("generator size != rank")
@@ -112,8 +111,6 @@ def matrix_order(m: IntMatrix) -> int | None:
     >>> matrix_order(IntMatrix.from_rows([[1, 1], [0, 1]])) is None
     True
     """
-    if m.nrows == 0:
-        return 1
     big, power = _cyclotomic_power(m)
     if not power.is_identity:
         return None
@@ -341,8 +338,6 @@ def single_finite_orbit_space(m: IntMatrix) -> Lattice:
     GL(r, Z); it is not checked here (see :class:`MatGroupGens`).
     """
     n = m.nrows
-    if n == 0:
-        return Lattice.zero(0)
     _, power = _cyclotomic_power(m)
     if power.is_identity:
         return Lattice.full(n)
@@ -362,8 +357,6 @@ def restrict_to_lattice(m: IntMatrix, lat: Lattice) -> IntMatrix | None:
         if coords is None:
             return None
         rows.append(coords)
-    if not rows:
-        return IntMatrix.identity(0)
     return IntMatrix._trusted(tuple(zip(*rows)))
 
 
@@ -389,8 +382,6 @@ class FiniteOrbitCert:
 
     @cached_property
     def induced_finiteness(self) -> GroupFinite:
-        if not self.induced_gens:
-            return GroupFinite(1)
         cert = group_is_finite(MatGroupGens(self.lattice.rank, self.induced_gens))
         assert isinstance(cert, GroupFinite), "closed basis orbits certify finiteness"
         return cert
@@ -437,13 +428,17 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
     finite-orbit space, which is ker(W - I) as W = I mod 3
     (``CATALOG_AXIOMS.md`` §6; a strict rank drop, since W lives in the
     torsion-free congruence kernel), and the loop repeats.
+
+    The answer depends only on the generated group, so identity
+    generators may be left out; the trivial group (no generators) gets
+    Z^r with singleton basis orbits and no HNF.
     """
     r = group.rank
-    cand = single_finite_orbit_space(group.gens[0])
-    for g in group.gens[1:]:
+    cand = Lattice.full(r)
+    for g in group.gens:
         space = single_finite_orbit_space(g)
         if space.rank < r:  # a pure lattice of full rank is Z^r
-            cand = cand.intersect(space)
+            cand = space if cand.rank == r else cand.intersect(space)
     witnesses: list[tuple[GenWord, IntMatrix]] = []
     while True:
         cand, induced = _shrink_to_invariant(cand, group)

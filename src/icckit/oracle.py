@@ -423,8 +423,6 @@ def exact_abelian_class(group: ConcreteGroup, k, cap: int = 10_000) -> OrbitResu
         raise ValueError("exact_abelian_class needs an abelian kernel")
     part = group.kernel_part
     free, tors = k[: part.rank], k[part.rank:]
-    if not group.spec.actions or part.rank == 0:
-        return FiniteOrbit(frozenset({k}))
     result = orbit_bfs(MatGroupGens(part.rank, group.spec.actions), free, cap)
     if isinstance(result, OrbitCapExceeded):
         return result

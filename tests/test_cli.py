@@ -381,6 +381,57 @@ class TestValidateOnce:
         assert not hasattr(IntMatrix, "is_unimodular")
 
 
+TRIVIAL_ACTION_QUOTIENTS = ["Z", "Z^2", "finite perm((1 2); (1 2 3))", "product(Z, Z/2)"]
+
+
+class TestTrivialActionIsFree:
+    """Omitted action lines default to the identity, which satisfies every
+    relation and adds nothing to the action's image: no product, HNF or
+    lattice restriction is spent on it, at any kernel rank."""
+
+    @pytest.mark.parametrize("quotient", TRIVIAL_ACTION_QUOTIENTS)
+    def test_no_matmul_hnf_or_restriction(self, tmp_path, capsys, monkeypatch, quotient):
+        import icckit.intlinalg as intlinalg_mod
+        import icckit.matgroup as matgroup_mod
+
+        calls = {"matmul": 0, "hnf": 0, "restrict": 0}
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counted("matmul", IntMatrix.__matmul__))
+        monkeypatch.setattr(intlinalg_mod, "hnf", counted("hnf", intlinalg_mod.hnf))
+        monkeypatch.setattr(matgroup_mod, "restrict_to_lattice",
+                            counted("restrict", matgroup_mod.restrict_to_lattice))
+        f = tmp_path / "spec.ext"
+        f.write_text(f"kernel: Z^40\nquotient: {quotient}\n")
+        code = cli.run(["check", str(f), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and not err
+        assert json.loads(out)["verdict"] == "not_icc"
+        assert calls == {"matmul": 0, "hnf": 0, "restrict": 0}
+
+    def test_rank_400_under_s3_in_bounded_time_and_memory(self, tmp_path):
+        """A 2-line input must not blow up: 1 GiB of address space, 20 s."""
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        f = tmp_path / "spec.ext"
+        f.write_text("kernel: Z^400\nquotient: finite perm((1 2); (1 2 3))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", FRESH_RUN, "check", str(f), "--format", "json"],
+            capture_output=True, text=True, timeout=20, preexec_fn=limit_memory,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["verdict"] == "not_icc"
+
+
 def readme_check_synopsis():
     """The README's ``icckit check`` synopsis: from its first line to the
     end of its code block."""

@@ -167,6 +167,9 @@ class TestMatrixOrder:
     def test_identity(self):
         assert matrix_order(IntMatrix.identity(3)) == 1
 
+    def test_rank_zero(self):
+        assert matrix_order(IntMatrix.identity(0)) == 1
+
     def test_identity_takes_no_charpoly(self, monkeypatch):
         """Trivial actions are common, and a charpoly costs n - 1 products
         of n x n matrices: the identity is answered without one."""
@@ -501,6 +504,9 @@ class TestSingleFiniteOrbitSpace:
     def test_identity_full(self):
         assert single_finite_orbit_space(IntMatrix.identity(2)) == Lattice.full(2)
 
+    def test_rank_zero(self):
+        assert single_finite_orbit_space(IntMatrix.identity(0)) == Lattice.zero(0)
+
     def test_hyperbolic_trivial(self):
         assert single_finite_orbit_space(HYPER).rank == 0
 
@@ -575,6 +581,21 @@ class TestOrbitBfs:
 
 
 class TestFiniteOrbitSublattice:
+    def test_trivial_group(self):
+        cert = finite_orbit_sublattice(MatGroupGens(3, ()))
+        assert cert.lattice == Lattice.full(3)
+        assert cert.basis_orbits == tuple(frozenset({e}) for e in IntMatrix.identity(3).rows)
+        assert cert.induced_finiteness == GroupFinite(1)
+
+    def test_identity_generators_change_nothing(self):
+        """The analyzer leaves identity actions out of the group."""
+        for group in random_generator_sets(3003, 200):
+            eye = IntMatrix.identity(group.rank)
+            padded = MatGroupGens(group.rank, (eye,) + group.gens + (eye,))
+            cert, padded_cert = finite_orbit_sublattice(group), finite_orbit_sublattice(padded)
+            assert padded_cert.lattice == cert.lattice
+            assert padded_cert.basis_orbits == cert.basis_orbits
+
     def test_hyperbolic_rank_zero(self):
         cert = finite_orbit_sublattice(MatGroupGens(2, (HYPER,)))
         assert cert.lattice.rank == 0
@@ -667,3 +688,6 @@ class TestRestrictToLattice:
     def test_non_invariant_returns_none(self):
         lat = Lattice.from_rows(2, [(1, 0)])
         assert restrict_to_lattice(ROT4, lat) is None
+
+    def test_zero_lattice(self):
+        assert restrict_to_lattice(ROT4, Lattice.zero(2)) == IntMatrix.identity(0)

@@ -366,6 +366,14 @@ class TestExactAbelianClass:
         cls = exact_abelian_class(g, (1, 1))
         assert cls == FiniteOrbit(frozenset({(1, 1), (-1, 1)}))
 
+    @pytest.mark.parametrize("kernel,quotient,k", [
+        (FgAbelianDesc(0, (2,)), Z, (1,)),  # a torsion kernel vector
+        (FgAbelianDesc(2, (3,)), FgAbelianDesc(0), (1, -2, 1)),  # a trivial quotient
+    ])
+    def test_singleton_without_free_rank_or_generators(self, kernel, quotient, k):
+        g = materialize(make_extension(kernel, quotient))
+        assert exact_abelian_class(g, k) == FiniteOrbit(frozenset({k}))
+
     def test_requires_abelian_kernel(self):
         g = materialize(f2xz_spec())
         with pytest.raises(ValueError):
