@@ -423,13 +423,10 @@ class TestTrivialActionIsFree:
 
         f = tmp_path / "spec.ext"
         f.write_text("kernel: Z^400\nquotient: finite perm((1 2); (1 2 3))\n")
-        out = subprocess.run(
-            [sys.executable, "-c", FRESH_RUN, "check", str(f), "--format", "json"],
-            capture_output=True, text=True, timeout=20, preexec_fn=limit_memory,
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        )
-        assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout)["verdict"] == "not_icc"
+        code, out, err = fresh_interpreter_run("check", str(f), "--format", "json",
+                                               timeout=20, preexec_fn=limit_memory)
+        assert code == 0, err
+        assert json.loads(out)["verdict"] == "not_icc"
 
 
 def readme_check_synopsis():
@@ -450,11 +447,11 @@ class TestReadmeSynopsis:
 FRESH_RUN = "import sys; from icckit.cli import run; sys.exit(run(sys.argv[1:]))"
 
 
-def fresh_interpreter_run(*argv):
+def fresh_interpreter_run(*argv, timeout=120, preexec_fn=None):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-c", FRESH_RUN, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=preexec_fn,
     )
     return out.returncode, out.stdout, out.stderr
 
