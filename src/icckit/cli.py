@@ -168,6 +168,9 @@ def _file_error(path: str, error: Exception) -> int:
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
+    if args.emit_growth and not args.oracle_radius:
+        print("--emit-growth requires --oracle-radius > 0", file=sys.stderr)
+        return 2
     try:
         with open(args.file, encoding="utf-8") as f:
             text = f.read()
@@ -188,9 +191,6 @@ def run(argv) -> int:
         return 3
 
     if args.emit_growth:
-        if curve is None:
-            print("--emit-growth requires --oracle-radius > 0", file=sys.stderr)
-            return 2
         try:
             with open(args.emit_growth, "w", encoding="utf-8") as f:
                 f.write("\n".join(curve.csv_rows()) + "\n")

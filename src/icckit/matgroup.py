@@ -19,9 +19,10 @@ so it ends without a cap: a finite group's orbits have at most |G|
 vectors and close before the search has expanded its |G| image
 elements; an infinite group keeps an orbit open, and the search, which
 always ends, returns the same witness as :func:`group_is_finite`.  Both
-apply each generator through one compiled closure per matrix
-(:func:`_row_applier`): the search keeps every image element as a tuple
-of columns and multiplies column by column.
+apply the generators alone, with no inverse (``CATALOG_AXIOMS.md`` §6
+and §9), through one compiled closure per matrix (:func:`_row_applier`):
+the search keeps every image element as a tuple of columns and
+multiplies column by column.
 
 The finite-orbit sublattice tests a candidate lattice for invariance by
 restricting every generator to it (one triangular solve per basis
@@ -67,9 +68,9 @@ GenWord = tuple[int, ...]
 @dataclass(frozen=True)
 class MatGroupGens:
     """A finitely generated subgroup of GL(r, Z), given by generators in
-    GL(r, Z): only shapes are checked, as ``make_extension`` validates the
-    actions every generator derives from.  A generator outside GL(r, Z)
-    makes ``inverse_unimodular`` raise ``ValueError`` when the group is walked.
+    GL(r, Z).  That is a contract, not a check: only shapes are checked
+    here, and ``make_extension``, which validates the actions every
+    generator derives from, is the one place that checks unimodularity.
     An empty generating set is the trivial group."""
 
     rank: int
@@ -140,7 +141,7 @@ FinitenessCert = GroupFinite | GroupInfinite
 @dataclass(frozen=True)
 class BasisOrbits:
     """Finiteness certificate: the orbit of each standard basis vector,
-    closed under every generator and its inverse.
+    closed under every generator, hence under its inverse.
 
     A group element is determined by where it sends the basis, so a
     group acting faithfully has at most the product of the orbit sizes
@@ -232,23 +233,22 @@ def mod3_screen(actions, identity, limit: int) -> Mod3Screen | None:
 
 
 def _appliers(group: MatGroupGens) -> list:
-    """The compiled actions of g1, g1^-1, g2, g2^-1, ... (:func:`_row_applier`)."""
-    return [_row_applier(m) for g in group.gens for m in (g, g.inverse_unimodular())]
+    """The compiled actions of g1, g2, ... (:func:`_row_applier`)."""
+    return [_row_applier(g) for g in group.gens]
 
 
 def _schreier_search(rank: int, appliers):
     """The mod-3 image enumeration, one step per expanded image element.
 
-    ``appliers`` are the compiled actions of the generators and their
-    inverses, in the order of :func:`_appliers`.  Each element is kept
-    as its tuple of columns, so g @ X is g applied to every column of X,
-    and is keyed by its columns' residues mod 3, flattened.  Yields None
-    after each expansion that settles nothing, then the certificate: the
-    first nontrivial Schreier element as a :class:`GroupInfinite`, or
+    ``appliers`` are the compiled actions of the generators, in the
+    order of :func:`_appliers`.  Each element is kept as its tuple of
+    columns, so g @ X is g applied to every column of X, and is keyed by
+    its columns' residues mod 3, flattened.  Yields None after each
+    expansion that settles nothing, then the certificate: the first
+    nontrivial Schreier element as a :class:`GroupInfinite`, or
     :class:`GroupFinite` once the image closes.
     """
-    letters = [sign * (i + 1) for i in range(len(appliers) // 2) for sign in (1, -1)]
-    step = list(zip(letters, appliers))
+    step = list(enumerate(appliers, 1))
 
     # rep: image key -> (preimage columns, word)
     identity = IntMatrix.identity(rank).rows  # its own columns
@@ -277,11 +277,12 @@ def group_is_finite(group: MatGroupGens) -> FinitenessCert:
     """Decide finiteness of the generated group, with a certificate.
 
     Enumerates the image under entry-wise reduction mod 3 (a finite
-    group), keeping one integer preimage per image element.  Every
-    Schreier element  g * rep(x) * rep(g.x)^-1  lies in the congruence
-    kernel; if all are the identity the reduction is injective and the
-    group is finite of the image's order, otherwise the first nontrivial
-    one is an infinite-order witness.
+    group), keeping one integer preimage per image element.  The
+    Schreier elements g * rep(x) * rep(g.x)^-1 over the generators g
+    generate the group's part of the congruence kernel; if all are the
+    identity the reduction is injective and the group is finite of the
+    image's order, otherwise the first nontrivial one is an
+    infinite-order witness.
     """
     search = _schreier_search(group.rank, _appliers(group))
     return next(c for c in search if c is not None)
@@ -292,7 +293,7 @@ def basis_orbits(group: MatGroupGens) -> BasisOrbits | GroupInfinite:
 
     Each step expands one vertex of every still-open orbit, then one
     image element of the Schreier search of :func:`group_is_finite`;
-    both use the same compiled generators and inverses.
+    both use the same compiled generators, and no inverse.
     A finite group has orbits of at most |G| vectors, which close within
     |G| steps, before the search has expanded all |G| image elements and
     could report finiteness itself.  An infinite group has an infinite
@@ -366,13 +367,13 @@ class FiniteOrbitCert:
 
     ``lattice`` is invariant under every generator.  ``basis_orbits[i]``
     is the orbit of ``lattice.basis[i]``, closed under every generator
-    and inverse; these finite orbits certify that the induced action on
-    the lattice is finite.  ``induced_finiteness`` is its exact order,
-    computed by :func:`group_is_finite` on ``induced_gens`` when first
-    read.  Each entry of ``infinite_order_witnesses`` is a (word, matrix)
-    pair that acted with infinite order on the candidate lattice current
-    at its discovery step (the matrix is written in that candidate's
-    basis).
+    and so under its inverse; these finite orbits certify that the
+    induced action on the lattice is finite.  ``induced_finiteness`` is
+    its exact order, computed by :func:`group_is_finite` on
+    ``induced_gens`` when first read.  Each entry of
+    ``infinite_order_witnesses`` is a (word, matrix) pair that acted with
+    infinite order on the candidate lattice current at its discovery
+    step (the matrix is written in that candidate's basis).
     """
 
     lattice: Lattice
@@ -476,10 +477,10 @@ OrbitResult = FiniteOrbit | OrbitCapExceeded
 
 
 def orbit_bfs(group: MatGroupGens, start: Vec, cap: int = 10_000) -> OrbitResult:
-    """Breadth-first closure of {start} under generators and inverses.
+    """Breadth-first closure of {start} under the generators.
 
-    Returns the exact orbit when its size stays within ``cap``;
-    deterministic order: generator index, generator before inverse, FIFO.
+    Returns the exact orbit, which a finite closure is, when its size
+    stays within ``cap``; deterministic order: generator index, FIFO.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")

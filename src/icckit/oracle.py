@@ -10,10 +10,11 @@ same normal forms: integer tuples for abelian groups (free coordinates
 first, then torsion residues), reduced words for free groups,
 permutations for finite groups, and tuples of those for products.  One
 arithmetic class per catalog atom, plus one for products, serves both
-sides; the atom classes also carry the kernel side's action and
-conjugation step.  Multiplication is
+sides; the atom classes also carry the kernel side's conjugation step,
+and the abelian and free ones its action.  Multiplication is
 ``(k1, q1) (k2, q2) = (k1 * theta(q1)(k2), q1 q2)``, with theta(q)
-read off the generator powers that ``ExtensionSpec.theta`` caches.
+read off the generator powers that ``ExtensionSpec.theta`` caches, and
+a trivial theta (every action the identity) applied to nothing.
 
 Conjugation, the step that grows every ball, is computed in closed form:
 for ``g = (k, q)`` and ``x = (a, p)``,
@@ -137,7 +138,7 @@ class _FreePart:
 
 
 class _FinitePart:
-    """Permutations; as a kernel, acted on trivially."""
+    """Permutations."""
 
     def __init__(self, desc: FiniteGroupDesc):
         self.desc = desc
@@ -148,9 +149,6 @@ class _FinitePart:
 
     def inv(self, a):
         return perm_inverse(a)
-
-    def act(self, _action, a):
-        return a
 
     def conjugation_step(self, k, moved):
         """a -> k^-1 * a * moved, two permutation products."""
@@ -212,7 +210,7 @@ class ConcreteGroup:
         self.spec = spec
         self.kernel_part = _part(spec.kernel)
         self.quotient_part = _part(spec.quotient)
-        self._theta = spec.theta
+        self._theta = None if all(a.is_identity for a in spec.actions) else spec.theta
         self._theta_cache: dict = {}
         # conjugate's memos, see its docstring
         self._kernel_steps: dict = {}
@@ -222,8 +220,8 @@ class ConcreteGroup:
 
     def theta(self, q):
         """The action of q, composed along its exponent pairs by
-        ``Theta.of_pairs`` and memoized per q; None for a finite kernel,
-        which ``_FinitePart.act`` ignores."""
+        ``Theta.of_pairs`` and memoized per q; None when theta is trivial:
+        every action is the identity, or the kernel is finite."""
         if self._theta is None:
             return None
         action = self._theta_cache.get(q)
@@ -232,7 +230,7 @@ class ConcreteGroup:
         return action
 
     def act(self, q, k):
-        return self.kernel_part.act(self.theta(q), k)
+        return k if self._theta is None else self.kernel_part.act(self.theta(q), k)
 
     def mul(self, a, b):
         (k1, q1), (k2, q2) = a, b
@@ -279,7 +277,7 @@ class ConcreteGroup:
         p_conj = self._quotient_conjugates.get((q, p))
         if p_conj is None:
             p_conj = self._quotient_conjugates[q, p] = quotient.mul(quotient.mul(qi, p), q)
-        return (kernel.act(action, a), p_conj)
+        return (a if action is None else kernel.act(action, a), p_conj)
 
     def kernel_element(self, k):
         return (k, self.quotient_part.identity)

@@ -326,6 +326,16 @@ class TestCliRuns:
         )
         assert code == 2 and "--oracle-radius" in err
 
+    def test_emit_growth_without_oracle_fails_before_reading(self, tmp_path, capsys, monkeypatch):
+        """The usage error comes first: no file is read and nothing is
+        analyzed."""
+        analyzed = []
+        monkeypatch.setattr(cli, "analyze", lambda *a: analyzed.append(a))
+        code, out, err = run(capsys, "check", str(tmp_path / "missing.ext"),
+                             "--emit-growth", str(tmp_path / "x.csv"))
+        assert (code, out, err) == (2, "", "--emit-growth requires --oracle-radius > 0\n")
+        assert not analyzed and not (tmp_path / "x.csv").exists()
+
     def test_unknown_verdict_run(self, tmp_path, capsys):
         f = tmp_path / "unknown.ext"
         f.write_text(
@@ -413,6 +423,21 @@ class TestTrivialActionIsFree:
         assert code == 0 and not err
         assert json.loads(out)["verdict"] == "not_icc"
         assert calls == {"matmul": 0, "hnf": 0, "restrict": 0}
+
+    def test_oracle_applies_no_identity(self, tmp_path, capsys, monkeypatch):
+        """The oracle treats a trivial theta as none: its balls move kernel
+        parts by no matrix at all."""
+        applied = []
+        original = IntMatrix.apply
+        monkeypatch.setattr(IntMatrix, "apply", lambda m, v: applied.append(m) or original(m, v))
+        f = tmp_path / "spec.ext"
+        f.write_text("kernel: Z^40\nquotient: Z\n")
+        code = cli.run(["check", str(f), "--format", "json", "--oracle-radius", "2"])
+        out, err = capsys.readouterr()
+        assert code == 0 and not err
+        report = json.loads(out)
+        assert report["verdict"] == "not_icc" and report["oracle_crosscheck"]["consistent"]
+        assert applied == []
 
     def test_rank_400_under_s3_in_bounded_time_and_memory(self, tmp_path):
         """A 2-line input must not blow up: 1 GiB of address space, 20 s."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -73,13 +74,17 @@ def reference_shrink(lat, group):
         lat = nxt
 
 
-def reference_schreier_certificate(group):
+def reference_schreier_certificate(group, with_inverses=False):
     """The mod-3 Schreier search on whole matrices, one ``@`` per step:
-    the reference for the compiled column-wise search."""
+    the reference for the compiled column-wise search, which walks the
+    generators alone.  ``with_inverses`` walks each generator's inverse
+    right after it, as the search once did."""
     identity = IntMatrix.identity(group.rank)
     step = []
     for i, g in enumerate(group.gens):
-        step += [(i + 1, g), (-(i + 1), g.inverse_unimodular())]
+        step.append((i + 1, g))
+        if with_inverses:
+            step.append((-(i + 1), g.inverse_unimodular()))
     rep = {mod3(identity): (identity, ())}
     queue = deque([mod3(identity)])
     while queue:
@@ -161,6 +166,23 @@ def assert_closed(group, orbit):
     for g in group.gens:
         for m in (g, g.inverse_unimodular()):
             assert {m.apply(v) for v in orbit} == orbit
+
+
+def reference_orbit(group, start, cap):
+    """The orbit of ``start`` by breadth-first closure under every
+    generator and its inverse, or None once it passes ``cap`` vectors."""
+    steps = [m for g in group.gens for m in (g, g.inverse_unimodular())]
+    seen, queue = {start}, deque([start])
+    while queue:
+        v = queue.popleft()
+        for m in steps:
+            w = m.apply(v)
+            if w not in seen:
+                if len(seen) >= cap:
+                    return None
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
 
 
 class TestMatrixOrder:
@@ -409,6 +431,60 @@ class TestSchreierSearch:
     def test_finite_groups(self, group, order):
         assert self.assert_same_certificate(group) == GroupFinite(order)
 
+    def test_inverses_change_no_decision(self):
+        """CATALOG_AXIOMS §6 addendum: positive words reach all of a finite
+        image, and Schreier's lemma needs only the generators, so the
+        search with inverses decides the same finiteness and order."""
+        kinds = {GroupFinite: 0, GroupInfinite: 0}
+        for group in random_generator_sets(3003, 150):
+            cert = reference_schreier_certificate(group)
+            with_inverses = reference_schreier_certificate(group, with_inverses=True)
+            assert type(cert) is type(with_inverses)
+            if isinstance(cert, GroupFinite):
+                assert cert == with_inverses
+            kinds[type(cert)] += 1
+        assert min(kinds.values()) >= 30, kinds
+
+
+class TestNoInverseInAWalk:
+    """Every walk closes under the generators alone: finite groups, whose
+    orbits and images close, cost no ``inverse_unimodular`` call."""
+
+    @pytest.mark.parametrize("group", [symmetric_group(6), signed_permutations(4)])
+    def test_finite_groups_take_no_inverse(self, monkeypatch, group):
+        calls = []
+        original = IntMatrix.inverse_unimodular
+        monkeypatch.setattr(IntMatrix, "inverse_unimodular", lambda m: calls.append(m) or original(m))
+        assert isinstance(basis_orbits(group), BasisOrbits)
+        assert isinstance(group_is_finite(group), GroupFinite)
+        start = tuple(range(1, group.rank + 1))
+        assert isinstance(orbit_bfs(group, start), FiniteOrbit)
+        cert = finite_orbit_sublattice(group)
+        assert cert.lattice == Lattice.full(group.rank)
+        assert isinstance(cert.induced_finiteness, GroupFinite)
+        assert calls == []
+
+    def test_orbit_bfs_matches_closure_with_inverses(self):
+        """CATALOG_AXIOMS §9 addendum: a finite closure under the
+        generators is the orbit, and an infinite orbit passes any cap, so
+        orbit_bfs agrees with the closure under generators and inverses,
+        cap included, on every nonzero vector of the box {-1, 0, 1}^r."""
+        cap = 60
+        finite = capped = 0
+        for group in random_generator_sets(3008, 40):
+            for v in itertools.product((-1, 0, 1), repeat=group.rank):
+                if not any(v):
+                    continue
+                expected = reference_orbit(group, v, cap)
+                result = orbit_bfs(group, v, cap)
+                if expected is None:
+                    assert result == OrbitCapExceeded(cap)
+                    capped += 1
+                else:
+                    assert result == FiniteOrbit(expected)
+                    finite += 1
+        assert finite >= 100 and capped >= 100, (finite, capped)
+
 
 class TestShrinkToInvariant:
     """The restriction test with the intersect fallback against the
@@ -470,18 +546,18 @@ class TestShrinkToInvariant:
 
 
 class TestHnfBudget:
-    """Invariant candidates cost no HNF: what remains is the generators'
-    inverses and the finite-orbit spaces of infinite-order generators."""
+    """Invariant candidates cost no HNF, and the walks take no inverse:
+    what remains is the finite-orbit spaces of infinite-order generators."""
 
     @pytest.mark.parametrize(
         "group,lattice,ceiling",
         [
-            (symmetric_group(6), Lattice.full(6), 2),
+            (symmetric_group(6), Lattice.full(6), 0),
             # HYPER beside a rotation, then a swap of the finite block.
             (MatGroupGens(4, (
                 IntMatrix.from_rows([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
                 IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
-            )), Lattice.from_rows(4, [(0, 0, 1, 0), (0, 0, 0, 1)]), 4),
+            )), Lattice.from_rows(4, [(0, 0, 1, 0), (0, 0, 0, 1)]), 2),
         ],
     )
     def test_hnf_calls_stay_few(self, monkeypatch, group, lattice, ceiling):

@@ -243,6 +243,44 @@ class TestClosedFormConjugate:
         assert closed and capped
 
 
+class AppliedThetaGroup(ConcreteGroup):
+    """A group that applies theta even when every action is the identity."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self._theta = spec.theta
+
+
+class TestTrivialTheta:
+    """A theta whose every action is the identity is stored as none, and
+    the group it gives is the one that applies those identities."""
+
+    SPECS = {
+        "omitted_abelian_s3": lambda: make_extension(FgAbelianDesc(3, (2,)), S3_PERM),
+        "omitted_abelian_free": lambda: make_extension(FgAbelianDesc(2), FREE_UV),
+        "given_identity_product": lambda: make_extension(
+            FgAbelianDesc(2), make_product([Z, C2_PERM]), [IntMatrix.identity(2)] * 2),
+        "given_identity_free_kernel": lambda: make_extension(
+            FreeDesc(2, ("a", "b")), FREE_UV, [FreeAut.identity(2)] * 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_same_group_without_applying(self, name):
+        spec = self.SPECS[name]()
+        g, applied = materialize(spec), AppliedThetaGroup(spec)
+        gens = list(g.ball_generators())
+        gens += [g.inv(e) for e in gens]
+        rng = random.Random("trivial-" + name)
+        for _ in range(200):
+            c, x = random_element(g, gens, rng), random_element(g, gens, rng)
+            assert g.theta(x[1]) is None
+            assert g.mul(c, x) == applied.mul(c, x)
+            assert g.inv(x) == applied.inv(x)
+            assert g.conjugate(c, x) == applied.conjugate(c, x)
+        for x in g.sample_nontrivial(6):
+            assert conjugacy_ball(g, x, 3) == conjugacy_ball(applied, x, 3)
+
+
 class TestClosureOnly:
     """``closure_only`` balls against full ones, and what they save."""
 
