@@ -545,22 +545,20 @@ class TestShrinkToInvariant:
         assert inside >= 100
 
 
+# HYPER beside a rotation, then a swap of the finite block.
+HYPER_BESIDE_ROTATION = MatGroupGens(4, (
+    IntMatrix.from_rows([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+    IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+))
+ROTATION_BLOCK = Lattice.from_rows(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+
+
 class TestHnfBudget:
     """Invariant candidates cost no HNF, and the walks take no inverse:
     what remains is the finite-orbit spaces of infinite-order generators."""
 
-    @pytest.mark.parametrize(
-        "group,lattice,ceiling",
-        [
-            (symmetric_group(6), Lattice.full(6), 0),
-            # HYPER beside a rotation, then a swap of the finite block.
-            (MatGroupGens(4, (
-                IntMatrix.from_rows([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
-                IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
-            )), Lattice.from_rows(4, [(0, 0, 1, 0), (0, 0, 0, 1)]), 2),
-        ],
-    )
-    def test_hnf_calls_stay_few(self, monkeypatch, group, lattice, ceiling):
+    @staticmethod
+    def count_hnf_calls(monkeypatch, group, lattice):
         import icckit.intlinalg as intlinalg_mod
 
         calls = 0
@@ -573,7 +571,31 @@ class TestHnfBudget:
         real_hnf = intlinalg_mod.hnf
         monkeypatch.setattr(intlinalg_mod, "hnf", counted_hnf)
         assert finite_orbit_sublattice(group).lattice == lattice
-        assert calls <= ceiling
+        return calls
+
+    @pytest.mark.parametrize(
+        "group,lattice,ceiling",
+        [
+            (symmetric_group(6), Lattice.full(6), 2),
+            (HYPER_BESIDE_ROTATION, ROTATION_BLOCK, 4),
+        ],
+    )
+    def test_hnf_calls_stay_few(self, monkeypatch, group, lattice, ceiling):
+        """At most one HNF per generator's inverse and one per
+        finite-orbit space of an infinite-order generator."""
+        assert self.count_hnf_calls(monkeypatch, group, lattice) <= ceiling
+
+    @pytest.mark.parametrize(
+        "group,lattice,ceiling",
+        [
+            (symmetric_group(6), Lattice.full(6), 0),
+            (HYPER_BESIDE_ROTATION, ROTATION_BLOCK, 2),
+        ],
+    )
+    def test_walks_cost_no_hnf(self, monkeypatch, group, lattice, ceiling):
+        """No inverse is formed, so only the finite-orbit spaces of the
+        infinite-order generators cost an HNF."""
+        assert self.count_hnf_calls(monkeypatch, group, lattice) <= ceiling
 
 
 class TestSingleFiniteOrbitSpace:
