@@ -442,6 +442,14 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     return p
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_candidates(bound: int) -> tuple[tuple[int, IntPoly], ...]:
+    """(n, Phi_n) for every n with totient(n) <= bound, in increasing n;
+    totient(n) >= sqrt(n/2) keeps n <= 2 bound^2 + 1."""
+    return tuple((n, cyclotomic_polynomial(n))
+                 for n in range(1, 2 * bound * bound + 2) if _totient(n) <= bound)
+
+
 @dataclass(frozen=True)
 class CyclotomicFactors:
     """Which cyclotomic polynomials divide a monic integer polynomial."""
@@ -454,17 +462,14 @@ def cyclotomic_orders(p: IntPoly, bound: int) -> CyclotomicFactors:
     """All n with Phi_n | p, plus whether p is a product of cyclotomics.
 
     Only n with totient(n) <= bound can contribute (the totient is the
-    degree of Phi_n), and totient(n) >= sqrt(n/2) makes the candidate
-    list finite.
+    degree of Phi_n); :func:`_cyclotomic_candidates` lists them once per
+    bound.
     """
     if not p.is_monic:
         raise ValueError("cyclotomic_orders expects a monic polynomial")
     orders = set()
     remainder = p
-    for n in range(1, 2 * bound * bound + 2):
-        if _totient(n) > bound:
-            continue
-        phi = cyclotomic_polynomial(n)
+    for n, phi in _cyclotomic_candidates(bound):
         while remainder.degree >= phi.degree:
             q, rem = remainder.divmod_monic(phi)
             if not rem.is_zero:

@@ -1,6 +1,7 @@
 """Algorithms on finitely generated subgroups of GL(r, Z).
 
-Element order via cyclotomic spectrum; group finiteness with explicit
+Element order, read off the period of the mod-3 powers (or, past a
+short walk, off the cyclotomic spectrum); group finiteness with explicit
 certificates; and the finite-orbit sublattice: the set of vectors of
 Z^r whose orbit under the generated group is finite.
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .intlinalg import (
     IntMatrix,
@@ -89,12 +91,31 @@ class MatGroupGens:
         return out
 
 
-def _cyclotomic_power(m: IntMatrix) -> tuple[int, IntMatrix]:
-    """(L, M^L) for L the lcm of the cyclotomic orders dividing charpoly(M), or 1;
-    (1, I) for the identity, without a charpoly."""
-    if m.is_identity:
-        return 1, m
-    big = lcm_all(cyclotomic_orders(charpoly(m), m.nrows).orders | {1})
+def _walk_steps(rank: int) -> int:
+    """How many mod-3 powers :func:`_period_power` walks.  For r <= 5
+    this covers every finite order in GL(r, Z) (at most 12), and it
+    bounds the entries of the one power taken."""
+    return 3 * rank + 1
+
+
+def _period_power(m: IntMatrix) -> tuple[int, IntMatrix]:
+    """(L, M^L) such that M has finite order iff M^L = I, and the
+    finite-orbit space of <M> is ker(M^L - I).
+
+    L is the least k <= :func:`_walk_steps` with M^k = I mod 3 when there
+    is one (k = 1 for I, with no product): M^k lies in the torsion-free
+    mod-3 congruence kernel and <M^k> has finite index in <M>
+    (``CATALOG_AXIOMS.md`` §6).  Otherwise L is the lcm of the cyclotomic
+    orders dividing charpoly(M), or 1.
+    """
+    if not m.is_square:
+        raise ValueError("period of a non-square matrix")
+    r = m.nrows
+    identity = IntMatrix.identity(r).rows
+    for k, power in zip(range(1, _walk_steps(r) + 1), _powers3(mod3(m))):
+        if power == identity:
+            return k, m ** k
+    big = lcm_all(cyclotomic_orders(charpoly(m), r).orders | {1})
     return big, m ** big
 
 
@@ -103,18 +124,21 @@ def matrix_order(m: IntMatrix) -> int | None:
     infinite.  Only matrices in GL(r, Z) have finite order (M^n = I
     forces det M = +-1), so any other matrix gets None.
 
-    The candidate order L is the lcm of the indices of the cyclotomic
-    factors of charpoly(M); M has finite order iff M^L = I, and then its
-    order is the least divisor n of L with M^n = I.
+    With (L, M^L) from :func:`_period_power`, M has finite order iff
+    M^L = I.  An L found by the mod-3 walk is then the order itself: the
+    order n divides L, and M^n = I is I mod 3, so L <= n.  A finite order
+    past the walk is the least divisor n of the cyclotomic L with M^n = I.
 
     >>> matrix_order(IntMatrix.from_rows([[0, -1], [1, 0]]))
     4
     >>> matrix_order(IntMatrix.from_rows([[1, 1], [0, 1]])) is None
     True
     """
-    big, power = _cyclotomic_power(m)
+    big, power = _period_power(m)
     if not power.is_identity:
         return None
+    if big <= _walk_steps(m.nrows):  # L is the walk's: a finite order this small stops the walk
+        return big
     return next(d for d in _divisors(big) if (m ** d).is_identity)
 
 
@@ -166,6 +190,26 @@ def mod3(action) -> tuple[Vec, ...]:
 def _mul3(a, b):
     cols = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) % 3 for col in cols) for row in a)
+
+
+def _powers3(b):
+    """B, B^2, B^3, ... mod 3, for a square B of residues mod 3.
+
+    Row i of P B is the sum over j of P[i][j] times row j of B.  Before
+    the first product, each row of B is packed into one integer, w bits
+    per entry, so that sum is one integer sum.  No digit carries: no
+    entry of P B exceeds 4r before it is reduced, and 4r < 2^w.
+    """
+    yield b
+    r = len(b)
+    w = (4 * r).bit_length()
+    shifts, mask = range(0, w * r, w), (1 << w) - 1
+    packed = [sum(x << s for x, s in zip(row, shifts)) for row in b]
+    power = b
+    while True:
+        power = tuple(tuple((acc >> s & mask) % 3 for s in shifts)
+                      for acc in (sum(map(mul, row, packed)) for row in power))
+        yield power
 
 
 def _inverse3(m):
@@ -334,12 +378,14 @@ def basis_orbits(group: MatGroupGens) -> BasisOrbits | GroupInfinite:
 def single_finite_orbit_space(m: IntMatrix) -> Lattice:
     """The pure sublattice of vectors with finite orbit under <M>.
 
-    Equals ker(M^L - I) where L is the lcm of the cyclotomic orders that
-    divide charpoly(M) (L = 1 when there are none).  M must lie in
-    GL(r, Z); it is not checked here (see :class:`MatGroupGens`).
+    Equals ker(M^L - I) for (L, M^L) from :func:`_period_power`: L is the
+    mod-3 period of M when that is at most 3r + 1, and otherwise the lcm
+    of the cyclotomic orders that divide charpoly(M) (L = 1 when there
+    are none).  M must lie in GL(r, Z); it is not checked here (see
+    :class:`MatGroupGens`).
     """
     n = m.nrows
-    _, power = _cyclotomic_power(m)
+    _, power = _period_power(m)
     if power.is_identity:
         return Lattice.full(n)
     return kernel_lattice(power - IntMatrix.identity(n))

@@ -8,7 +8,17 @@ from pathlib import Path
 import pytest
 
 import icckit
-from icckit.intlinalg import IntMatrix, Lattice, charpoly, cyclotomic_orders
+from icckit.intlinalg import (
+    IntMatrix,
+    IntPoly,
+    Lattice,
+    _divisors,
+    charpoly,
+    cyclotomic_orders,
+    cyclotomic_polynomial,
+    kernel_lattice,
+    lcm_all,
+)
 from icckit.matgroup import (
     BasisOrbits,
     FiniteOrbit,
@@ -104,13 +114,14 @@ def reference_schreier_certificate(group, with_inverses=False):
 def reference_finite_orbit_sublattice(group):
     """The finite-orbit sublattice with every candidate shrunk by
     :func:`reference_shrink` and every induced action decided by the full
-    mod-3 enumeration of :func:`reference_schreier_certificate`; an
+    mod-3 enumeration of :func:`reference_schreier_certificate`, each
+    finite-orbit space taken by :func:`cyclotomic_reference`; an
     independent route to the lattice that finite_orbit_sublattice
     certifies by restrictions and basis orbits."""
     r = group.rank
     cand = Lattice.full(r)
     for g in group.gens:
-        cand = cand.intersect(single_finite_orbit_space(g))
+        cand = cand.intersect(cyclotomic_reference(g)[1])
     while True:
         cand = reference_shrink(cand, group)
         if cand.rank == 0:
@@ -119,7 +130,7 @@ def reference_finite_orbit_sublattice(group):
         cert = reference_schreier_certificate(MatGroupGens(cand.rank, induced))
         if isinstance(cert, GroupFinite):
             return cand
-        fixed = single_finite_orbit_space(cert.witness_matrix)
+        fixed = cyclotomic_reference(cert.witness_matrix)[1]
         cand = Lattice.from_rows(r, [cand.member_from_coords(c) for c in fixed.basis])
 
 
@@ -194,17 +205,14 @@ class TestMatrixOrder:
 
     def test_identity_takes_no_charpoly(self, monkeypatch):
         """Trivial actions are common, and a charpoly costs n - 1 products
-        of n x n matrices: the identity is answered without one."""
-        import icckit.matgroup as matgroup_mod
-
-        calls = []
-        original = matgroup_mod.charpoly
-        monkeypatch.setattr(matgroup_mod, "charpoly", lambda m: calls.append(m) or original(m))
+        of n x n matrices: the identity, of mod-3 period 1, is answered
+        without one, and so is a rotation of period 4."""
+        calls = charpoly_spy(monkeypatch)
         for n in (1, 2, 5, 12):
             assert matrix_order(IntMatrix.identity(n)) == 1
             assert single_finite_orbit_space(IntMatrix.identity(n)) == Lattice.full(n)
         assert calls == []
-        assert matrix_order(ROT4) == 4 and len(calls) == 1
+        assert matrix_order(ROT4) == 4 and len(calls) == 0
 
     def test_rotation(self):
         assert matrix_order(ROT4) == 4
@@ -250,6 +258,43 @@ def brute_force_order(m, limit=60):
     return None
 
 
+def charpoly_spy(monkeypatch):
+    """The list of matrices that matgroup takes a charpoly of, from now on."""
+    import icckit.matgroup as matgroup_mod
+
+    calls = []
+    original = matgroup_mod.charpoly
+    monkeypatch.setattr(matgroup_mod, "charpoly", lambda m: calls.append(m) or original(m))
+    return calls
+
+
+def mod3_period(m, limit):
+    """The least k <= limit with M^k = I mod 3, by exact powers, or None."""
+    power = m
+    for k in range(1, limit + 1):
+        if all((x - (i == j)) % 3 == 0 for i, row in enumerate(power.rows) for j, x in enumerate(row)):
+            return k
+        power = power @ m
+    return None
+
+
+def cyclotomic_reference(m):
+    """(order or None, finite-orbit space) by the cyclotomic route alone:
+    L the lcm of the cyclotomic orders dividing charpoly(M), the space
+    ker(M^L - I), and the order the least divisor n of L with M^n = I."""
+    big = lcm_all(cyclotomic_orders(charpoly(m), m.nrows).orders | {1})
+    power = m ** big
+    order = next((d for d in _divisors(big) if (m ** d).is_identity), None)
+    return order, kernel_lattice(power - IntMatrix.identity(m.nrows))
+
+
+def companion(coeffs):
+    """The companion matrix of x^r + c_{r-1} x^{r-1} + ... + c_0, for
+    ``coeffs`` = (c_0, ..., c_{r-1})."""
+    r = len(coeffs)
+    return IntMatrix.from_rows([[int(i == j + 1) for j in range(r - 1)] + [-coeffs[i]] for i in range(r)])
+
+
 def rotation_jordan_block(rng):
     """[[R, I], [0, R]] for a rotation R: cyclotomic, not semisimple."""
     r = rng.choice(ROTATIONS[:3])
@@ -267,8 +312,9 @@ class TestMatrixOrderMixedSpectra:
     semisimple.  ``finite``: rotation blocks only."""
 
     @staticmethod
-    def draw(rng, kind):
-        blocks = [rng.choice(ROTATIONS) ** rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+    def draw(rng, kind, most=2):
+        """1 to ``most`` rotation blocks, beside the kind's block."""
+        blocks = [rng.choice(ROTATIONS) ** rng.randint(-3, 3) for _ in range(rng.randint(1, most))]
         if kind == "hyperbolic":
             blocks.append(rng.choice((HYPER, HYPER.inverse_unimodular(), HYPER.scale(-1))))
         elif kind == "shear":
@@ -287,6 +333,70 @@ class TestMatrixOrderMixedSpectra:
             order = matrix_order(m)
             assert order == brute_force_order(m)
             assert (order is None) == (kind != "finite")
+
+
+class TestPeriodWalk:
+    """``matrix_order`` and ``single_finite_orbit_space`` read the order
+    and the finite-orbit space off the mod-3 period when it is at most
+    3r + 1 (``CATALOG_AXIOMS.md`` §6), and fall back to the cyclotomic
+    route past it; both agree with that route and with brute force."""
+
+    @staticmethod
+    def assert_agrees(m, limit=60):
+        order, space = cyclotomic_reference(m)
+        assert matrix_order(m) == order == brute_force_order(m, limit)
+        assert single_finite_orbit_space(m) == space
+
+    @pytest.mark.parametrize("kind", ["finite", "hyperbolic", "shear"])
+    def test_mixed_spectra_agree_with_cyclotomic_route(self, kind, monkeypatch):
+        calls = charpoly_spy(monkeypatch)
+        rng = random.Random(f"period-walk:{kind}")
+        ranks = set()
+        for _ in range(100):
+            m = TestMatrixOrderMixedSpectra.draw(rng, kind, most=4)
+            if not 2 <= m.nrows <= 6:
+                continue
+            ranks.add(m.nrows)
+            calls.clear()
+            self.assert_agrees(m)
+            if kind == "finite" and m.nrows <= 5:
+                assert calls == [], "every finite order in GL(r, Z), r <= 5, is within the walk"
+        assert {3, 4, 5, 6} <= ranks  # a hyperbolic or shear block comes beside a rotation
+
+    def test_companions_past_the_walk_take_the_fallback(self, monkeypatch):
+        """Seeded companion matrices of ranks 6 to 12 whose mod-3 period
+        exceeds 3r + 1, and finite orders past the walk: order 30 at
+        rank 6 (Phi_5 Phi_6), 120 at rank 10 (Phi_8 Phi_5 Phi_3) and 63
+        at rank 12 (Phi_7 Phi_9)."""
+        calls = charpoly_spy(monkeypatch)
+        rng = random.Random("period-walk:companion")
+        mats = []
+        while len(mats) < 12:
+            r = rng.randint(6, 12)
+            m = companion([rng.choice((1, -1))] + [rng.randint(-2, 2) for _ in range(r - 1)])
+            if mod3_period(m, 3 * r + 1) is None:
+                mats.append(m)
+        for factors, order in (((5, 6), 30), ((8, 5, 3), 120), ((7, 9), 63)):
+            poly = IntPoly((1,))
+            for n in factors:
+                poly = poly * cyclotomic_polynomial(n)
+            m = companion(poly.coeffs[:-1])
+            assert mod3_period(m, 3 * m.nrows + 1) is None
+            assert matrix_order(m) == order
+            mats.append(m)
+        for m in mats:
+            calls.clear()
+            self.assert_agrees(m, limit=120)
+            assert len(calls) == 2  # one per function: both took the fallback
+
+    def test_non_unimodular_and_non_square(self):
+        for rows in ([[2, 0], [0, 2]], [[2, 0], [0, -1]], [[3, 0], [0, 1]], [[1, 1], [1, -2]], [[0]]):
+            m = IntMatrix.from_rows(rows)
+            assert matrix_order(m) is None
+            assert matrix_order(m) == cyclotomic_reference(m)[0]
+        for f in (matrix_order, single_finite_orbit_space):
+            with pytest.raises(ValueError):
+                f(IntMatrix.from_rows([[1, 2]]))
 
 
 class TestGroupIsFinite:
@@ -715,21 +825,17 @@ class TestFiniteOrbitSublattice:
         assert orbit_bfs(gens, (0, 1), 1000) == OrbitCapExceeded(1000)
 
     def test_witness_cut_takes_no_charpoly(self, monkeypatch):
-        """Each non-identity generator's finite-orbit space takes one
-        charpoly (the identity's takes none); a witness W (W = I mod 3)
-        cuts by ker(W - I) and takes none."""
-        import icckit.matgroup as matgroup_mod
-
-        calls = []
-        original = matgroup_mod.charpoly
-        monkeypatch.setattr(matgroup_mod, "charpoly", lambda m: calls.append(m) or original(m))
+        """A generator's finite-orbit space takes one charpoly only when
+        its mod-3 period exceeds 3r + 1 (the walk of ``_period_power``);
+        a witness W (W = I mod 3) cuts by ker(W - I) and takes none."""
+        calls = charpoly_spy(monkeypatch)
         dihedral = MatGroupGens(
             2, (IntMatrix.from_rows([[1, 1], [0, -1]]), IntMatrix.from_rows([[1, 0], [0, -1]])))
         cut = 0
         for group in [dihedral, *random_generator_sets(3004, 150)]:
             calls.clear()
             cert = finite_orbit_sublattice(group)
-            assert len(calls) == sum(not g.is_identity for g in group.gens)
+            assert len(calls) == sum(mod3_period(g, 3 * g.nrows + 1) is None for g in group.gens)
             cut += bool(cert.infinite_order_witnesses)
             assert cert.lattice == reference_finite_orbit_sublattice(group)
         assert cut >= 5, cut
