@@ -50,7 +50,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
 
 from .intlinalg import (
     IntMatrix,
@@ -91,32 +90,49 @@ class MatGroupGens:
         return out
 
 
-def _walk_steps(rank: int) -> int:
-    """How many mod-3 powers :func:`_period_power` walks.  For r <= 5
-    this covers every finite order in GL(r, Z) (at most 12), and it
-    bounds the entries of the one power taken."""
-    return 3 * rank + 1
+def _mod3_period(m: IntMatrix, cap: int) -> int | None:
+    """The least k <= cap with M^k = I mod 3, or None.
+
+    The k with e_i M^k = e_i mod 3 are the multiples of the least one,
+    row i's period, so M^k = I iff the lcm of the rows' periods divides
+    k.  Each row is walked alone: one whose period exceeds the cap ends
+    the walk after cap vector products.
+    """
+    cols = tuple(zip(*mod3(m)))
+    period = 1
+    for start in IntMatrix.identity(m.nrows).rows:
+        row = start
+        for k in range(1, cap + 1):
+            (row,) = _times3((row,), cols)
+            if row == start:
+                break
+        else:
+            return None
+        period = lcm_all((period, k))
+        if period > cap:
+            return None
+    return period
 
 
-def _period_power(m: IntMatrix) -> tuple[int, IntMatrix]:
-    """(L, M^L) such that M has finite order iff M^L = I, and the
+def _period_power(m: IntMatrix) -> tuple[int, IntMatrix, bool]:
+    """(L, M^L, walked) such that M has finite order iff M^L = I, and the
     finite-orbit space of <M> is ker(M^L - I).
 
-    L is the least k <= :func:`_walk_steps` with M^k = I mod 3 when there
-    is one (k = 1 for I, with no product): M^k lies in the torsion-free
-    mod-3 congruence kernel and <M^k> has finite index in <M>
-    (``CATALOG_AXIOMS.md`` §6).  Otherwise L is the lcm of the cyclotomic
-    orders dividing charpoly(M), or 1.
+    L is the mod-3 period of M when it is at most 3r + 1, and then
+    ``walked`` is True: M^L lies in the torsion-free mod-3 congruence
+    kernel and <M^L> has finite index in <M> (``CATALOG_AXIOMS.md`` §6).
+    For r <= 5 that cap covers every finite order in GL(r, Z) (at most
+    12), and it bounds the entries of the one power taken.  Otherwise L
+    is the lcm of the cyclotomic orders dividing charpoly(M), or 1.
     """
     if not m.is_square:
         raise ValueError("period of a non-square matrix")
     r = m.nrows
-    identity = IntMatrix.identity(r).rows
-    for k, power in zip(range(1, _walk_steps(r) + 1), _powers3(mod3(m))):
-        if power == identity:
-            return k, m ** k
+    period = _mod3_period(m, 3 * r + 1)
+    if period is not None:
+        return period, m ** period, True
     big = lcm_all(cyclotomic_orders(charpoly(m), r).orders | {1})
-    return big, m ** big
+    return big, m ** big, False
 
 
 def matrix_order(m: IntMatrix) -> int | None:
@@ -134,10 +150,10 @@ def matrix_order(m: IntMatrix) -> int | None:
     >>> matrix_order(IntMatrix.from_rows([[1, 1], [0, 1]])) is None
     True
     """
-    big, power = _period_power(m)
+    big, power, walked = _period_power(m)
     if not power.is_identity:
         return None
-    if big <= _walk_steps(m.nrows):  # L is the walk's: a finite order this small stops the walk
+    if walked:
         return big
     return next(d for d in _divisors(big) if (m ** d).is_identity)
 
@@ -187,29 +203,13 @@ def mod3(action) -> tuple[Vec, ...]:
     return tuple(map(_residues, (action if isinstance(action, IntMatrix) else action.abelianization()).rows))
 
 
-def _mul3(a, b):
-    cols = tuple(zip(*b))
+def _times3(a, cols):
+    """A B mod 3, given the columns of B."""
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) % 3 for col in cols) for row in a)
 
 
-def _powers3(b):
-    """B, B^2, B^3, ... mod 3, for a square B of residues mod 3.
-
-    Row i of P B is the sum over j of P[i][j] times row j of B.  Before
-    the first product, each row of B is packed into one integer, w bits
-    per entry, so that sum is one integer sum.  No digit carries: no
-    entry of P B exceeds 4r before it is reduced, and 4r < 2^w.
-    """
-    yield b
-    r = len(b)
-    w = (4 * r).bit_length()
-    shifts, mask = range(0, w * r, w), (1 << w) - 1
-    packed = [sum(x << s for x, s in zip(row, shifts)) for row in b]
-    power = b
-    while True:
-        power = tuple(tuple((acc >> s & mask) % 3 for s in shifts)
-                      for acc in (sum(map(mul, row, packed)) for row in power))
-        yield power
+def _mul3(a, b):
+    return _times3(a, tuple(zip(*b)))
 
 
 def _inverse3(m):
@@ -385,7 +385,7 @@ def single_finite_orbit_space(m: IntMatrix) -> Lattice:
     :class:`MatGroupGens`).
     """
     n = m.nrows
-    _, power = _period_power(m)
+    _, power, _ = _period_power(m)
     if power.is_identity:
         return Lattice.full(n)
     return kernel_lattice(power - IntMatrix.identity(n))

@@ -389,6 +389,27 @@ class TestPeriodWalk:
             self.assert_agrees(m, limit=120)
             assert len(calls) == 2  # one per function: both took the fallback
 
+    def test_row_periods_combine_by_lcm(self, monkeypatch):
+        """The mod-3 period is the lcm of the rows' periods.  Every row of
+        these block diagonals returns within 3r + 1 steps, and the lcm
+        alone decides between the walk and the fallback."""
+        calls = charpoly_spy(monkeypatch)
+        fib = IntMatrix.from_rows([[1, 1], [1, 0]])
+        phi5 = companion(cyclotomic_polynomial(5).coeffs[:-1])
+        for blocks, order, fallback in (
+            ((ROT4, ROTATIONS[1]), 12, False),  # periods 4 and 3: lcm 12 <= 13
+            ((fib, SHEAR), None, True),  # periods 8 and 3: lcm 24 > 13
+            ((phi5, ROT4), 20, True),  # periods 5 and 4: lcm 20 > 19
+        ):
+            m = block_diag(*blocks)
+            assert (mod3_period(m, 3 * m.nrows + 1) is None) == fallback
+            calls.clear()
+            self.assert_agrees(m)
+            assert matrix_order(m) == order
+            assert len(calls) == (3 if fallback else 0)  # assert_agrees and the line above
+        calls.clear()
+        assert matrix_order(IntMatrix.identity(0)) == 1 and calls == []  # no rows, period 1
+
     def test_non_unimodular_and_non_square(self):
         for rows in ([[2, 0], [0, 2]], [[2, 0], [0, -1]], [[3, 0], [0, 1]], [[1, 1], [1, -2]], [[0]]):
             m = IntMatrix.from_rows(rows)
