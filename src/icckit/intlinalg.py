@@ -5,6 +5,9 @@ arithmetic throughout: canonical Hermite normal form, integer kernels,
 characteristic polynomials, and detection of root-of-unity spectrum via
 cyclotomic trial division.  No floating point is used anywhere.
 
+:func:`hnf` is the one elimination: it reduces ``[A | I]`` in full, so
+bases, inverses, kernels and intersections are each read off one call.
+
 Conventions: vectors are tuples of ints; a matrix ``M`` acts on a vector
 ``v`` as ``M @ v^T`` (see :meth:`IntMatrix.apply`).  Lattice bases are
 stored as rows in canonical row Hermite normal form.
@@ -140,7 +143,7 @@ class IntMatrix:
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a determinant-+-1 matrix (integer entries)."""
         h, u = hnf(self)
-        if h != IntMatrix.identity(self.nrows):
+        if not h.is_identity:
             raise ValueError("matrix is not unimodular")
         return u
 
@@ -158,26 +161,24 @@ class IntMatrix:
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form with transformation.
 
-    Returns ``(H, U)`` with ``U`` unimodular, ``H = U @ a``, ``H`` in
-    canonical row HNF: pivots positive and strictly right of the pivots
-    above, entries above a pivot reduced into ``[0, pivot)``, zero rows
-    at the bottom.  ``H`` depends only on the row lattice of ``a``.
+    Returns ``(H, U)`` with ``[H | U]`` the canonical row HNF of
+    ``[a | I]``: pivots positive and strictly right of the pivots above,
+    entries above a pivot reduced into ``[0, pivot)``, zero rows at the
+    bottom.  So ``U`` is unimodular and ``H = U @ a`` is the canonical HNF
+    of ``a``, which depends only on its row lattice.  ``U`` is unique if
+    ``a`` has full row rank; if not, U's rows beside H's zero rows are the
+    canonical basis of ``{x : x a = 0}`` (``CATALOG_AXIOMS.md`` §14).
 
     >>> h, u = hnf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> h.rows
     ((2, 0), (0, 4))
     """
     m, n = a.nrows, a.ncols
-    h = [list(r) for r in a.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def sub_rows(dst, src, q):
-        if q:
-            h[dst] = [x - q * y for x, y in zip(h[dst], h[src])]
-            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
+    h = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a.rows)]
     row = 0
-    for col in range(n):
+    for col in range(n + m):
+        if row == m:
+            break  # every row has a pivot
         # Euclidean elimination below `row` until one nonzero entry remains.
         while True:
             piv = None
@@ -188,21 +189,21 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 break
             others = [i for i in range(row, m) if i != piv and h[i][col] != 0]
             if not others:
-                if piv != row:
-                    h[piv], h[row] = h[row], h[piv]
-                    u[piv], u[row] = u[row], u[piv]
+                h[piv], h[row] = h[row], h[piv]
                 break
             for i in others:
-                sub_rows(i, piv, h[i][col] // h[piv][col])
-        if row < m and h[row][col] != 0:
+                q = h[i][col] // h[piv][col]
+                h[i] = [x - q * y for x, y in zip(h[i], h[piv])]
+        if h[row][col] != 0:
             if h[row][col] < 0:
                 h[row] = [-x for x in h[row]]
-                u[row] = [-x for x in u[row]]
             p = h[row][col]
             for i in range(row):
-                sub_rows(i, row, h[i][col] // p)
+                if q := h[i][col] // p:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[row])]
             row += 1
-    return IntMatrix._trusted(tuple(map(tuple, h))), IntMatrix._trusted(tuple(map(tuple, u)))
+    return (IntMatrix._trusted(tuple(tuple(r[:n]) for r in h)),
+            IntMatrix._trusted(tuple(tuple(r[n:]) for r in h)))
 
 
 @dataclass(frozen=True)
@@ -275,37 +276,30 @@ class Lattice:
         return Lattice.from_rows(self.ambient, [m.apply(b) for b in self.basis])
 
     def intersect(self, other: "Lattice") -> "Lattice":
-        """L1 n L2 via the kernel of the stacked basis system."""
+        """L1 n L2, read off one HNF of [[B1, B1], [B2, 0]].
+
+        That matrix has full row rank and row lattice
+        {(x B1 + y B2, x B1)}; its HNF rows (0, v) are the canonical basis
+        of L1 n L2 (``CATALOG_AXIOMS.md`` §14).
+        """
         if self.ambient != other.ambient:
             raise ValueError("ambient rank mismatch")
         if self.rank == 0 or other.rank == 0:
             return Lattice.zero(self.ambient)
-        stacked = IntMatrix.from_rows(list(self.basis) + list(other.basis))
-        # Rows (x, y) with x B1 + y B2 = 0; the members x B1 sweep L1 n L2.
-        relations = kernel_lattice(stacked.transpose())
-        k1 = self.rank
-        members = []
-        for rel in relations.basis:
-            vec = [0] * self.ambient
-            for c, b in zip(rel[:k1], self.basis):
-                if c:
-                    vec = [p + c * q for p, q in zip(vec, b)]
-            members.append(tuple(vec))
-        return Lattice.from_rows(self.ambient, members)
+        n = self.ambient
+        h, _ = hnf(IntMatrix._trusted(tuple(b + b for b in self.basis) + tuple(b + (0,) * n for b in other.basis)))
+        return Lattice(n, tuple(r[n:] for r in h.rows if not any(r[:n])))
 
 
 def kernel_lattice(a: IntMatrix) -> Lattice:
     """The integer kernel {v in Z^r : A v^T = 0} of an m-by-r matrix.
 
-    The result is a pure sublattice: any primitive vector of its rational
-    span is a member.
+    Its canonical basis is the rows of U beside the zero rows of H in
+    ``hnf(A^T)`` (``CATALOG_AXIOMS.md`` §14).  The result is a pure
+    sublattice: any primitive vector of its rational span is a member.
     """
-    r = a.ncols
-    if a.nrows == 0:
-        return Lattice.full(r)
     h, u = hnf(a.transpose())
-    rows = [u.rows[i] for i in range(r) if not any(h.rows[i])]
-    return Lattice.from_rows(r, rows)
+    return Lattice(a.ncols, tuple(v for v, w in zip(u.rows, h.rows) if not any(w)))
 
 
 @dataclass(frozen=True)

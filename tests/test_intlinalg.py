@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -78,6 +79,8 @@ class TestHnf:
         h, u = hnf(a)
         assert h == a
         assert u == IntMatrix.identity(2)
+        for shape in [(1, 1), (3, 1), (2, 4)]:
+            self.assert_augmented_contract(IntMatrix.zeros(*shape))
 
     def test_two_by_two(self):
         a = IntMatrix.from_rows([[2, 4], [6, 8]])
@@ -112,6 +115,41 @@ class TestHnf:
         for row in a.rows:
             assert rational_row_space_contains(h.rows, row)
 
+    @staticmethod
+    def assert_augmented_contract(a):
+        """[H | U] is the canonical HNF of [a | I]: H = U a and det U = +-1."""
+        h, u = hnf(a)
+        assert is_row_hnf(IntMatrix.from_rows([hr + ur for hr, ur in zip(h.rows, u.rows)]))
+        assert u @ a == h
+        assert u.det() in (1, -1)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rank_deficient_augmented(self, seed):
+        """Rank-deficient inputs: U's rows beside H's zero rows are reduced too."""
+        rng = random.Random(500 + seed)
+        m, n = rng.randint(2, 5), rng.randint(1, 4)
+        k = rng.randint(1, min(m - 1, n))
+        c = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)])
+        b = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
+        a = c @ b
+        assert not all(any(r) for r in hnf(a)[0].rows)  # rank < m
+        self.assert_augmented_contract(a)
+
+
+def hnf_spy(monkeypatch):
+    """Counts the calls of intlinalg.hnf, which every lattice operation uses."""
+    import icckit.intlinalg as intlinalg_mod
+
+    real_hnf = intlinalg_mod.hnf
+    calls = [0]
+
+    def counted_hnf(a):
+        calls[0] += 1
+        return real_hnf(a)
+
+    monkeypatch.setattr(intlinalg_mod, "hnf", counted_hnf)
+    return calls
+
 
 class TestKernelLattice:
     def test_identity_kernel_trivial(self):
@@ -120,6 +158,7 @@ class TestKernelLattice:
     def test_zero_matrix_full(self):
         k = kernel_lattice(IntMatrix.zeros(2, 2))
         assert k == Lattice.full(2)
+        assert kernel_lattice(IntMatrix(())) == Lattice.full(0)
 
     def test_difference_row(self):
         a = IntMatrix.from_rows([[1, -1]])
@@ -128,28 +167,53 @@ class TestKernelLattice:
         for v in enumerate_box(2, 10):
             assert (tuple(v) in k) == (a.apply(v) == (0,))
 
+    @staticmethod
+    def _draws(rng):
+        """One random matrix, then a wide one, a tall rank-deficient one and
+        one with all-zero rows."""
+        def draw(rows, cols):
+            return [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+
+        yield draw(rng.randint(1, 3), rng.randint(1, 4))
+        yield draw(rng.randint(1, 2), rng.randint(4, 5))
+        rows, cols = rng.randint(4, 5), rng.randint(2, 3)
+        yield (IntMatrix.from_rows(draw(rows, cols - 1)) @ IntMatrix.from_rows(draw(cols - 1, cols))).rows
+        rows = draw(rng.randint(1, 2), rng.randint(2, 4))
+        for _ in range(rng.randint(1, 2)):
+            rows.insert(rng.randint(0, len(rows)), [0] * len(rows[0]))
+        yield rows
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_membership_and_purity(self, seed):
         rng = random.Random(100 + seed)
-        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
-        a = IntMatrix.from_rows(
-            [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        )
-        k = kernel_lattice(a)
-        for b in k.basis:
-            assert a.apply(b) == (0,) * rows
-        for v in enumerate_box(cols, 3):
-            inside = all(x == 0 for x in a.apply(v))
-            assert (tuple(v) in k) == inside
-        # purity: scaling a member down to its primitive form stays inside
-        from math import gcd
+        for rows in self._draws(rng):
+            a = IntMatrix.from_rows(rows)
+            cols = a.ncols
+            k = kernel_lattice(a)
+            assert is_row_hnf(IntMatrix.from_rows(k.basis))
+            for b in k.basis:
+                assert a.apply(b) == (0,) * a.nrows
+            for v in enumerate_box(cols, 3 if cols <= 4 else 2):
+                inside = all(x == 0 for x in a.apply(v))
+                assert (tuple(v) in k) == inside
+            # purity: scaling a member down to its primitive form stays inside
+            for b in k.basis:
+                g = 0
+                for x in b:
+                    g = gcd(g, x)
+                if g > 1:
+                    assert tuple(x // g for x in b) in k
 
-        for b in k.basis:
-            g = 0
-            for x in b:
-                g = gcd(g, x)
-            if g > 1:
-                assert tuple(x // g for x in b) in k
+    def test_one_hnf_per_nonzero_kernel(self, monkeypatch):
+        calls = hnf_spy(monkeypatch)
+        seen = 0
+        for seed in range(10):
+            for rows in self._draws(random.Random(100 + seed)):
+                before = calls[0]
+                if kernel_lattice(IntMatrix.from_rows(rows)).rank:
+                    assert calls[0] - before == 1
+                    seen += 1
+        assert seen >= 20
 
 
 class TestLatticeIntersect:
@@ -176,16 +240,47 @@ class TestLatticeIntersect:
         rows = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(k)]
         return Lattice.from_rows(ambient, rows)
 
+    @staticmethod
+    def assert_meet(x, y):
+        """Brute force: the basis is canonical, and over a box of vectors and
+        a box of combinations of x's basis, v lies in the meet exactly when
+        it lies in both lattices."""
+        meet = x.intersect(y)
+        assert is_row_hnf(IntMatrix.from_rows(meet.basis))
+        radius = 3 if x.ambient <= 3 else 2
+        for v in enumerate_box(x.ambient, radius):
+            assert (v in meet) == (v in x and v in y)
+        for coords in enumerate_box(x.rank, 2):
+            v = x.member_from_coords(coords)
+            assert (v in meet) == (v in y)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_algebraic_laws(self, seed):
         rng = random.Random(200 + seed)
-        ambient = rng.randint(1, 3)
-        a = self._random_lattice(rng, ambient)
-        b = self._random_lattice(rng, ambient)
-        c = self._random_lattice(rng, ambient)
-        assert a.intersect(b) == b.intersect(a)
-        assert a.intersect(a) == a
-        assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
+        for ambient in (rng.randint(1, 3), 4):
+            a = self._random_lattice(rng, ambient)
+            b = self._random_lattice(rng, ambient)
+            c = self._random_lattice(rng, ambient)
+            assert a.intersect(b) == b.intersect(a)
+            assert a.intersect(a) == a
+            assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
+            zero, full = Lattice.zero(ambient), Lattice.full(ambient)
+            for x, y in [(a, b), (b, c), (c, a), (a, zero), (zero, b), (a, full), (full, c), (full, full)]:
+                self.assert_meet(x, y)
+
+    def test_one_hnf_per_nonzero_meet(self, monkeypatch):
+        calls = hnf_spy(monkeypatch)
+        rng = random.Random(17)
+        seen = 0
+        for _ in range(60):
+            ambient = rng.randint(1, 4)
+            a = self._random_lattice(rng, ambient)
+            b = self._random_lattice(rng, ambient)
+            before = calls[0]
+            if a.intersect(b).rank:
+                assert calls[0] - before == 1
+                seen += 1
+        assert seen >= 20
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
