@@ -182,7 +182,8 @@ def run(argv) -> int:
         report = analyze(spec, AnalyzerLimits(args.relation_bound))
         oracle_result, curve = None, None
         if args.oracle_radius > 0:
-            oracle_result, curve = crosscheck(spec, report, radius=args.oracle_radius, cap=args.oracle_cap)
+            oracle_result, curve = crosscheck(spec, report, radius=args.oracle_radius,
+                                              cap=args.oracle_cap, growth=bool(args.emit_growth))
     except Diagnostic as d:
         print(f"{args.file}:{d.line}:{d.col}: [{d.code}] {d.message}", file=sys.stderr)
         return 2

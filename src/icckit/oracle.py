@@ -34,11 +34,14 @@ a pure function of its key, so a memoized step gives the same tuple as
 a fresh one.  The memos live as long as the group, which ``crosscheck``
 builds once per call.
 
-A ball is closed within radius R exactly when some round r <= R adds
-nothing, so once round R has found one new conjugate the rest of that
-round cannot change whether the ball closed.  ``crosscheck`` reads only
-that for every sample after the first, and grows those balls with
-``closure_only``, which stops the last (and largest) round there.
+A ball is closed within radius R exactly when no element lies at
+distance R.  The conjugators include every inverse, so the conjugation
+graph is undirected, and a conjugate z of an element at distance R - 1
+lies at distance R iff neither z nor any conjugate of z lies in the ball
+of radius R - 2.  ``crosscheck`` reads only closure for its samples, and
+grows their balls with ``closure_only``, which applies that check while
+round R - 1 is being found and never walks round R.  The first sample's
+ball is walked in full only when its growth curve is asked for.
 """
 
 from __future__ import annotations
@@ -339,8 +342,9 @@ class GrowthCurve:
     full class (certified by one further round adding nothing); None
     while the ball is still growing.  ``cap_hit`` marks a run stopped by
     the set-size safety cap.  A ``closure_only`` ball has the same
-    ``closed_at`` as the full one, but its last size is a lower bound
-    and its last round never sets ``cap_hit``.
+    ``closed_at`` as the full one, and the same curve when it closes or
+    stops at the cap; when it is still growing, its sizes for rounds
+    R - 1 and R are lower bounds and ``cap_hit`` is unset.
     """
 
     sizes: tuple[int, ...]
@@ -385,11 +389,16 @@ def conjugacy_ball(group: ConcreteGroup, element, radius: int, cap: int = 5000, 
     is the exact class size.  Deterministic: generator order as listed,
     inverse directly after each generator, FIFO frontier.
 
-    With ``closure_only`` the last round stops at its first new
-    conjugate: the ball is then not closed within ``radius`` whatever
-    the rest of the round adds, so ``is_closed`` and ``closed_at`` are
-    those of the full walk, ``sizes[-1]`` is a lower bound on the full
-    walk's last size, and that round never sets ``cap_hit``.
+    With ``closure_only`` (and ``radius`` R >= 2) rounds 1..R-2 run in
+    full and round R - 1 runs lazily: each new element w is checked as
+    soon as it is found, and the ball is not closed within R at the
+    first conjugate z of w that lies at distance R, that is, outside
+    the ball so far with no conjugate of its own in the ball B_{R-2}
+    (the one-step distance check, ``CATALOG_AXIOMS.md`` §10).  If round
+    R - 1 ends without one, round R would add nothing.  ``is_closed``
+    and ``closed_at`` are those of the full walk, and so is the whole
+    curve unless the ball is still growing; then the last two sizes are
+    lower bounds and ``cap_hit`` is unset.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -397,20 +406,35 @@ def conjugacy_ball(group: ConcreteGroup, element, radius: int, cap: int = 5000, 
     for g in group.ball_generators():
         conjugators.append(g)
         conjugators.append(group.inv(g))
+    lazy = closure_only and radius > 1
     seen = {element}
     frontier = [element]
     sizes = [1]
-    for rnd in range(1, radius + 1):
-        last = closure_only and rnd == radius
-        fresh = _new_conjugates(group, conjugators, frontier, seen)
-        new = list(itertools.islice(fresh, 1 if last else None))
+    for rnd in range(1, radius - 1 if lazy else radius + 1):
+        new = list(_new_conjugates(group, conjugators, frontier, seen))
         sizes.append(len(seen))
         if not new:
             return GrowthCurve(tuple(sizes), rnd - 1)
-        if len(seen) > cap and not last:
+        if len(seen) > cap:
             return GrowthCurve(tuple(sizes), None, cap_hit=True)
         frontier = new
-    return GrowthCurve(tuple(sizes), None)
+    if not lazy:
+        return GrowthCurve(tuple(sizes), None)
+
+    inner = frozenset(seen)  # B_{R-2}
+    for w in _new_conjugates(group, conjugators, frontier, seen):
+        for g in conjugators:
+            z = group.conjugate(g, w)
+            if z not in seen and all(group.conjugate(h, z) not in inner for h in conjugators):
+                sizes += [len(seen), len(seen) + 1]  # z lies outside the ball so far
+                return GrowthCurve(tuple(sizes), None)
+    sizes.append(len(seen))
+    if len(seen) == sizes[-2]:
+        return GrowthCurve(tuple(sizes), radius - 2)
+    if len(seen) > cap:
+        return GrowthCurve(tuple(sizes), None, cap_hit=True)
+    sizes.append(len(seen))  # round R would add nothing
+    return GrowthCurve(tuple(sizes), radius - 1)
 
 
 def exact_abelian_class(group: ConcreteGroup, k, cap: int = 10_000) -> OrbitResult:
@@ -453,7 +477,7 @@ def _witness_element(group: ConcreteGroup, witness):
 
 
 def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
-               samples: int = 20):
+               samples: int = 20, *, growth: bool = True):
     """Compare a verdict against the materialized split extension.
 
     Negative verdicts: the witness's class must close, or, for abelian
@@ -463,9 +487,11 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
     Unknown verdicts only gather evidence.
 
     Returns ``(summary_dict, growth_curve)`` where the curve belongs to
-    the witness (negative case) or the first sample.  Both are full
-    walks; the other samples' balls are grown with ``closure_only``,
-    which decides the same ``is_closed``.
+    the witness (negative case) or the first sample.  The witness's ball
+    is a full walk, since its size feeds ``consistent``.  Sample balls
+    decide closure alone and are grown with ``closure_only``, all but
+    the first when ``growth`` is set and every one otherwise; then no
+    sample curve is returned (None).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -503,8 +529,7 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
         return summary, curve
 
     elements = group.sample_nontrivial(samples)
-    # Only the first curve is returned; the others decide closure alone.
-    curves = [conjugacy_ball(group, e, radius, cap, closure_only=i > 0)
+    curves = [conjugacy_ball(group, e, radius, cap, closure_only=i > 0 or not growth)
               for i, e in enumerate(elements)]
     closed = sum(1 for c in curves if c.is_closed)
     consistent = closed == 0 if report.verdict == "icc" else True
@@ -513,5 +538,7 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
          "samples_checked": len(elements), "finite_classes_found": closed,
          "consistent": bool(consistent)}
     )
+    if not growth:
+        return summary, None
     first = curves[0] if curves else conjugacy_ball(group, group.identity, radius, cap)
     return summary, first

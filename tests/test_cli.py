@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from icckit import cli
+from icckit import cli, oracle
 from icckit.catalog import FgAbelianDesc, FreeDesc
 from icckit.cli import main
 from icckit.dsl import Diagnostic, parse_extension, pretty_print
@@ -272,6 +272,29 @@ class TestCliRuns:
         assert lines[0] == "radius,size,status"
         assert lines[1] == "0,1,growing"
         assert lines[-1].endswith("closed")
+
+    @pytest.mark.parametrize("name", ["sol", "swap", "klein"])
+    def test_growth_walk_only_on_request(self, name, tmp_path, capsys, monkeypatch):
+        """The report is the same with and without --emit-growth; only with
+        it does a sample ball run as a full walk (witness balls always do)."""
+        walks = []
+        ball = oracle.conjugacy_ball
+
+        def spy(group, element, radius, cap=5000, *, closure_only=False):
+            walks.append(closure_only)
+            return ball(group, element, radius, cap, closure_only=closure_only)
+
+        monkeypatch.setattr(oracle, "conjugacy_ball", spy)
+        args = ("check", str(EXTENSIONS / f"{name}.ext"), "--format", "json", "--oracle-radius", "4")
+        lean = run(capsys, *args)
+        lean_walks, walks[:] = walks[:], []
+        full = run(capsys, *args, "--emit-growth", str(tmp_path / "growth.csv"))
+        assert lean == full and lean[0] == 0
+        if json.loads(lean[1])["oracle_crosscheck"]["mode"] == "samples":
+            assert lean_walks == [True] * 20
+            assert walks == [False] + [True] * 19
+        else:
+            assert lean_walks == walks == [False]
 
     @pytest.mark.parametrize("flag", ["--relation-bound"])
     def test_negative_limit_is_a_usage_error(self, flag, tmp_path, capsys):

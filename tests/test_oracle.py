@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -281,49 +282,103 @@ class TestTrivialTheta:
             assert conjugacy_ball(g, x, 3) == conjugacy_ball(applied, x, 3)
 
 
+def count_conjugations(monkeypatch):
+    """A list that grows by one entry per ``ConcreteGroup.conjugate`` call."""
+    calls = []
+    conjugate = ConcreteGroup.conjugate
+
+    def spy(self, g, x):
+        calls.append(None)
+        return conjugate(self, g, x)
+
+    monkeypatch.setattr(ConcreteGroup, "conjugate", spy)
+    return calls
+
+
 class TestClosureOnly:
     """``closure_only`` balls against full ones, and what they save."""
 
+    # caps hit by rounds R - 2, R - 1 and R of the full walk, and balls
+    # closing at R - 1 with more elements than the cap
+    CASES = ((1, 5000), (2, 2), (2, 5000), (3, 5), (3, 5000), (4, 12), (4, 50), (4, 5000),
+             (5, 40), (5, 5000))
+
     def test_agrees_with_full_ball_on_closure(self):
-        closed = growing = last_round_capped = 0
+        kinds = collections.Counter()
         for name, spec in sorted(closed_form_specs().items()):
             g = materialize(spec)
             for x in g.sample_nontrivial(6):
-                for radius, cap in ((1, 5000), (3, 5000), (4, 50), (4, 5000)):
+                for radius, cap in self.CASES:
                     full = conjugacy_ball(g, x, radius, cap)
                     fast = conjugacy_ball(g, x, radius, cap, closure_only=True)
                     assert (fast.is_closed, fast.closed_at) == (full.is_closed, full.closed_at), name
-                    assert fast.sizes[:-1] == full.sizes[:-1], name
-                    assert len(fast.sizes) == len(full.sizes)
-                    assert fast.final_size <= full.final_size
-                    # the last round never sets cap_hit; earlier rounds as before
-                    ran_last = len(full.sizes) == radius + 1
-                    assert fast.cap_hit == (full.cap_hit and not ran_last), name
-                    closed += full.is_closed
-                    growing += not full.is_closed and not full.cap_hit
-                    last_round_capped += full.cap_hit and ran_last
-        assert closed and growing and last_round_capped
+                    # exact through round R - 2, lower bounds after
+                    assert fast.sizes[:radius - 1] == full.sizes[:radius - 1], name
+                    assert all(a <= b for a, b in zip(fast.sizes, full.sizes)), name
+                    # cap_hit as in the full walk for rounds <= R - 2, and
+                    # from round R - 1 only once it ran to its end
+                    capped_by = len(full.sizes) - 1 if full.cap_hit else None
+                    if fast.cap_hit or full.is_closed or (full.cap_hit and capped_by <= radius - 2):
+                        assert fast == full, name
+                    else:
+                        assert len(fast.sizes) == radius + 1, name
+                    if full.cap_hit:
+                        kinds[f"capped by R - {radius - capped_by}"] += 1
+                        kinds["closed at R - 1 but for the cap"] += fast.cap_hit and capped_by == radius - 1
+                    else:
+                        kinds["closed" if full.is_closed else "growing"] += 1
+        assert all(kinds[kind] for kind in ("closed", "growing", "capped by R - 2", "capped by R - 1",
+                                            "capped by R - 0", "closed at R - 1 but for the cap"))
 
-    @pytest.mark.parametrize("name,most", [("sol", 1377), ("swap", 1729)])
-    def test_crosscheck_conjugation_budget(self, name, most, monkeypatch):
-        """Samples after the first stop their last round early: at radius
-        4 a full walk of every sample makes 2970 conjugations on
-        ``sol.ext`` and 4710 on ``swap.ext``."""
+    def test_closing_at_last_inner_round_costs_a_bounded_multiple(self, monkeypatch):
+        """A ball closing at exactly round R - 1 runs the distance check on
+        every conjugate of round R - 1: at most 1 + |conjugators| times the
+        full walk's conjugations."""
+        calls = count_conjugations(monkeypatch)
+        checked = 0
+        for name, spec in sorted(closed_form_specs().items()):
+            g = materialize(spec)
+            conjugators = 2 * len(g.ball_generators())
+            for x in g.sample_nontrivial(6):
+                for radius in (2, 3, 4, 5):
+                    calls.clear()
+                    full = conjugacy_ball(g, x, radius)
+                    spent = len(calls)
+                    calls.clear()
+                    fast = conjugacy_ball(g, x, radius, closure_only=True)
+                    if full.closed_at == radius - 1:
+                        assert fast == full
+                        assert len(calls) <= (1 + conjugators) * spent, (name, radius)
+                        checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("name,growth,most", [
+        ("sol", True, 756), ("swap", True, 854), ("sol", False, 748), ("swap", False, 670)])
+    def test_crosscheck_conjugation_budget(self, name, growth, most, monkeypatch):
+        """Closure-only balls stop in round R - 1: at radius 4 a full walk
+        of every sample makes 2970 conjugations on ``sol.ext`` and 4710 on
+        ``swap.ext``; stopping only round R early made 1377 and 1729."""
         spec = parse_extension((EXTENSIONS / f"{name}.ext").read_text())
         report = analyze(spec)
-        calls = []
-        conjugate = ConcreteGroup.conjugate
-
-        def spy(self, g, x):
-            calls.append(None)
-            return conjugate(self, g, x)
-
-        monkeypatch.setattr(ConcreteGroup, "conjugate", spy)
-        summary, curve = crosscheck(spec, report, radius=4)
+        calls = count_conjugations(monkeypatch)
+        summary, curve = crosscheck(spec, report, radius=4, growth=growth)
         assert len(calls) <= most
         assert summary["consistent"] and summary["samples_checked"] == 20
+        if not growth:
+            assert curve is None
+            return
         group = materialize(spec)
         assert curve == conjugacy_ball(group, group.sample_nontrivial(1)[0], 4)
+
+    @pytest.mark.parametrize("name", ["sol", "swap", "klein", "f2xz"])
+    def test_growth_changes_only_the_curve(self, name):
+        spec = parse_extension((EXTENSIONS / f"{name}.ext").read_text())
+        report = analyze(spec)
+        summary, curve = crosscheck(spec, report, radius=4)
+        lean, lean_curve = crosscheck(spec, report, radius=4, growth=False)
+        assert lean == summary
+        # witness balls are full walks either way; sample curves only on request
+        assert lean_curve == (curve if summary["mode"] == "witness" else None)
 
 
 class TestConjugacyBall:
