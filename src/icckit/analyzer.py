@@ -214,16 +214,19 @@ def _box_size(f: GroupDesc, bound: int) -> int:
 
 def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0):
     """Yield ``(word, action)`` for the nontrivial elements of FC(quotient)
-    that the injectivity search covers, in witness order, skipping those
-    whose mod-3 image is not I (they cannot act trivially).
+    that the injectivity search covers, in witness order.  Where a mod-3
+    screen is built, elements whose mod-3 image is not I are skipped
+    (they cannot act trivially); elsewhere none is.
 
-    Finite quotients: ``element_words`` order.  Abelian quotients:
-    (max-norm, lex) order of exponent vectors in L_3, free exponents in
-    [-bound, bound].  Free quotients of rank >= 2: nothing (FC is
-    trivial).  Products: ``itertools.product`` order over the factors'
-    lists, each led by the identity, keeping the combinations whose
-    mod-3 images multiply to I.  Actions come from ``theta``, at
-    ``offset``: its validated table, or its cached generator powers.
+    Finite quotients: every element, in ``element_words`` order.  Abelian
+    quotients: (max-norm, lex) order of exponent vectors, free exponents
+    in [-bound, bound], only those in L_3 when :func:`mod3_screen` builds
+    a screen.  Free quotients of rank >= 2: nothing (FC is trivial).
+    Products: ``itertools.product`` order over the factors' lists, each
+    led by the identity, keeping the combinations whose mod-3 images
+    multiply to I when every abelian factor has a screen, and all of
+    them otherwise.  Actions come from ``theta``, at ``offset``: its
+    validated table, or its cached generator powers.
     """
     if isinstance(quotient, FiniteGroupDesc):
         yield from zip(quotient.element_words[1:], theta.finite_table(quotient, offset)[1:])

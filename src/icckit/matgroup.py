@@ -55,7 +55,6 @@ from .intlinalg import (
     IntMatrix,
     Lattice,
     Vec,
-    _divisors,
     charpoly,
     cyclotomic_orders,
     kernel_lattice,
@@ -95,7 +94,7 @@ def _mod3_period(m: IntMatrix, cap: int) -> int | None:
 
     The k with e_i M^k = e_i mod 3 are the multiples of the least one,
     row i's period, so M^k = I iff the lcm of the rows' periods divides
-    k.  Each row is walked alone: one whose period exceeds the cap ends
+    k.  Each row is stepped alone: one whose period exceeds the cap ends
     the walk after cap vector products.
     """
     cols = tuple(zip(*mod3(m)))
@@ -114,48 +113,40 @@ def _mod3_period(m: IntMatrix, cap: int) -> int | None:
     return period
 
 
-def _period_power(m: IntMatrix) -> tuple[int, IntMatrix, bool]:
-    """(L, M^L, walked) such that M has finite order iff M^L = I, and the
-    finite-orbit space of <M> is ker(M^L - I).
+def _period_power(m: IntMatrix) -> tuple[int, IntMatrix]:
+    """(L, M^L) such that M has finite order iff M^L = I, and then that
+    order is L; the finite-orbit space of <M> is ker(M^L - I).
 
-    L is the mod-3 period of M when it is at most 3r + 1, and then
-    ``walked`` is True: M^L lies in the torsion-free mod-3 congruence
-    kernel and <M^L> has finite index in <M> (``CATALOG_AXIOMS.md`` §6).
-    For r <= 5 that cap covers every finite order in GL(r, Z) (at most
-    12), and it bounds the entries of the one power taken.  Otherwise L
-    is the lcm of the cyclotomic orders dividing charpoly(M), or 1.
+    L is the mod-3 period of M when it is at most 3r + 1: M^L then lies
+    in the torsion-free mod-3 congruence kernel and <M^L> has finite
+    index in <M> (``CATALOG_AXIOMS.md`` §6).  For r <= 5 that cap covers
+    every finite order in GL(r, Z) (at most 12), and it bounds the
+    entries of the one power taken.  Otherwise L is the lcm of the n
+    with Phi_n dividing charpoly(M), which is the order of a
+    finite-order M (§6 addendum).
     """
     if not m.is_square:
         raise ValueError("period of a non-square matrix")
     r = m.nrows
     period = _mod3_period(m, 3 * r + 1)
-    if period is not None:
-        return period, m ** period, True
-    big = lcm_all(cyclotomic_orders(charpoly(m), r).orders | {1})
-    return big, m ** big, False
+    if period is None:
+        period = lcm_all(cyclotomic_orders(charpoly(m), r).orders)
+    return period, m ** period
 
 
 def matrix_order(m: IntMatrix) -> int | None:
     """The multiplicative order of a square integer matrix, or None if
-    infinite.  Only matrices in GL(r, Z) have finite order (M^n = I
-    forces det M = +-1), so any other matrix gets None.
-
-    With (L, M^L) from :func:`_period_power`, M has finite order iff
-    M^L = I.  An L found by the mod-3 walk is then the order itself: the
-    order n divides L, and M^n = I is I mod 3, so L <= n.  A finite order
-    past the walk is the least divisor n of the cyclotomic L with M^n = I.
+    infinite: L if M^L = I for (L, M^L) from :func:`_period_power`.
+    Only matrices in GL(r, Z) have finite order (M^n = I forces
+    det M = +-1), so any other matrix gets None.
 
     >>> matrix_order(IntMatrix.from_rows([[0, -1], [1, 0]]))
     4
     >>> matrix_order(IntMatrix.from_rows([[1, 1], [0, 1]])) is None
     True
     """
-    big, power, walked = _period_power(m)
-    if not power.is_identity:
-        return None
-    if walked:
-        return big
-    return next(d for d in _divisors(big) if (m ** d).is_identity)
+    period, power = _period_power(m)
+    return period if power.is_identity else None
 
 
 @dataclass(frozen=True)
@@ -378,14 +369,12 @@ def basis_orbits(group: MatGroupGens) -> BasisOrbits | GroupInfinite:
 def single_finite_orbit_space(m: IntMatrix) -> Lattice:
     """The pure sublattice of vectors with finite orbit under <M>.
 
-    Equals ker(M^L - I) for (L, M^L) from :func:`_period_power`: L is the
-    mod-3 period of M when that is at most 3r + 1, and otherwise the lcm
-    of the cyclotomic orders that divide charpoly(M) (L = 1 when there
-    are none).  M must lie in GL(r, Z); it is not checked here (see
+    Equals ker(M^L - I) for (L, M^L) from :func:`_period_power`.  M
+    must lie in GL(r, Z); it is not checked here (see
     :class:`MatGroupGens`).
     """
     n = m.nrows
-    _, power, _ = _period_power(m)
+    _, power = _period_power(m)
     if power.is_identity:
         return Lattice.full(n)
     return kernel_lattice(power - IntMatrix.identity(n))

@@ -49,3 +49,17 @@ def conjugated(rng, mats):
 def enumerate_box(ambient: int, radius: int):
     """All integer vectors with entries in [-radius, radius]."""
     return itertools.product(range(-radius, radius + 1), repeat=ambient)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wraps ``owner.name`` for the rest of the test and returns the list
+    that gains one ``(args, kwargs)`` entry per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -19,7 +19,7 @@ from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, make_produc
 from icckit.extension import ExtensionValidationError, Theta, make_extension
 from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut, is_inner
-from tests.helpers import random_unimodular
+from tests.helpers import count_calls, random_unimodular
 from tests.test_words import nielsen_product_images, random_reduced_word, signed_permutation
 
 HYPER = IntMatrix.from_rows([[2, 1], [1, 1]])
@@ -212,9 +212,7 @@ class TestOuterOrder:
     def test_compositions(self, phi, compositions, monkeypatch):
         """One power phi^m, and none when the abelianization has infinite
         order; an out-order loop composed phi up to 16 times."""
-        calls = []
-        compose = FreeAut.compose
-        monkeypatch.setattr(FreeAut, "compose", lambda f, g: calls.append(1) or compose(f, g))
+        calls = count_calls(monkeypatch, FreeAut, "compose")
         res = theta_fc_injective(Z, Theta((phi,), FreeAut.identity(phi.rank)), AnalyzerLimits())
         assert len(calls) == compositions
         assert isinstance(res, InjectivityUnknown if compositions == 0 else InjectivityWitness)
@@ -289,10 +287,7 @@ class TestAnalyzeAbelian:
         # enumeration would visit one by one; its basis orbits have n.
         import icckit.matgroup as matgroup_mod
 
-        def enumerate_group(group):
-            raise AssertionError("group_is_finite called")
-
-        monkeypatch.setattr(matgroup_mod, "group_is_finite", enumerate_group)
+        enumerations = count_calls(monkeypatch, matgroup_mod, "group_is_finite")
 
         def perm(p):
             return IntMatrix.from_rows([[int(p[j] == i) for j in range(n)] for i in range(n)])
@@ -304,6 +299,7 @@ class TestAnalyzeAbelian:
         assert report.theorem_path == "theorem-1(i)"
         assert isinstance(report.witness, KernelVectorWitness)
         assert set(report.witness.orbit) == set(IntMatrix.identity(n).rows)
+        assert enumerations == []
 
 
 class TestAnalyzeFree:

@@ -17,6 +17,7 @@ from icckit.cli import main
 from icckit.dsl import Diagnostic, parse_extension, pretty_print
 from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut
+from tests.helpers import count_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 EXTENSIONS = ROOT / "extensions"
@@ -277,24 +278,24 @@ class TestCliRuns:
     def test_growth_walk_only_on_request(self, name, tmp_path, capsys, monkeypatch):
         """The report is the same with and without --emit-growth; only with
         it does a sample ball run as a full walk (witness balls always do)."""
-        walks = []
-        ball = oracle.conjugacy_ball
+        calls = count_calls(monkeypatch, oracle, "conjugacy_ball")
 
-        def spy(group, element, radius, cap=5000, *, closure_only=False):
-            walks.append(closure_only)
-            return ball(group, element, radius, cap, closure_only=closure_only)
+        def walks():
+            closure_only = [kwargs.get("closure_only", False) for _, kwargs in calls]
+            calls.clear()
+            return closure_only
 
-        monkeypatch.setattr(oracle, "conjugacy_ball", spy)
         args = ("check", str(EXTENSIONS / f"{name}.ext"), "--format", "json", "--oracle-radius", "4")
         lean = run(capsys, *args)
-        lean_walks, walks[:] = walks[:], []
+        lean_walks = walks()
         full = run(capsys, *args, "--emit-growth", str(tmp_path / "growth.csv"))
+        full_walks = walks()
         assert lean == full and lean[0] == 0
         if json.loads(lean[1])["oracle_crosscheck"]["mode"] == "samples":
             assert lean_walks == [True] * 20
-            assert walks == [False] + [True] * 19
+            assert full_walks == [False] + [True] * 19
         else:
-            assert lean_walks == walks == [False]
+            assert lean_walks == full_walks == [False]
 
     @pytest.mark.parametrize("flag", ["--relation-bound"])
     def test_negative_limit_is_a_usage_error(self, flag, tmp_path, capsys):
@@ -380,15 +381,7 @@ class TestValidateOnce:
 
     @pytest.fixture
     def det_calls(self, monkeypatch):
-        calls = []
-        det = IntMatrix.det
-
-        def spy(m):
-            calls.append(m)
-            return det(m)
-
-        monkeypatch.setattr(IntMatrix, "det", spy)
-        return calls
+        return count_calls(monkeypatch, IntMatrix, "det")
 
     @pytest.mark.parametrize("text,options,count", [
         ("kernel: Z^2\nquotient: Z^2\naction u -> [[-1,0],[0,-1]]\naction v -> [[2,1],[1,1]]\n",
@@ -427,32 +420,21 @@ class TestTrivialActionIsFree:
         import icckit.intlinalg as intlinalg_mod
         import icckit.matgroup as matgroup_mod
 
-        calls = {"matmul": 0, "hnf": 0, "restrict": 0}
-
-        def counted(name, fn):
-            def spy(*args):
-                calls[name] += 1
-                return fn(*args)
-            return spy
-
-        monkeypatch.setattr(IntMatrix, "__matmul__", counted("matmul", IntMatrix.__matmul__))
-        monkeypatch.setattr(intlinalg_mod, "hnf", counted("hnf", intlinalg_mod.hnf))
-        monkeypatch.setattr(matgroup_mod, "restrict_to_lattice",
-                            counted("restrict", matgroup_mod.restrict_to_lattice))
+        calls = {"matmul": count_calls(monkeypatch, IntMatrix, "__matmul__"),
+                 "hnf": count_calls(monkeypatch, intlinalg_mod, "hnf"),
+                 "restrict": count_calls(monkeypatch, matgroup_mod, "restrict_to_lattice")}
         f = tmp_path / "spec.ext"
         f.write_text(f"kernel: Z^40\nquotient: {quotient}\n")
         code = cli.run(["check", str(f), "--format", "json"])
         out, err = capsys.readouterr()
         assert code == 0 and not err
         assert json.loads(out)["verdict"] == "not_icc"
-        assert calls == {"matmul": 0, "hnf": 0, "restrict": 0}
+        assert calls == {"matmul": [], "hnf": [], "restrict": []}
 
     def test_oracle_applies_no_identity(self, tmp_path, capsys, monkeypatch):
         """The oracle treats a trivial theta as none: its balls move kernel
         parts by no matrix at all."""
-        applied = []
-        original = IntMatrix.apply
-        monkeypatch.setattr(IntMatrix, "apply", lambda m, v: applied.append(m) or original(m, v))
+        applied = count_calls(monkeypatch, IntMatrix, "apply")
         f = tmp_path / "spec.ext"
         f.write_text("kernel: Z^40\nquotient: Z\n")
         code = cli.run(["check", str(f), "--format", "json", "--oracle-radius", "2"])

@@ -48,7 +48,7 @@ from icckit.oracle import crosscheck
 from icckit.intlinalg import IntMatrix
 from icckit.matgroup import _inverse3, _mul3, mod3, mod3_screen
 from icckit.words import FreeAut, free_reduce, is_inner
-from tests.helpers import block_diag, conjugated, random_unimodular
+from tests.helpers import block_diag, conjugated, count_calls, random_unimodular
 
 
 def sorted_box(free_rank, divisors, bound):
@@ -117,15 +117,8 @@ class TestEvaluate:
         """The table costs |Q| - 1 products and validation one more per
         edge off the breadth-first tree: |Q| * |gens| in all.  The FC
         search then reads the table and builds no action of its own."""
-        calls = []
-        matmul = IntMatrix.__matmul__
-
-        def counting(a, b):
-            calls.append(1)
-            return matmul(a, b)
-
         actions = [perm_matrix(g) for g in S4.generators]
-        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        calls = count_calls(monkeypatch, IntMatrix, "__matmul__")
         spec = make_extension(FgAbelianDesc(4), S4, actions)
         assert S4.order == 24
         assert len(calls) <= S4.order * len(S4.generators)
@@ -562,14 +555,7 @@ class TestMod3Screen:
         i2 = IntMatrix.identity(2)
         mats = conjugated(rng, [block_diag(h1, i2), block_diag(i2, h2), block_diag(h1 ** 6, h2 ** 2)])
         spec = make_extension(FgAbelianDesc(4), abelian(3), mats)
-        calls = []
-        matmul = IntMatrix.__matmul__
-
-        def counting(a, b):
-            calls.append(1)
-            return matmul(a, b)
-
-        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        calls = count_calls(monkeypatch, IntMatrix, "__matmul__")
         res = theta_fc_injective(spec.quotient, spec.theta, AnalyzerLimits(relation_bound=5))
         assert res == InjectivityUnknown("abelian-relation-bound")
         assert len(calls) <= 400

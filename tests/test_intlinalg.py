@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import icckit.intlinalg as intlinalg_mod
 from icckit.intlinalg import (
     IntMatrix,
     IntPoly,
@@ -15,7 +16,7 @@ from icckit.intlinalg import (
     kernel_lattice,
     x_power_minus_one,
 )
-from tests.helpers import enumerate_box, random_unimodular
+from tests.helpers import count_calls, enumerate_box, random_unimodular
 
 
 def is_row_hnf(m: IntMatrix) -> bool:
@@ -136,21 +137,6 @@ class TestHnf:
         self.assert_augmented_contract(a)
 
 
-def hnf_spy(monkeypatch):
-    """Counts the calls of intlinalg.hnf, which every lattice operation uses."""
-    import icckit.intlinalg as intlinalg_mod
-
-    real_hnf = intlinalg_mod.hnf
-    calls = [0]
-
-    def counted_hnf(a):
-        calls[0] += 1
-        return real_hnf(a)
-
-    monkeypatch.setattr(intlinalg_mod, "hnf", counted_hnf)
-    return calls
-
-
 class TestKernelLattice:
     def test_identity_kernel_trivial(self):
         assert kernel_lattice(IntMatrix.identity(3)).rank == 0
@@ -205,13 +191,13 @@ class TestKernelLattice:
                     assert tuple(x // g for x in b) in k
 
     def test_one_hnf_per_nonzero_kernel(self, monkeypatch):
-        calls = hnf_spy(monkeypatch)
+        calls = count_calls(monkeypatch, intlinalg_mod, "hnf")
         seen = 0
         for seed in range(10):
             for rows in self._draws(random.Random(100 + seed)):
-                before = calls[0]
+                before = len(calls)
                 if kernel_lattice(IntMatrix.from_rows(rows)).rank:
-                    assert calls[0] - before == 1
+                    assert len(calls) - before == 1
                     seen += 1
         assert seen >= 20
 
@@ -269,16 +255,16 @@ class TestLatticeIntersect:
                 self.assert_meet(x, y)
 
     def test_one_hnf_per_nonzero_meet(self, monkeypatch):
-        calls = hnf_spy(monkeypatch)
+        calls = count_calls(monkeypatch, intlinalg_mod, "hnf")
         rng = random.Random(17)
         seen = 0
         for _ in range(60):
             ambient = rng.randint(1, 4)
             a = self._random_lattice(rng, ambient)
             b = self._random_lattice(rng, ambient)
-            before = calls[0]
+            before = len(calls)
             if a.intersect(b).rank:
-                assert calls[0] - before == 1
+                assert len(calls) - before == 1
                 seen += 1
         assert seen >= 20
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import icckit
+import icckit.intlinalg as intlinalg_mod
+import icckit.matgroup as matgroup_mod
 from icckit.intlinalg import (
     IntMatrix,
     IntPoly,
@@ -37,7 +40,7 @@ from icckit.matgroup import (
     restrict_to_lattice,
     single_finite_orbit_space,
 )
-from tests.helpers import block_diag, conjugated, random_unimodular
+from tests.helpers import block_diag, conjugated, count_calls, random_unimodular
 
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
 SHEAR = IntMatrix.from_rows([[1, 1], [0, 1]])
@@ -207,7 +210,7 @@ class TestMatrixOrder:
         """Trivial actions are common, and a charpoly costs n - 1 products
         of n x n matrices: the identity, of mod-3 period 1, is answered
         without one, and so is a rotation of period 4."""
-        calls = charpoly_spy(monkeypatch)
+        calls = count_calls(monkeypatch, matgroup_mod, "charpoly")
         for n in (1, 2, 5, 12):
             assert matrix_order(IntMatrix.identity(n)) == 1
             assert single_finite_orbit_space(IntMatrix.identity(n)) == Lattice.full(n)
@@ -258,16 +261,6 @@ def brute_force_order(m, limit=60):
     return None
 
 
-def charpoly_spy(monkeypatch):
-    """The list of matrices that matgroup takes a charpoly of, from now on."""
-    import icckit.matgroup as matgroup_mod
-
-    calls = []
-    original = matgroup_mod.charpoly
-    monkeypatch.setattr(matgroup_mod, "charpoly", lambda m: calls.append(m) or original(m))
-    return calls
-
-
 def mod3_period(m, limit):
     """The least k <= limit with M^k = I mod 3, by exact powers, or None."""
     power = m
@@ -293,6 +286,20 @@ def companion(coeffs):
     ``coeffs`` = (c_0, ..., c_{r-1})."""
     r = len(coeffs)
     return IntMatrix.from_rows([[int(i == j + 1) for j in range(r - 1)] + [-coeffs[i]] for i in range(r)])
+
+
+# Finite orders past the walk: the companions of Phi_5 Phi_6 (rank 6,
+# order 30), Phi_8 Phi_5 Phi_3 (rank 10, order 120) and Phi_7 Phi_9
+# (rank 12, order 63).
+PAST_THE_WALK_ORDERS = (((5, 6), 30), ((8, 5, 3), 120), ((7, 9), 63))
+
+
+def cyclotomic_companion(factors):
+    """The companion matrix of the product of Phi_n over ``factors``."""
+    poly = IntPoly((1,))
+    for n in factors:
+        poly = poly * cyclotomic_polynomial(n)
+    return companion(poly.coeffs[:-1])
 
 
 def rotation_jordan_block(rng):
@@ -349,7 +356,7 @@ class TestPeriodWalk:
 
     @pytest.mark.parametrize("kind", ["finite", "hyperbolic", "shear"])
     def test_mixed_spectra_agree_with_cyclotomic_route(self, kind, monkeypatch):
-        calls = charpoly_spy(monkeypatch)
+        calls = count_calls(monkeypatch, matgroup_mod, "charpoly")
         rng = random.Random(f"period-walk:{kind}")
         ranks = set()
         for _ in range(100):
@@ -363,12 +370,10 @@ class TestPeriodWalk:
                 assert calls == [], "every finite order in GL(r, Z), r <= 5, is within the walk"
         assert {3, 4, 5, 6} <= ranks  # a hyperbolic or shear block comes beside a rotation
 
-    def test_companions_past_the_walk_take_the_fallback(self, monkeypatch):
-        """Seeded companion matrices of ranks 6 to 12 whose mod-3 period
-        exceeds 3r + 1, and finite orders past the walk: order 30 at
-        rank 6 (Phi_5 Phi_6), 120 at rank 10 (Phi_8 Phi_5 Phi_3) and 63
-        at rank 12 (Phi_7 Phi_9)."""
-        calls = charpoly_spy(monkeypatch)
+    @staticmethod
+    def seeded_companions():
+        """Twelve seeded companion matrices of ranks 6 to 12 whose mod-3
+        period exceeds 3r + 1."""
         rng = random.Random("period-walk:companion")
         mats = []
         while len(mats) < 12:
@@ -376,11 +381,15 @@ class TestPeriodWalk:
             m = companion([rng.choice((1, -1))] + [rng.randint(-2, 2) for _ in range(r - 1)])
             if mod3_period(m, 3 * r + 1) is None:
                 mats.append(m)
-        for factors, order in (((5, 6), 30), ((8, 5, 3), 120), ((7, 9), 63)):
-            poly = IntPoly((1,))
-            for n in factors:
-                poly = poly * cyclotomic_polynomial(n)
-            m = companion(poly.coeffs[:-1])
+        return mats
+
+    def test_companions_past_the_walk_take_the_fallback(self, monkeypatch):
+        """The seeded companions, and the finite orders past the walk of
+        ``PAST_THE_WALK_ORDERS``."""
+        calls = count_calls(monkeypatch, matgroup_mod, "charpoly")
+        mats = self.seeded_companions()
+        for factors, order in PAST_THE_WALK_ORDERS:
+            m = cyclotomic_companion(factors)
             assert mod3_period(m, 3 * m.nrows + 1) is None
             assert matrix_order(m) == order
             mats.append(m)
@@ -393,7 +402,7 @@ class TestPeriodWalk:
         """The mod-3 period is the lcm of the rows' periods.  Every row of
         these block diagonals returns within 3r + 1 steps, and the lcm
         alone decides between the walk and the fallback."""
-        calls = charpoly_spy(monkeypatch)
+        calls = count_calls(monkeypatch, matgroup_mod, "charpoly")
         fib = IntMatrix.from_rows([[1, 1], [1, 0]])
         phi5 = companion(cyclotomic_polynomial(5).coeffs[:-1])
         for blocks, order, fallback in (
@@ -409,6 +418,30 @@ class TestPeriodWalk:
             assert len(calls) == (3 if fallback else 0)  # assert_agrees and the line above
         calls.clear()
         assert matrix_order(IntMatrix.identity(0)) == 1 and calls == []  # no rows, period 1
+
+    def test_order_takes_one_power(self, monkeypatch):
+        """``matrix_order`` takes the one power M^L on both routes, since L
+        is the order whenever M^L = I (``CATALOG_AXIOMS.md`` §6 and its
+        cyclotomic-route addendum): on mixed-spectrum draws within the
+        walk, on the seeded companions past it, and on the finite orders
+        past it, where a search over the divisors of L took 9, 17 and 7
+        powers."""
+        rng = random.Random("period-walk:one-power")
+        walked = [TestMatrixOrderMixedSpectra.draw(rng, kind)
+                  for kind in ("finite", "hyperbolic", "shear") for _ in range(10)]
+        finite = [cyclotomic_companion(factors) for factors, _ in PAST_THE_WALK_ORDERS]
+        charpolys = count_calls(monkeypatch, matgroup_mod, "charpoly")
+        powers = count_calls(monkeypatch, IntMatrix, "__pow__")
+        routes = collections.Counter()
+        for m in walked + self.seeded_companions() + finite:
+            charpolys.clear()
+            powers.clear()
+            order = matrix_order(m)
+            assert len(powers) == 1
+            routes["fallback" if charpolys else "walk", order is not None] += 1
+            assert order == cyclotomic_reference(m)[0]
+        assert routes["fallback", True] == 3
+        assert routes["walk", True] and routes["walk", False] and routes["fallback", False]
 
     def test_non_unimodular_and_non_square(self):
         for rows in ([[2, 0], [0, 2]], [[2, 0], [0, -1]], [[3, 0], [0, 1]], [[1, 1], [1, -2]], [[0]]):
@@ -517,13 +550,7 @@ class TestBasisOrbits:
                 assert_closed(group, orbit)
 
     def test_exact_order_is_lazy(self, monkeypatch):
-        import icckit.matgroup as matgroup_mod
-
-        calls = []
-        original = matgroup_mod.group_is_finite
-        monkeypatch.setattr(
-            matgroup_mod, "group_is_finite", lambda g: calls.append(g) or original(g)
-        )
+        calls = count_calls(monkeypatch, matgroup_mod, "group_is_finite")
         cert = finite_orbit_sublattice(MatGroupGens(2, (ROT4,)))
         assert not calls
         assert cert.induced_finiteness == GroupFinite(4)
@@ -583,9 +610,7 @@ class TestNoInverseInAWalk:
 
     @pytest.mark.parametrize("group", [symmetric_group(6), signed_permutations(4)])
     def test_finite_groups_take_no_inverse(self, monkeypatch, group):
-        calls = []
-        original = IntMatrix.inverse_unimodular
-        monkeypatch.setattr(IntMatrix, "inverse_unimodular", lambda m: calls.append(m) or original(m))
+        calls = count_calls(monkeypatch, IntMatrix, "inverse_unimodular")
         assert isinstance(basis_orbits(group), BasisOrbits)
         assert isinstance(group_is_finite(group), GroupFinite)
         start = tuple(range(1, group.rank + 1))
@@ -690,19 +715,9 @@ class TestHnfBudget:
 
     @staticmethod
     def count_hnf_calls(monkeypatch, group, lattice):
-        import icckit.intlinalg as intlinalg_mod
-
-        calls = 0
-
-        def counted_hnf(a):
-            nonlocal calls
-            calls += 1
-            return real_hnf(a)
-
-        real_hnf = intlinalg_mod.hnf
-        monkeypatch.setattr(intlinalg_mod, "hnf", counted_hnf)
+        calls = count_calls(monkeypatch, intlinalg_mod, "hnf")
         assert finite_orbit_sublattice(group).lattice == lattice
-        return calls
+        return len(calls)
 
     @pytest.mark.parametrize(
         "group,lattice,ceiling",
@@ -850,7 +865,7 @@ class TestFiniteOrbitSublattice:
         """A generator's finite-orbit space takes one charpoly only when
         its mod-3 period exceeds 3r + 1 (the walk of ``_period_power``);
         a witness W (W = I mod 3) cuts by ker(W - I) and takes none."""
-        calls = charpoly_spy(monkeypatch)
+        calls = count_calls(monkeypatch, matgroup_mod, "charpoly")
         dihedral = MatGroupGens(
             2, (IntMatrix.from_rows([[1, 1], [0, -1]]), IntMatrix.from_rows([[1, 0], [0, -1]])))
         cut = 0

@@ -21,6 +21,7 @@ from icckit.oracle import (
     materialize,
 )
 from icckit.words import FreeAut
+from tests.helpers import count_calls
 
 EXTENSIONS = Path(__file__).resolve().parent.parent / "extensions"
 Z = FgAbelianDesc(1, (), ("t",))
@@ -282,19 +283,6 @@ class TestTrivialTheta:
             assert conjugacy_ball(g, x, 3) == conjugacy_ball(applied, x, 3)
 
 
-def count_conjugations(monkeypatch):
-    """A list that grows by one entry per ``ConcreteGroup.conjugate`` call."""
-    calls = []
-    conjugate = ConcreteGroup.conjugate
-
-    def spy(self, g, x):
-        calls.append(None)
-        return conjugate(self, g, x)
-
-    monkeypatch.setattr(ConcreteGroup, "conjugate", spy)
-    return calls
-
-
 class TestClosureOnly:
     """``closure_only`` balls against full ones, and what they save."""
 
@@ -334,7 +322,7 @@ class TestClosureOnly:
         """A ball closing at exactly round R - 1 runs the distance check on
         every conjugate of round R - 1: at most 1 + |conjugators| times the
         full walk's conjugations."""
-        calls = count_conjugations(monkeypatch)
+        calls = count_calls(monkeypatch, ConcreteGroup, "conjugate")
         checked = 0
         for name, spec in sorted(closed_form_specs().items()):
             g = materialize(spec)
@@ -360,7 +348,7 @@ class TestClosureOnly:
         ``swap.ext``; stopping only round R early made 1377 and 1729."""
         spec = parse_extension((EXTENSIONS / f"{name}.ext").read_text())
         report = analyze(spec)
-        calls = count_conjugations(monkeypatch)
+        calls = count_calls(monkeypatch, ConcreteGroup, "conjugate")
         summary, curve = crosscheck(spec, report, radius=4, growth=growth)
         assert len(calls) <= most
         assert summary["consistent"] and summary["samples_checked"] == 20
