@@ -22,9 +22,13 @@ enumerated once, by ``_fc_elements``, and the witness is the first
 trivially acting element in its order: element-word order for finite
 quotients, (max-norm, lex) order of exponent vectors for abelian ones,
 ``itertools.product`` order over per-factor lists (each led by the
-identity) for products.  A lone infinite cyclic quotient is decided by
-the action's order instead: on a free kernel, the order m of its
-abelianization and one innerness test of the m-th power.  A product
+identity) for products.  The exponent vectors are walked directly over
+the lattice L_3 of those that are I mod 3 (``_box_walk``), and
+``Theta.trivial_product`` splits each candidate into a head, whose
+inverse is built once, and a cached tail: on a matrix kernel, one
+comparison of the two decides it.  A lone infinite cyclic quotient is
+decided by the action's order instead: on a free kernel, the order m of
+its abelianization and one innerness test of the m-th power.  A product
 with a single factor of nontrivial FC defers to that factor.
 """
 
@@ -46,6 +50,7 @@ from .catalog import (
     fc_is_trivial,
     generator_labels,
     group_is_trivial,
+    perm_inverse,
     perm_order,
 )
 from .extension import ExtensionSpec, Theta, UnsupportedExtensionError
@@ -178,21 +183,6 @@ def render_gen_word(word: GenWord, labels) -> str:
     return " ".join(parts)
 
 
-def _exponent_vectors(free_rank: int, divisors: tuple[int, ...], bound: int):
-    """Nonzero exponent tuples, free entries in [-bound, bound], torsion
-    entries over their residue ranges; ordered by (max-norm, lex).
-
-    Streamed one max-norm shell at a time, so the box is never held.
-    """
-    axes = [range(-bound, bound + 1)] * free_rank + [range(d) for d in divisors]
-    top = max((max(-a[0], a[-1]) for a in axes), default=0)
-    for n in range(1, top + 1):
-        clipped = [[x for x in a if -n <= x <= n] for a in axes]
-        for v in itertools.product(*clipped):
-            if n in v or -n in v:
-                yield v
-
-
 def _shift_word(word: GenWord, offset: int) -> GenWord:
     return tuple(l + offset if l > 0 else l - offset for l in word)
 
@@ -212,30 +202,116 @@ def _box_size(f: GroupDesc, bound: int) -> int:
     return (2 * bound + 1) ** f.rank * math.prod(f.divisors)
 
 
+def _residue_class(lo: int, hi: int, s: int, k: int, ends: int | None = None):
+    """The values in [lo, hi] congruent to s mod k, ascending; only those
+    of absolute value ``ends`` when it is given."""
+    if ends is None:
+        return range(lo + (s - lo) % k, hi + 1, k)
+    return [v for v in (-ends, ends) if lo <= v <= hi and (v - s) % k == 0]
+
+
+def _box_walk(quotient: FgAbelianDesc, bound: int, rows):
+    """The nonzero vectors of L in the quotient's box, in (max-norm, lex)
+    order: free entries in [-bound, bound], torsion entries over their
+    residue ranges, and L the lattice spanned by ``rows``.
+
+    ``rows`` is an upper triangular basis with positive pivots k_i:
+    :func:`mod3_screen`'s basis of L_3, or the unit rows, which walk the
+    whole box.  Given x_1..x_{i-1}, their coefficients c_j in that basis
+    are fixed, so x_i runs over the one residue class s_i mod k_i, where
+    s_i = sum of c_j rows[j][i] over j < i.  Streamed one max-norm shell
+    at a time, depth first with an explicit stack, so neither the box nor
+    a shell is held.  Within a shell of norm m, the last coordinate whose
+    range reaches m takes only -m and m when no earlier one has.
+    """
+    n = len(rows)
+    lows = [-bound] * quotient.rank + [0] * len(quotient.divisors)
+    highs = [bound] * quotient.rank + [d - 1 for d in quotient.divisors]
+    reach = [max(-lo, hi) for lo, hi in zip(lows, highs)]
+    above = [[(j, row[j]) for j in range(i + 1, n) if row[j]] for i, row in enumerate(rows)]
+    x = [0] * n
+    for m in range(1, max(reach, default=0) + 1):
+        lo = [max(a, -m) for a in lows]
+        hi = [min(b, m) for b in highs]
+        last = max(i for i in range(n) if reach[i] >= m)
+        # Per depth i: the partial sums s_j (j >= i), whether x_1..x_{i-1}
+        # already reach the norm m, and the values x_i has left.
+        sums, reached, values = [[0] * n] + [None] * n, [False] * (n + 1), [None] * n
+        values[0] = iter(_residue_class(lo[0], hi[0], 0, rows[0][0], None if last > 0 else m))
+        i = 0
+        while i >= 0:
+            v = next(values[i], None)
+            if v is None:
+                i -= 1
+                continue
+            x[i] = v
+            if i == n - 1:
+                yield tuple(x)
+                continue
+            c = (v - sums[i][i]) // rows[i][i]
+            sums[i + 1] = s = sums[i][:]
+            for j, r in above[i]:
+                s[j] += c * r
+            reached[i + 1] = done = reached[i] or v in (-m, m)
+            i += 1
+            values[i] = iter(_residue_class(lo[i], hi[i], s[i], rows[i][i],
+                                            None if done or i < last else m))
+
+
+def _moduli(quotient: FgAbelianDesc) -> tuple[int, ...]:
+    """Per generator: 0 if free, else the torsion divisor, which its action's order divides."""
+    return (0,) * quotient.rank + quotient.divisors
+
+
+def _negated(e: int, d: int) -> int:
+    """The exponent of A^-e in the box, given A's modulus d from :func:`_moduli`:
+    -e, or -e mod d on a torsion generator, so no inverse is taken."""
+    return -e % d if d else -e
+
+
 def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0):
-    """Yield ``(word, action)`` for the nontrivial elements of FC(quotient)
-    that the injectivity search covers, in witness order.  Where a mod-3
-    screen is built, elements whose mod-3 image is not I are skipped
-    (they cannot act trivially); elsewhere none is.
+    """Yield ``(word, how)`` for the nontrivial elements of FC(quotient)
+    that the injectivity search covers and that act trivially, in witness
+    order, ``how`` as :meth:`Theta.trivial` gives it.  Actions come from
+    ``theta``, at ``offset``: its validated table, or its cached
+    generator powers.
 
     Finite quotients: every element, in ``element_words`` order.  Abelian
-    quotients: (max-norm, lex) order of exponent vectors, free exponents
-    in [-bound, bound], only those in L_3 when :func:`mod3_screen` builds
-    a screen.  Free quotients of rank >= 2: nothing (FC is trivial).
-    Products: ``itertools.product`` order over the factors' lists, each
-    led by the identity, keeping the combinations whose mod-3 images
-    multiply to I when every abelian factor has a screen, and all of
-    them otherwise.  Actions come from ``theta``, at ``offset``: its
-    validated table, or its cached generator powers.
+    quotients: the exponent vectors of :func:`_box_walk` in (max-norm,
+    lex) order, free exponents in [-bound, bound], over the lattice L_3
+    when :func:`mod3_screen` builds a screen (a vector off L_3 has image
+    != I mod 3, so it cannot act trivially) and over the whole box
+    otherwise.  x acts as head @ A_n^x_n, the head being the action of
+    x_1..x_{n-1}, so on a matrix kernel it acts trivially iff the cached
+    power A_n^x_n equals the head's inverse, the action of
+    -x_1..-x_{n-1} (:meth:`Theta.trivial_product`).  That inverse is
+    extended from the previous one at the first coordinate that changed.
+    Free quotients of rank >= 2: nothing (FC is trivial).  Products: see
+    :func:`_product_elements`.
     """
     if isinstance(quotient, FiniteGroupDesc):
-        yield from zip(quotient.element_words[1:], theta.finite_table(quotient, offset)[1:])
+        for word, action in zip(quotient.element_words[1:], theta.finite_table(quotient, offset)[1:]):
+            trivial = theta.trivial(action)
+            if trivial is not None:
+                yield word, trivial
     elif isinstance(quotient, FgAbelianDesc):
-        screen = mod3_screen(theta.actions[offset:offset + quotient.gen_count], theta.identity,
-                             _box_size(quotient, bound))
-        for exps in _exponent_vectors(quotient.rank, quotient.divisors, bound):
-            if screen is None or not any(screen.residue(exps)):
-                yield _exponent_word(exps), theta.of_exponents(exps, offset)
+        n, identity = quotient.gen_count, theta.identity
+        screen = mod3_screen(theta.actions[offset:offset + n], identity, _box_size(quotient, bound))
+        rows = IntMatrix.identity(n).rows if screen is None else screen.rows
+        power = functools.partial(theta.power, offset + n - 1)  # A_n^e
+        moduli = _moduli(quotient)
+        inverses, prev = [identity], ()  # inverses[i]: the action of -x_1..-x_i of prev
+        for x in _box_walk(quotient, bound, rows):
+            if x[:-1] != prev[:-1]:
+                i = next(j for j, (a, b) in enumerate(zip(x, prev)) if a != b) if prev else 0
+                del inverses[i + 1:]
+                for j in range(i, n - 1):
+                    h, p = inverses[j], theta.power(offset + j, _negated(x[j], moduli[j]))
+                    inverses.append(p if h is identity else h if p is identity else h @ p)
+            prev, e = x, x[-1]
+            trivial = theta.trivial_product(inverses[-1], power, e, _negated(e, moduli[-1]))
+            if trivial is not None:
+                yield _exponent_word(x), trivial
     elif isinstance(quotient, FreeDesc):
         if quotient.rank < 2:
             raise AssertionError("rank-1 free quotients are normalized to abelian")
@@ -246,49 +322,63 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
 
 
 def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
-    """The product case of :func:`_fc_elements`.
+    """The product case of :func:`_fc_elements`: ``itertools.product``
+    order over the factors' lists, each led by the identity.
 
-    Each factor's list holds ``(word, mod-3 image, part)`` entries, led by
-    the identity.  A finite factor's part is its action; an abelian
-    factor's part is its exponent vector, whose image is read off the
-    factor's screen and whose action is built only when a combination
-    needs it.  The last factor is indexed by the inverse of its images, so
-    each prefix visits, in list order, only the entries that close it to
-    I.  Without a screen for every abelian factor, every entry closes.
+    A list entry is ``(word, mod-3 image, part, inverse part)``, and each
+    factor has a reader that turns a part into its action: a finite
+    factor's parts index its table, so an element's inverse is read off
+    the inverse element's entry; an abelian factor's parts are exponent
+    vectors, those of :func:`_box_walk` over the whole box and their
+    negations (:func:`_negated`), each read once, and its images are read
+    off the factor's screen.  The last factor is indexed by the inverse
+    of its images, so each prefix visits, in list order, only the entries
+    that close it to I; without a screen for every abelian factor, every
+    entry closes.  A prefix with entries to visit gets the action of its
+    inverse once, from its entries' inverse parts, and
+    :meth:`Theta.trivial_product` tests each entry against it: on a
+    matrix kernel, one comparison with the entry's action.
     """
-    eye = mod3(theta.identity)
-    lists, exponent_offsets = [], []
+    identity, eye = theta.identity, mod3(theta.identity)
+    lists, readers = [], []
     screened = True
     for f, offset in factor_offsets(quotient):
-        entries = [((), eye, None)]
-        if isinstance(f, FgAbelianDesc):
-            screen = mod3_screen(theta.actions[offset:offset + f.gen_count], theta.identity, _box_size(f, bound))
-            screened = screened and screen is not None
-            for exps in _exponent_vectors(f.rank, f.divisors, bound):
-                image = screen.elements[screen.residue(exps)] if screen is not None else None
-                entries.append((_shift_word(_exponent_word(exps), offset), image, exps))
-            exponent_offsets.append(offset)
-        else:
-            entries += [(_shift_word(w, offset), mod3(a), a) for w, a in _fc_elements(f, theta, bound, offset)]
-            exponent_offsets.append(None)
+        if isinstance(f, FiniteGroupDesc):
+            table = theta.finite_table(f, offset)
+            index = {p: j for j, p in enumerate(f.elements)}
+            entries = [(_shift_word(w, offset), mod3(a), j, index[perm_inverse(p)])
+                       for j, (p, w, a) in enumerate(zip(f.elements, f.element_words, table))]
+            readers.append(table.__getitem__)
+        else:  # abelian, or free of rank >= 2 with trivial FC: the identity alone
+            entries = [((), eye, (), ())]
+            if isinstance(f, FgAbelianDesc):
+                screen = mod3_screen(theta.actions[offset:offset + f.gen_count], identity, _box_size(f, bound))
+                screened = screened and screen is not None
+                moduli = _moduli(f)
+                for exps in _box_walk(f, bound, IntMatrix.identity(f.gen_count).rows):
+                    image = screen.elements[screen.residue(exps)] if screen is not None else None
+                    entries.append((_shift_word(_exponent_word(exps), offset), image, exps,
+                                    tuple(map(_negated, exps, moduli))))
+            readers.append(functools.cache(functools.partial(theta.of_exponents, offset=offset)))
         lists.append(entries)
     *heads, last = lists
-    closing = {}
+    *head_readers, read = readers
     if screened:
+        closing = {}
         for entry in last:
             closing.setdefault(_inverse3(entry[1]), []).append(entry)
     for prefix in itertools.product(*heads):
-        if screened:
-            tails = closing.get(functools.reduce(_mul3, [image for _, image, _ in prefix]), ())
-        else:
-            tails = last
-        for tail in tails:
-            combo = prefix + (tail,)
-            word = tuple(itertools.chain.from_iterable(w for w, _, _ in combo))
-            if word:
-                parts = [part if offset is None else theta.of_exponents(part, offset)
-                         for (_, _, part), offset in zip(combo, exponent_offsets) if part is not None]
-                yield word, functools.reduce(operator.matmul, parts)
+        tails = closing.get(functools.reduce(_mul3, [entry[1] for entry in prefix]), ()) if screened else last
+        if not tails:
+            continue
+        parts = [read_part(entry[3]) for entry, read_part in zip(prefix, head_readers) if entry[0]]
+        head_inverse = functools.reduce(operator.matmul, parts) if parts else identity
+        for word, _, part, inverse in tails:
+            trivial = theta.trivial_product(head_inverse, read, part, inverse)
+            if trivial is not None:
+                word = tuple(itertools.chain.from_iterable(entry[0] for entry in prefix)) + word
+                if word:
+                    yield word, trivial
 
 
 def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits, offset: int = 0) -> InjectivityResult:
@@ -348,10 +438,9 @@ def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits
         if total > PRODUCT_ITERATION_CAP:
             return InjectivityUnknown("fc-enumeration-too-large")
 
-    for word, action in _fc_elements(quotient, theta, bound, offset):
-        trivial = theta.trivial(action)
-        if trivial is not None:
-            return InjectivityWitness(word, *trivial)
+    hit = next(_fc_elements(quotient, theta, bound, offset), None)
+    if hit is not None:
+        return InjectivityWitness(hit[0], *hit[1])
 
     factors = quotient.factors if isinstance(quotient, ProductDesc) else (quotient,)
     if all(not isinstance(f, FgAbelianDesc) or f.is_finite for f in factors):

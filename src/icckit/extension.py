@@ -15,7 +15,8 @@ is one :class:`Theta` per spec, and every reader shares its caches.  It
 is also the only code that composes the action along a word
 (:meth:`Theta.of_pairs`) and that decides whether an action is trivial
 (:meth:`Theta.trivial`: the identity matrix on abelian kernels, an
-inner automorphism on free ones).
+inner automorphism on free ones), alone or as a product of two
+(:meth:`Theta.trivial_product`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .catalog import (
     perm_compose,
 )
 from .intlinalg import IntMatrix
-from .words import FreeAut, is_inner
+from .words import FreeAut, is_inner, word_inverse
 
 
 class ExtensionValidationError(ValueError):
@@ -67,10 +68,12 @@ class Theta:
 
     def __init__(self, actions, identity):
         self.actions, self.identity = tuple(actions), identity
-        self._powers, self._tables = {}, {}
+        self._powers = {(i, 0): identity for i in range(len(self.actions))}
+        self._tables = {}
 
     def power(self, i: int, e: int):
-        """A_i^e for e != 0, extended one factor at a time from A_i^+-1."""
+        """A_i^e, extended one factor at a time from A_i^+-1 (A_i^0 is
+        ``identity``)."""
         p = self._powers.get((i, e))
         if p is None:
             step = 1 if e > 0 else -1
@@ -106,6 +109,23 @@ class Theta:
             return ("action-identity", None) if action.is_identity else None
         w = is_inner(action)
         return None if w is None else ("inner-automorphism", w)
+
+    def trivial_product(self, head_inverse, read, tail, inverse):
+        """How head @ read(tail) acts trivially, as :meth:`trivial` says,
+        given the inverse of head, and a cache lookup ``read`` under which
+        read(inverse) is the inverse of read(tail).
+
+        head @ read(tail) = I iff head^-1 = read(tail), so on an abelian
+        kernel one comparison of cached actions decides it and no product
+        is taken; :meth:`trivial` confirms a hit.  On a free kernel the
+        inverse, read(inverse) @ head^-1, is tested for innerness: it is
+        x -> w x w^-1 exactly when head @ read(tail) is x -> w^-1 x w."""
+        if isinstance(self.identity, IntMatrix) and head_inverse != read(tail):
+            return None
+        how = self.trivial(read(inverse) @ head_inverse)
+        if how is None or how[1] is None:
+            return how
+        return how[0], word_inverse(how[1])
 
     def finite_table(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
         """The action of every element of the finite factor ``group`` at

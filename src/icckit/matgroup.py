@@ -36,10 +36,11 @@ when it is read.
 
 Reduction mod 3 (:func:`mod3`), of a matrix or of an automorphism's
 abelianization, is a homomorphism that sends every trivially acting
-element to I.  So the FC search screens abelian and product candidates
-before it builds any exact action, by an integer test against the
-lattice L_3 of exponent vectors whose image is I (:func:`mod3_screen`,
-``CATALOG_AXIOMS.md`` §11); skipped candidates leave the witness as is.
+element to I.  So the FC search visits only the abelian candidates in
+the lattice L_3 of exponent vectors whose image is I, walking the upper
+triangular basis that :func:`mod3_screen` gives, and only the product
+combinations whose images multiply to I (``CATALOG_AXIOMS.md`` §11);
+skipped candidates leave the witness as is.
 
 Words over a generating set are tuples of signed 1-based indices; ``+i``
 is the i-th generator, ``-i`` its inverse.
@@ -50,6 +51,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .intlinalg import (
     IntMatrix,
@@ -196,7 +198,7 @@ def mod3(action) -> tuple[Vec, ...]:
 
 def _times3(a, cols):
     """A B mod 3, given the columns of B."""
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % 3 for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) % 3 for col in cols]) for row in a])
 
 
 def _mul3(a, b):
@@ -223,9 +225,9 @@ class Mod3Screen:
     A_i, and their mod-3 image (CATALOG_AXIOMS.md §11).
 
     ``rows[i]`` is k_i e_i - (exponents of A_i^k_i), where k_i is the least
-    k > 0 with A_i^k in <A_1, ..., A_{i-1}> mod 3.  The rows are a
-    triangular basis of L_3, and ``elements`` maps each canonical residue
-    (0 <= r_i < k_i) to its mod-3 element.
+    k > 0 with A_i^k in <A_{i+1}, ..., A_n> mod 3.  The rows are an upper
+    triangular basis of L_3 with pivots k_i in lex order, and ``elements``
+    maps each canonical residue (0 <= r_i < k_i) to its mod-3 element.
     """
 
     rows: tuple[Vec, ...]
@@ -233,24 +235,24 @@ class Mod3Screen:
 
     def residue(self, x) -> Vec:
         x = list(x)
-        for i in reversed(range(len(x))):
-            row = self.rows[i]
+        for i, row in enumerate(self.rows):
             q, x[i] = divmod(x[i], row[i])
             if q:
-                for j in range(i):
+                for j in range(i + 1, len(x)):
                     x[j] -= q * row[j]
         return tuple(x)
 
 
 def mod3_screen(actions, identity, limit: int) -> Mod3Screen | None:
     """The screen of commuting ``actions``, built along the subgroup chain
-    of their mod-3 images; None once the image would hold more than
-    ``limit`` elements, so building it never costs more than the search
-    it screens."""
+    of their mod-3 images from the last generator to the first; None once
+    the image would hold more than ``limit`` elements, so building it
+    never costs more than the search it screens."""
     gens = [mod3(a) for a in actions]
     elements = {mod3(identity): (0,) * len(gens)}  # mod-3 element -> exponents
     rows = []
-    for i, g in enumerate(gens):
+    for i in reversed(range(len(gens))):
+        g = gens[i]
         k, p = 1, g
         while p not in elements:
             k += 1
@@ -264,7 +266,7 @@ def mod3_screen(actions, identity, limit: int) -> Mod3Screen | None:
                 layer[_mul3(step, m)] = e[:i] + (j,) + e[i + 1:]
             step = _mul3(step, g)
         elements = layer
-    return Mod3Screen(tuple(rows), {e: m for m, e in elements.items()})
+    return Mod3Screen(tuple(reversed(rows)), {e: m for m, e in elements.items()})
 
 
 def _appliers(group: MatGroupGens) -> list:

@@ -1,6 +1,6 @@
 """The pieces of the finite-class injectivity search.
 
-The exponent-vector stream against the sort-the-box order it replaces,
+The box walk, over the whole box and over L_3, against a sorted box,
 the finite table of ``extension.Theta`` against word-by-word
 composition, the cost of building and validating that table, the
 validation of finite quotients against a reference that checks every
@@ -28,7 +28,7 @@ from icckit.analyzer import (
     Injective,
     InjectivityUnknown,
     InjectivityWitness,
-    _exponent_vectors,
+    _box_walk,
     _shift_word,
     analyze,
     theta_fc_injective,
@@ -46,7 +46,7 @@ from icckit.cli import run
 from icckit.extension import ExtensionValidationError, Theta, make_extension
 from icckit.oracle import crosscheck
 from icckit.intlinalg import IntMatrix
-from icckit.matgroup import _inverse3, _mul3, mod3, mod3_screen
+from icckit.matgroup import Mod3Screen, _inverse3, _mul3, mod3, mod3_screen
 from icckit.words import FreeAut, free_reduce, is_inner
 from tests.helpers import block_diag, conjugated, count_calls, random_unimodular
 
@@ -67,15 +67,23 @@ def divisor_chains(draw):
     return tuple(chain)
 
 
+def unit_rows(n):
+    return IntMatrix.identity(n).rows
+
+
 class TestExponentVectors:
+    """The box walk with unit pivots: every exponent vector of the box."""
+
     @given(st.integers(0, 3), divisor_chains(), st.integers(0, 4))
     @settings(max_examples=80, deadline=None)
     def test_streamed_shells_match_sorted_box(self, free_rank, divisors, bound):
         assume(free_rank or divisors)
-        assert list(_exponent_vectors(free_rank, divisors, bound)) == sorted_box(free_rank, divisors, bound)
+        quotient = FgAbelianDesc(free_rank, divisors)
+        walked = list(_box_walk(quotient, bound, unit_rows(quotient.gen_count)))
+        assert walked == sorted_box(free_rank, divisors, bound)
 
     def test_streamed_lazily(self):
-        vecs = _exponent_vectors(6, (), 50)  # a 101^6 box, never built
+        vecs = _box_walk(FgAbelianDesc(6), 50, unit_rows(6))  # a 101^6 box, never built
         assert next(vecs) == (-1, -1, -1, -1, -1, -1)
 
 
@@ -361,7 +369,7 @@ def reference_fc_elements(quotient, actions, identity, bound):
         for w in quotient.element_words[1:]:
             yield w, compose_word(w, actions, identity)
     elif isinstance(quotient, FgAbelianDesc):
-        for exps in _exponent_vectors(quotient.rank, quotient.divisors, bound):
+        for exps in sorted_box(quotient.rank, quotient.divisors, bound):
             word, action = (), identity
             for i, e in enumerate(exps):
                 if e:
@@ -384,8 +392,12 @@ def reference_fc_elements(quotient, actions, identity, bound):
 
 def reference_fc_candidates(quotient, theta, bound, offset=0):
     """``reference_fc_elements`` in place of ``analyzer._fc_elements``: it
-    reads only the generator images and the identity off ``theta``."""
-    return reference_fc_elements(quotient, theta.actions[offset:], theta.identity, bound)
+    reads only the generator images and the identity off ``theta``, and
+    tests every candidate's whole action with ``Theta.trivial``."""
+    for word, action in reference_fc_elements(quotient, theta.actions[offset:], theta.identity, bound):
+        trivial = theta.trivial(action)
+        if trivial is not None:
+            yield word, trivial
 
 
 def reference_search(quotient, actions, identity, bound):
@@ -485,8 +497,55 @@ def free_kernel_under_z2(rng):
     return make_extension(FreeDesc(rank, ("a", "b", "c")[:rank]), abelian(2), actions)
 
 
+def product_z_c2(rng):
+    """product(Z, C_2) on Z^2: the last factor is finite, and t -> +-I
+    makes a relation likely."""
+    m = rng.choice(HYPERBOLIC)
+    mats = [signed_power(rng, m, 1), IntMatrix.identity(2).scale(rng.choice((1, -1)))]
+    return make_extension(FgAbelianDesc(2), make_product([z(), C2]), conjugated(rng, mats))
+
+
+def free_kernel_under_product(rng):
+    """F_3 under product(Z, Z) or product(Z, C_2).  phi: a -> a c,
+    b -> b c, c -> c, the swap of a and b, and conjugation by c commute,
+    so products of their powers commute too; the C_2 factor acts by the
+    swap or trivially."""
+    swap = FreeAut(3, ((2,), (1,), (3,)))
+    phi = FreeAut(3, ((1, 3), (2, 3), (3,)))
+    by_c = FreeAut.conjugation(3, (3,))
+    t, s = (phi ** rng.randint(-1, 1) @ swap ** rng.randint(0, 1) @ by_c ** rng.randint(-2, 2)
+            for _ in range(2))
+    if rng.random() < 0.5:
+        quotient, s = make_product([z(), C2]), swap ** rng.randint(0, 1)
+    else:
+        quotient = make_product([z(), FgAbelianDesc(1, (), ("s",))])
+    return make_extension(FreeDesc(3, ("a", "b", "c")), quotient, [t, s])
+
+
 FAMILIES = (one_matrix_powers, block_diagonals, torsion_with_minus_identity, product_z_z,
-            product_z2_c2, free_kernel_under_z2)
+            product_z2_c2, free_kernel_under_z2, product_z_c2, free_kernel_under_product)
+FREE_FAMILIES = (free_kernel_under_z2, free_kernel_under_product)
+
+
+def blocks_spec(k):
+    """Z^k on Z^2k, generator i acting by H on block i."""
+    i2 = IntMatrix.identity(2)
+    mats = [block_diag(*(H if j == i else i2 for j in range(k))) for i in range(k)]
+    return make_extension(FgAbelianDesc(2 * k), FgAbelianDesc(k), mats)
+
+
+def abelian_parts(spec):
+    """(abelian quotient or product factor, its actions): what a box walk
+    runs on."""
+    if isinstance(spec.quotient, ProductDesc):
+        parts, offset = [], 0
+        for f in spec.quotient.factors:
+            n = generator_count(f)
+            if isinstance(f, FgAbelianDesc):
+                parts.append((f, spec.actions[offset:offset + n]))
+            offset += n
+        return parts
+    return [(spec.quotient, spec.actions)]
 
 
 class TestMod3Screen:
@@ -496,11 +555,29 @@ class TestMod3Screen:
         kinds = set()
         for _ in range(25):
             spec = family(rng)
-            bound = rng.randint(1, 4 if family is not free_kernel_under_z2 else 2)
+            bound = rng.randint(1, 2 if family in FREE_FAMILIES else 4)
             got, want = screened_and_reference(spec, bound)
             assert got == want, (spec, bound)
             kinds.add(type(got).__name__)
         assert "InjectivityWitness" in kinds and len(kinds) > 1
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_walk_visits_exactly_l3_in_the_box_in_order(self, family):
+        """The walk over the screen's rows yields the box vectors whose
+        residue is zero, in (max-norm, lex) order; over unit rows, the
+        whole box."""
+        rng = random.Random(family.__name__ + " walk")
+        for _ in range(4):
+            spec = family(rng)
+            for quotient, actions in abelian_parts(spec):
+                screen = mod3_screen(actions, spec.theta.identity, 10 ** 6)
+                n = quotient.gen_count
+                assert all(row[:i] == (0,) * i and row[i] > 0 for i, row in enumerate(screen.rows))
+                for bound in (0, 1, 2, 8):
+                    box = sorted_box(quotient.rank, quotient.divisors, bound)
+                    walked = list(_box_walk(quotient, bound, screen.rows))
+                    assert walked == [x for x in box if not any(screen.residue(x))]
+                    assert list(_box_walk(quotient, bound, unit_rows(n))) == box
 
     def test_cross_factor_relation_of_factors_not_trivial_mod_3(self):
         """product(Z, Z) acting by t -> H, s -> H^-1: the first witness
@@ -549,7 +626,8 @@ class TestMod3Screen:
         """A Z^3-on-Z^4 input whose relation (-6, -2, 1) lies past
         --relation-bound 5, so the whole box of 1330 candidates is searched.
         Unscreened, each candidate costs at least one product (2324 in
-        all); the screen keeps those in L_3, a lattice of index 24."""
+        all); the walk visits only those in L_3, a lattice of index 24,
+        and takes at most one product per new head, none per candidate."""
         rng = random.Random(4)
         h1, h2 = HYPERBOLIC[0], HYPERBOLIC[2]
         i2 = IntMatrix.identity(2)
@@ -558,7 +636,7 @@ class TestMod3Screen:
         calls = count_calls(monkeypatch, IntMatrix, "__matmul__")
         res = theta_fc_injective(spec.quotient, spec.theta, AnalyzerLimits(relation_bound=5))
         assert res == InjectivityUnknown("abelian-relation-bound")
-        assert len(calls) <= 400
+        assert len(calls) <= 60
 
     @pytest.mark.parametrize("family", FAMILIES[:3], ids=lambda f: f.__name__)
     def test_screen_images_match_mod_3_products(self, family):
@@ -589,14 +667,27 @@ class TestMod3Screen:
                 m = mod3(random_unimodular(rng, n, steps=8))
                 assert _mul3(m, _inverse3(m)) == eye == _mul3(_inverse3(m), m)
 
-    def test_blocks_family_decides_its_bound_quickly(self):
-        """Z^4 on Z^8, generator i hyperbolic on block i: the screen keeps
-        5^4 of the 17^4 exponent vectors, and the search still ends at the
-        relation bound."""
-        i2 = IntMatrix.identity(2)
-        mats = [block_diag(*(H if j == i else i2 for j in range(4))) for i in range(4)]
-        spec = make_extension(FgAbelianDesc(8), FgAbelianDesc(4), mats)
-        candidates = analyzer._fc_elements(spec.quotient, spec.theta, 8)
-        assert sum(1 for _ in candidates) == 5 ** 4 - 1
+    def test_blocks_family_decides_its_bound_quickly(self, monkeypatch):
+        """Z^4 on Z^8, generator i hyperbolic on block i: the walk visits
+        the 5^4 exponent vectors of L_3 among the 17^4 of the box, and the
+        search still ends at the relation bound."""
+        walked = []
+        walk = analyzer._box_walk
+        monkeypatch.setattr(analyzer, "_box_walk", lambda *args: (walked.append(x) or x for x in walk(*args)))
+        report = analyze(blocks_spec(4))
+        assert (report.verdict, report.obstruction) == ("unknown", "abelian-relation-bound")
+        assert len(walked) == 5 ** 4 - 1
+
+    def test_blocks_family_tests_no_residue_and_takes_few_products(self, monkeypatch):
+        """The same family at k=5: 5^5 - 1 candidates, and no residue test,
+        since the walk enumerates L_3 directly.  Each inverse head extends
+        the previous one and each candidate is one comparison, so the
+        whole analysis takes under 2 000 products where a product per
+        candidate took 9 476."""
+        spec = blocks_spec(5)
+        residues = count_calls(monkeypatch, Mod3Screen, "residue")
+        products = count_calls(monkeypatch, IntMatrix, "__matmul__")
         report = analyze(spec)
         assert (report.verdict, report.obstruction) == ("unknown", "abelian-relation-bound")
+        assert residues == []
+        assert len(products) <= 2000
