@@ -258,17 +258,6 @@ def _box_walk(quotient: FgAbelianDesc, bound: int, rows):
                                             None if done or i < last else m))
 
 
-def _moduli(quotient: FgAbelianDesc) -> tuple[int, ...]:
-    """Per generator: 0 if free, else the torsion divisor, which its action's order divides."""
-    return (0,) * quotient.rank + quotient.divisors
-
-
-def _negated(e: int, d: int) -> int:
-    """The exponent of A^-e in the box, given A's modulus d from :func:`_moduli`:
-    -e, or -e mod d on a torsion generator, so no inverse is taken."""
-    return -e % d if d else -e
-
-
 def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0):
     """Yield ``(word, how)`` for the nontrivial elements of FC(quotient)
     that the injectivity search covers and that act trivially, in witness
@@ -299,17 +288,16 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
         screen = mod3_screen(theta.actions[offset:offset + n], identity, _box_size(quotient, bound))
         rows = IntMatrix.identity(n).rows if screen is None else screen.rows
         power = functools.partial(theta.power, offset + n - 1)  # A_n^e
-        moduli = _moduli(quotient)
         inverses, prev = [identity], ()  # inverses[i]: the action of -x_1..-x_i of prev
         for x in _box_walk(quotient, bound, rows):
             if x[:-1] != prev[:-1]:
                 i = next(j for j, (a, b) in enumerate(zip(x, prev)) if a != b) if prev else 0
                 del inverses[i + 1:]
                 for j in range(i, n - 1):
-                    h, p = inverses[j], theta.power(offset + j, _negated(x[j], moduli[j]))
+                    h, p = inverses[j], theta.power(offset + j, -x[j])
                     inverses.append(p if h is identity else h if p is identity else h @ p)
             prev, e = x, x[-1]
-            trivial = theta.trivial_product(inverses[-1], power, e, _negated(e, moduli[-1]))
+            trivial = theta.trivial_product(inverses[-1], power, e, -e)
             if trivial is not None:
                 yield _exponent_word(x), trivial
     elif isinstance(quotient, FreeDesc):
@@ -330,14 +318,14 @@ def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
     factor's parts index its table, so an element's inverse is read off
     the inverse element's entry; an abelian factor's parts are exponent
     vectors, those of :func:`_box_walk` over the whole box and their
-    negations (:func:`_negated`), each read once, and its images are read
-    off the factor's screen.  The last factor is indexed by the inverse
-    of its images, so each prefix visits, in list order, only the entries
-    that close it to I; without a screen for every abelian factor, every
-    entry closes.  A prefix with entries to visit gets the action of its
-    inverse once, from its entries' inverse parts, and
-    :meth:`Theta.trivial_product` tests each entry against it: on a
-    matrix kernel, one comparison with the entry's action.
+    negations, each read once, and its images are read off the factor's
+    screen.  The last factor is indexed by the inverse of its images, so
+    each prefix visits, in list order, only the entries that close it to
+    I; without a screen for every abelian factor, every entry closes.  A
+    prefix with entries to visit gets the action of its inverse once,
+    from its entries' inverse parts, and :meth:`Theta.trivial_product`
+    tests each entry against it: on a matrix kernel, one comparison with
+    the entry's action.
     """
     identity, eye = theta.identity, mod3(theta.identity)
     lists, readers = [], []
@@ -354,11 +342,10 @@ def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
             if isinstance(f, FgAbelianDesc):
                 screen = mod3_screen(theta.actions[offset:offset + f.gen_count], identity, _box_size(f, bound))
                 screened = screened and screen is not None
-                moduli = _moduli(f)
                 for exps in _box_walk(f, bound, IntMatrix.identity(f.gen_count).rows):
                     image = screen.elements[screen.residue(exps)] if screen is not None else None
                     entries.append((_shift_word(_exponent_word(exps), offset), image, exps,
-                                    tuple(map(_negated, exps, moduli))))
+                                    tuple(-e for e in exps)))
             readers.append(functools.cache(functools.partial(theta.of_exponents, offset=offset)))
         lists.append(entries)
     *heads, last = lists

@@ -87,11 +87,21 @@ class _Cursor:
         return Diagnostic(self.line_no, self.base_col if col is None else col, code, message)
 
 
+def _int(digits: str, cur: _Cursor) -> int:
+    """The integer that ``digits`` spells, matched as decimal digits; one
+    past the interpreter's limit on digits converted is a syntax
+    diagnostic, not a crash."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise cur.err("syntax", f"integer literal too long: {len(digits.strip())} characters") from None
+
+
 def _parse_torsion_atom(atom: str, cur: _Cursor) -> int:
     m = re.fullmatch(r"Z/(\d+)", atom.strip())
     if not m:
         raise cur.err("syntax", f"expected Z/<int>, got {atom.strip()!r}")
-    return int(m.group(1))
+    return _int(m.group(1), cur)
 
 
 def _parse_abelian(text: str, cur: _Cursor) -> FgAbelianDesc:
@@ -102,7 +112,7 @@ def _parse_abelian(text: str, cur: _Cursor) -> FgAbelianDesc:
     else:
         m = re.fullmatch(r"Z\^(\d+)", head)
         if m:
-            rank = int(m.group(1))
+            rank = _int(m.group(1), cur)
         elif head.startswith("Z/"):
             rank = 0
             parts = ["Z^0"] + parts
@@ -138,9 +148,10 @@ def _parse_cycles(text: str, cur: _Cursor) -> list[list[int]]:
         points = []
         if body:
             for tok in body.split():
-                if not tok.isdigit() or int(tok) < 1:
+                point = _int(tok, cur) if tok.isdecimal() else 0
+                if point < 1:
                     raise cur.err("syntax", f"cycle points are positive integers, got {tok!r}")
-                points.append(int(tok))
+                points.append(point)
         if len(set(points)) != len(points):
             raise cur.err("validation", "repeated point in a cycle")
         cycles.append(points)
@@ -229,7 +240,7 @@ def _parse_matrix(text: str, cur: _Cursor) -> IntMatrix:
     rows = [_list_items(r) for r in _list_items(body) or ()]
     if not rows or None in rows or not all(_INT_RE.fullmatch(x) for r in rows for x in r):
         raise cur.err("syntax", "matrix must be a list of integer rows")
-    value = [[int(x) for x in r] for r in rows]
+    value = [[_int(x, cur) for x in r] for r in rows]
     if len({len(r) for r in value}) != 1 or len(value) != len(value[0]):
         raise cur.err("validation", "matrix must be square")
     return IntMatrix.from_rows(value)
@@ -261,7 +272,7 @@ def _tokenize_word(text: str, names: tuple[str, ...], cur: _Cursor) -> Word:
             m = re.match(r"\^(-?\d+)", text[pos:])
             if not m:
                 raise cur.err("syntax", "bad exponent")
-            exp = int(m.group(1))
+            exp = _int(m.group(1), cur)
             pos += m.end()
         letter = hit + 1
         letters.extend([letter if exp > 0 else -letter] * abs(exp))

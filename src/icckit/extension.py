@@ -6,7 +6,9 @@ descriptors (the kernel an ``FgAbelianDesc``, ``FreeDesc`` or
 unimodular integer matrix for abelian kernels, a free-group automorphism
 for free kernels, none for finite kernels.  The assignment must extend
 to a homomorphism from the quotient, which is checked exactly for finite
-and abelian (and product) quotients.
+and abelian (and product) quotients: a finite quotient's table of
+element actions is built and checked in the same walk over its Cayley
+graph (:meth:`Theta.finite_table`).
 
 Only the action homomorphism matters for the verdicts downstream, so one
 validated spec covers every extension (split or not) inducing the same
@@ -60,9 +62,11 @@ class Theta:
     """The action homomorphism theta: Q -> Aut(K), generator i acting by
     ``actions[i]``.  Its two caches serve every reader: the powers A_i^e,
     keyed by ``(i, e)``, and each finite factor's element actions in
-    ``elements`` order, keyed by the factor's ``factor_offsets`` offset.
-    Actions are exact, so a cached value equals every product that
-    computes it.  Holds no reference to the spec that holds it."""
+    ``elements`` order, keyed by the factor's ``factor_offsets`` offset,
+    which validation builds and checks in one walk.  Actions are exact,
+    so a cached value equals every product that computes it: A^-e on a
+    torsion generator of divisor d is A^(d-e).  Holds no reference to
+    the spec that holds it."""
 
     __slots__ = ("actions", "identity", "_powers", "_tables")
 
@@ -129,14 +133,24 @@ class Theta:
 
     def finite_table(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
         """The action of every element of the finite factor ``group`` at
-        ``offset``, in ``elements`` order: one product per element, its
-        word's prefix (words are prefix-closed) times its last letter."""
+        ``offset``, in ``elements`` order, built and checked in one walk
+        over the Cayley graph's edges e -> e g_i in ``elements`` x
+        ``generators`` order: the edge that first reaches an element (in
+        the breadth-first order of ``elements``) sets its action
+        theta(e) @ A_i, and any other edge whose product differs raises
+        :class:`ExtensionValidationError`, since theta does not extend to
+        ``group``.  One product per edge."""
         table = self._tables.get(offset)
         if table is None:
-            by_word = {(): self.identity}
-            for w in group.element_words[1:]:
-                by_word[w] = by_word[w[:-1]] @ self.actions[offset + w[-1] - 1]
-            table = self._tables[offset] = tuple(by_word.values())
+            action_of = {group.elements[0]: self.identity}
+            for e in group.elements:
+                for g, a in zip(group.generators, self.actions[offset:]):
+                    product = action_of[e] @ a
+                    if action_of.setdefault(perm_compose(e, g), product) != product:
+                        raise ExtensionValidationError(
+                            "relation violation: actions do not extend to the finite quotient"
+                        )
+            table = self._tables[offset] = tuple(action_of.values())
         return table
 
 
@@ -174,24 +188,16 @@ def _normalize_quotient(q: GroupDesc) -> GroupDesc:
 def _validate_relations(quotient, theta: Theta, offset: int = 0):
     """Check that generator images satisfy the quotient's relations.
 
-    Finite quotients: theta extends iff theta(e) * theta(g) = theta(e g)
-    on every edge; ``theta``'s table makes it hold on the breadth-first
-    tree, so only the other edges are checked.  Abelian quotients: images
-    commute and torsion generators have the divisor's order.  Products
-    additionally need cross-factor commutation; free factors impose
-    nothing.  Generator i is ``theta``'s ``offset + i``.
+    Finite quotients: ``theta``'s table is built and checked on every
+    edge of the Cayley graph in one walk (:meth:`Theta.finite_table`).
+    Abelian quotients: images commute and torsion generators have the
+    divisor's order.  Products additionally need cross-factor
+    commutation; free factors impose nothing.  Generator i is
+    ``theta``'s ``offset + i``.
     """
     actions = theta.actions[offset:offset + generator_count(quotient)]
     if isinstance(quotient, FiniteGroupDesc):
-        action_of = dict(zip(quotient.elements, theta.finite_table(quotient, offset)))
-        for e, word in zip(quotient.elements, quotient.element_words):
-            for i, g in enumerate(quotient.generators):
-                child = perm_compose(e, g)
-                if (quotient.word_of(child) != word + (i + 1,)
-                        and action_of[e] @ actions[i] != action_of[child]):
-                    raise ExtensionValidationError(
-                        "relation violation: actions do not extend to the finite quotient"
-                    )
+        theta.finite_table(quotient, offset)
     elif isinstance(quotient, FgAbelianDesc):
         for a, b in itertools.combinations(actions, 2):
             if a @ b != b @ a:

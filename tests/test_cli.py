@@ -375,6 +375,43 @@ class TestCliRuns:
         assert data["obstruction"] == "abelian-relation-bound"
 
 
+LONG_INT = "7" * 5000  # past the interpreter's limit on digits converted
+
+UNREADABLE_INTEGERS = {
+    "rank": f"kernel: Z^{LONG_INT}\nquotient: Z\n",
+    "torsion-divisor": f"kernel: Z^2 + Z/{LONG_INT}\nquotient: Z\n",
+    "cycle-point": f"kernel: Z\nquotient: finite perm((1 {LONG_INT}))\n",
+    "matrix-entry": f"kernel: Z^2\nquotient: Z\naction t -> [[{LONG_INT},1],[1,1]]\n",
+    "word-exponent": f"kernel: free(a, b)\nquotient: Z\naction t -> (a -> a^{LONG_INT}, b -> b)\n",
+    # A digit to str.isdigit, but no decimal digit: int() rejects it.
+    "superscript-cycle-point": "kernel: Z\nquotient: finite perm((1 \u00b2))\n",
+}
+
+
+class TestIntegerLiterals:
+    @pytest.mark.parametrize("site", sorted(UNREADABLE_INTEGERS))
+    def test_unreadable_integer_is_a_located_syntax_error(self, site, tmp_path, capsys):
+        f = tmp_path / "spec.ext"
+        f.write_text(UNREADABLE_INTEGERS[site], encoding="utf-8")
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 2 and not out
+        assert re.match(rf"{re.escape(str(f))}:\d+:\d+: \[syntax\] ", err) and err.count("\n") == 1
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("extra", [(), ("--assert", "not_icc")], ids=("plain", "assert-fails"))
+    def test_python_m_matches_run(self, extra, capsys):
+        """``python -m icckit.cli`` runs the CLI: the same stdout and exit
+        code as ``cli.run`` in-process."""
+        argv = ["check", str(EXTENSIONS / "sol.ext"), *extra]
+        want = run(capsys, *argv)[:2]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        got = subprocess.run([sys.executable, "-m", "icckit.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (got.returncode, got.stdout) == want
+        assert want[1] and want[0] == (1 if extra else 0)
+
+
 class TestValidateOnce:
     """Unimodularity is checked once per input matrix, by ``make_extension``;
     every matrix derived from a checked one is trusted."""

@@ -47,7 +47,7 @@ from icckit.extension import ExtensionValidationError, Theta, make_extension
 from icckit.oracle import crosscheck
 from icckit.intlinalg import IntMatrix
 from icckit.matgroup import Mod3Screen, _inverse3, _mul3, mod3, mod3_screen
-from icckit.words import FreeAut, free_reduce, is_inner
+from icckit.words import FreeAut, free_reduce, is_inner, word_inverse
 from tests.helpers import block_diag, conjugated, count_calls, random_unimodular
 
 
@@ -100,36 +100,55 @@ def perm_matrix(p):
 
 
 class TestEvaluate:
-    """The finite table of ``Theta`` against word-by-word composition."""
+    """The finite table of ``Theta`` against word-by-word composition, on
+    images that extend, and the walk that builds it rejecting images that
+    do not."""
 
     def test_matrix_images_match_word_composition(self):
-        # Any images will do: the table multiplies along the words.
+        # Permutation matrices of S4's generators extend, under any change of basis.
         rng = random.Random(5)
+        identity = IntMatrix.identity(4)
         for _ in range(5):
-            images = [random_unimodular(rng, 3, steps=3) for _ in S4.generators]
-            identity = IntMatrix.identity(3)
+            images = conjugated(rng, [perm_matrix(g) for g in S4.generators])
             got = Theta(images, identity).finite_table(S4)
             assert got == tuple(compose_word(w, images, identity) for w in S4.element_words)
 
     def test_aut_images_match_word_composition(self):
-        s3 = FiniteGroupDesc.from_generators(3, [(1, 0, 2), (1, 2, 0)])
+        # Permutation automorphisms extend, and so do their conjugates
+        # c_u a c_u^-1: a composed with the inner automorphism by u a(u)^-1.
+        identity = FreeAut.identity(3)
+        for u in ((), (1,), (2, -3, 1)):
+            c, c_inv = FreeAut.conjugation(3, u), FreeAut.conjugation(3, word_inverse(u))
+            images = [c @ permutation_aut(g) @ c_inv for g in S3.generators]
+            got = Theta(images, identity).finite_table(S3)
+            assert got == tuple(compose_word(w, images, identity) for w in S3.element_words)
+            assert got[0] == identity and len(got) == S3.order
+
+    def test_images_that_do_not_extend_raise(self):
+        """Random unimodular images of S4's generators, and a transvection
+        with a 3-cycle for S3's: some edge's product differs from the
+        action already on its end, and no table is cached."""
+        rng = random.Random(5)
         transvection = FreeAut(3, ((1, 2), (2,), (3,)))
         cycle = FreeAut(3, ((2,), (3,), (1,)))
-        images = [transvection, cycle]
-        identity = FreeAut.identity(3)
-        got = Theta(images, identity).finite_table(s3)
-        assert got == tuple(compose_word(w, images, identity) for w in s3.element_words)
-        assert got[0] == identity and len(got) == s3.order
+        cases = [(S4, IntMatrix.identity(3), [random_unimodular(rng, 3, steps=3) for _ in S4.generators])
+                 for _ in range(5)] + [(S3, FreeAut.identity(3), [transvection, cycle])]
+        for group, identity, images in cases:
+            assert reference_failures(group, images, identity)
+            theta = Theta(images, identity)
+            for _ in range(2):
+                with pytest.raises(ExtensionValidationError,
+                                   match="^relation violation: actions do not extend to the finite quotient$"):
+                    theta.finite_table(group)
 
     def test_make_extension_builds_table_in_one_product_per_element(self, monkeypatch):
-        """The table costs |Q| - 1 products and validation one more per
-        edge off the breadth-first tree: |Q| * |gens| in all.  The FC
-        search then reads the table and builds no action of its own."""
+        """Validation builds and checks the table in one walk, one product
+        per edge: |Q| * |gens| in all.  The FC search then reads the table
+        and builds no action of its own."""
         actions = [perm_matrix(g) for g in S4.generators]
         calls = count_calls(monkeypatch, IntMatrix, "__matmul__")
         spec = make_extension(FgAbelianDesc(4), S4, actions)
-        assert S4.order == 24
-        assert len(calls) <= S4.order * len(S4.generators)
+        assert len(calls) == S4.order * len(S4.generators) == 48
         calls.clear()
         report = analyze(spec)
         assert report.verdict == "not_icc"
@@ -522,9 +541,52 @@ def free_kernel_under_product(rng):
     return make_extension(FreeDesc(3, ("a", "b", "c")), quotient, [t, s])
 
 
+R4 = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
+
+
+def plus_minus(rng, m):
+    return m.scale(rng.choice((1, -1)))
+
+
+def torsion_in_head(rng):
+    """Z + Z/2 + Z/4 on Z^4, by conjugated block diagonals: the torsion
+    generator s is a head coordinate of the walk, so its inverse is a
+    negative power.  t -> (+-H^k, +-I), s -> (+-I, +-I) and
+    r -> (+-I, R4^j) with j in {1, -1, 2}."""
+    i2 = IntMatrix.identity(2)
+    mats = [block_diag(signed_power(rng, H, 2), plus_minus(rng, i2)),
+            block_diag(plus_minus(rng, i2), plus_minus(rng, i2)),
+            block_diag(plus_minus(rng, i2), R4 ** rng.choice((1, -1, 2)))]
+    return make_extension(FgAbelianDesc(4), FgAbelianDesc(1, (2, 4), ("t", "s", "r")), conjugated(rng, mats))
+
+
+def product_torsion_head(rng):
+    """product(Z + Z/2, Z) on Z^2, acting by +-H^k (|k| <= 1), +-I and
+    +-H^k (|k| <= 2): the first factor's torsion generator is in the head."""
+    q = make_product([FgAbelianDesc(1, (2,), ("t", "s")), FgAbelianDesc(1, (), ("u",))])
+    mats = [signed_power(rng, H, 1), plus_minus(rng, IntMatrix.identity(2)), signed_power(rng, H, 2)]
+    return make_extension(FgAbelianDesc(2), q, conjugated(rng, mats))
+
+
 FAMILIES = (one_matrix_powers, block_diagonals, torsion_with_minus_identity, product_z_z,
-            product_z2_c2, free_kernel_under_z2, product_z_c2, free_kernel_under_product)
+            product_z2_c2, free_kernel_under_z2, product_z_c2, free_kernel_under_product,
+            torsion_in_head, product_torsion_head)
 FREE_FAMILIES = (free_kernel_under_z2, free_kernel_under_product)
+
+
+class TestTorsionInHead:
+    @pytest.mark.parametrize("family", (torsion_in_head, product_torsion_head), ids=lambda f: f.__name__)
+    def test_at_most_one_inverse_per_generator(self, family, monkeypatch):
+        """A torsion exponent -e is the plain negative power: ``Theta.power``
+        takes the generator's inverse once and caches it, so one analysis
+        takes at most one inverse per quotient generator."""
+        rng = random.Random(family.__name__ + " inverses")
+        inverses = count_calls(monkeypatch, IntMatrix, "inverse_unimodular")
+        for _ in range(60):
+            spec = family(rng)
+            inverses.clear()
+            analyze(spec, AnalyzerLimits(relation_bound=rng.randint(0, 3)))
+            assert len(inverses) <= generator_count(spec.quotient)
 
 
 def blocks_spec(k):
