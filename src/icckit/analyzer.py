@@ -16,7 +16,10 @@ guessed from a bounded search.
 
 Both injectivity conditions read the spec's ``Theta`` through
 :func:`theta_fc_injective`, and ``Theta.trivial`` decides whether an
-action is trivial: the identity matrix, or an inner automorphism.
+action is trivial: the identity matrix, or an inner automorphism.  The
+search returns what the report stores: the :class:`QuotientLiftWitness`
+of part (ii), the name of the obstruction, or None when the condition
+holds.
 Matrices and free automorphisms share ``@`` and ``**``, so FC(Q) is
 enumerated once, by ``_fc_elements``, and the witness is the first
 trivially acting element in its order: element-word order for finite
@@ -38,7 +41,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .catalog import (
     FgAbelianDesc,
@@ -123,10 +126,11 @@ class KernelVectorWitness:
 class QuotientLiftWitness:
     """A nontrivial finite-class quotient element whose action is trivial
     (identically, or up to an inner automorphism); a suitable lift of it
-    has finite class."""
+    has finite class.  ``word`` is in the quotient's generators; a
+    printed report renders it, as the JSON ``element``, with the
+    quotient's labels (:func:`render_gen_word`)."""
 
     word: GenWord
-    rendered: str
     evidence_kind: str  # "action-identity" | "inner-automorphism"
     conjugator: Word | None = None
     action_order: int | None = None
@@ -147,27 +151,6 @@ class Report:
     witness: Witness | None = None
     obstruction: str | None = None
     conditions: tuple[ConditionResult, ...] = ()
-
-
-@dataclass(frozen=True)
-class Injective:
-    pass
-
-
-@dataclass(frozen=True)
-class InjectivityWitness:
-    word: GenWord
-    evidence_kind: str
-    conjugator: Word | None = None
-    action_order: int | None = None
-
-
-@dataclass(frozen=True)
-class InjectivityUnknown:
-    tag: str
-
-
-InjectivityResult = Injective | InjectivityWitness | InjectivityUnknown
 
 
 def render_gen_word(word: GenWord, labels) -> str:
@@ -368,8 +351,15 @@ def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
                     yield word, trivial
 
 
-def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits, offset: int = 0) -> InjectivityResult:
+def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits,
+                       offset: int = 0) -> QuotientLiftWitness | str | None:
     """Is the action injective on the finite-class subgroup of the quotient?
+
+    Returns None when it is (no nontrivial finite-class element acts
+    trivially), the :class:`QuotientLiftWitness` of the first element
+    that does, or the obstruction's name when the search cannot decide:
+    ``out-order-unbounded``, ``fc-enumeration-too-large``,
+    ``abelian-relation-bound`` or ``product-relation-bound``.
 
     The quotient's generator i acts by ``theta``'s generator ``offset + i``,
     and :meth:`Theta.trivial` decides what acts trivially: the identity
@@ -396,8 +386,8 @@ def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits
         if isinstance(action, IntMatrix):
             n = matrix_order(action)
             if n is None:
-                return Injective()
-            return InjectivityWitness((1,) * n, "action-identity", action_order=n)
+                return None
+            return QuotientLiftWitness((1,) * n, "action-identity", action_order=n)
         # An inner power acts as I on the abelianization, so its exponent
         # is a multiple of m; phi^m is in IA_k, torsion-free in Out(F_k),
         # so phi^m is inner iff some power is (CATALOG_AXIOMS.md §13).
@@ -405,8 +395,8 @@ def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits
         if m is not None and m <= OUT_ORDER_CAP:
             trivial = theta.trivial(action ** m)
             if trivial is not None:
-                return InjectivityWitness((1,) * m, *trivial)
-        return InjectivityUnknown("out-order-unbounded")
+                return QuotientLiftWitness((1,) * m, *trivial)
+        return "out-order-unbounded"
 
     bound = limits.relation_bound
     if isinstance(quotient, ProductDesc):
@@ -416,28 +406,24 @@ def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits
         if len(fc) == 1:
             f, at = fc[0]
             res = theta_fc_injective(f, theta, limits, at)
-            if isinstance(res, InjectivityWitness):
-                return InjectivityWitness(
-                    _shift_word(res.word, at), res.evidence_kind, res.conjugator, res.action_order
-                )
+            if isinstance(res, QuotientLiftWitness):
+                return replace(res, word=_shift_word(res.word, at))
             return res
         total = math.prod(_box_size(f, bound) for f, _ in fc)
         if total > PRODUCT_ITERATION_CAP:
-            return InjectivityUnknown("fc-enumeration-too-large")
+            return "fc-enumeration-too-large"
 
     hit = next(_fc_elements(quotient, theta, bound, offset), None)
     if hit is not None:
-        return InjectivityWitness(hit[0], *hit[1])
+        return QuotientLiftWitness(hit[0], *hit[1])
 
     factors = quotient.factors if isinstance(quotient, ProductDesc) else (quotient,)
     if all(not isinstance(f, FgAbelianDesc) or f.is_finite for f in factors):
-        return Injective()
+        return None
     # The mod-3 lattice L_3 only screens the search: relations are still
     # searched up to the bound.  A 3-adic injectivity certificate and a
     # search for relations beyond the bound are open items in ROADMAP.md.
-    return InjectivityUnknown(
-        "product-relation-bound" if isinstance(quotient, ProductDesc) else "abelian-relation-bound"
-    )
+    return "product-relation-bound" if isinstance(quotient, ProductDesc) else "abelian-relation-bound"
 
 
 # theorem -> (FC-injectivity condition, what no nontrivial FC element
@@ -448,28 +434,22 @@ _FC_CONDITIONS = {
 }
 
 
-def _fc_report(res: InjectivityResult, quotient: GroupDesc,
+def _fc_report(res: QuotientLiftWitness | str | None, quotient: GroupDesc,
                conditions: list[ConditionResult], theorem: str) -> Report:
-    """The report that the FC-injectivity result ``res`` decides: icc by
-    ``theorem``, or not_icc or unknown by its part (ii)."""
+    """The report that the :func:`theta_fc_injective` result ``res``
+    decides: icc by ``theorem``, or not_icc or unknown by its part (ii)."""
     name, holds, fails = _FC_CONDITIONS[theorem]
-    if isinstance(res, Injective):
+    if res is None:
         conditions.append(
             ConditionResult(name, "holds", f"no nontrivial finite-class quotient element {holds}")
         )
         return Report("icc", theorem, None, None, tuple(conditions))
-    if isinstance(res, InjectivityWitness):
-        witness = QuotientLiftWitness(
-            word=res.word,
-            rendered=render_gen_word(res.word, generator_labels(quotient)),
-            evidence_kind=res.evidence_kind,
-            conjugator=res.conjugator,
-            action_order=res.action_order,
-        )
-        conditions.append(ConditionResult(name, "fails", f"{witness.rendered} {fails}"))
-        return Report("not_icc", f"{theorem}(ii)", witness, None, tuple(conditions))
-    conditions.append(ConditionResult(name, "unknown", res.tag))
-    return Report("unknown", f"{theorem}(ii)", None, res.tag, tuple(conditions))
+    if isinstance(res, str):
+        conditions.append(ConditionResult(name, "unknown", res))
+        return Report("unknown", f"{theorem}(ii)", None, res, tuple(conditions))
+    element = render_gen_word(res.word, generator_labels(quotient))
+    conditions.append(ConditionResult(name, "fails", f"{element} {fails}"))
+    return Report("not_icc", f"{theorem}(ii)", res, None, tuple(conditions))
 
 
 def _canonical_short_index(basis) -> int:
@@ -529,7 +509,7 @@ def thm1_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
         )
         if not induced_pm_identity:
             res = theta_fc_injective(spec.quotient, spec.theta, limits)
-            if isinstance(res, InjectivityWitness):
+            if isinstance(res, QuotientLiftWitness):
                 return _fc_report(res, spec.quotient, conditions, "theorem-1")
         # The witness is a basis row of F, so the certificate holds its orbit.
         i = _canonical_short_index(cert.lattice.basis)
@@ -560,22 +540,19 @@ def thm3_check(spec: ExtensionSpec, limits: AnalyzerLimits = AnalyzerLimits()) -
     return _fc_report(res, spec.quotient, conditions, "theorem-3")
 
 
-def _first_fc_generator(quotient: GroupDesc) -> tuple[GenWord, str] | None:
+def _first_fc_generator(quotient: GroupDesc) -> GenWord | None:
     """A nontrivial finite-class element of a normalized, nontrivial
     quotient (as a generator word), or None when FC is trivial."""
-    labels = generator_labels(quotient)
     if isinstance(quotient, FiniteGroupDesc):
-        w = tuple(quotient.element_words[1])
-        return w, render_gen_word(w, labels)
+        return tuple(quotient.element_words[1])
     if isinstance(quotient, FgAbelianDesc):
-        return (1,), render_gen_word((1,), labels)
+        return (1,)
     if isinstance(quotient, FreeDesc):
         return None
     for f, offset in factor_offsets(quotient):
         sub = _first_fc_generator(f)
         if sub is not None:
-            shifted = _shift_word(sub[0], offset)
-            return shifted, render_gen_word(shifted, labels)
+            return _shift_word(sub, offset)
     return None
 
 
@@ -597,16 +574,15 @@ def _catalog_icc_as_quotient(quotient: GroupDesc) -> Report:
             None,
             (ConditionResult("quotient-icc", "holds", "the quotient has trivial FC"),),
         )
-    found = _first_fc_generator(quotient)
-    assert found is not None
-    word, rendered = found
-    witness = QuotientLiftWitness(word, rendered, "action-identity")
+    word = _first_fc_generator(quotient)
+    assert word is not None
+    element = render_gen_word(word, generator_labels(quotient))
     return Report(
         "not_icc",
         "degenerate",
-        witness,
+        QuotientLiftWitness(word, "action-identity"),
         None,
-        (ConditionResult("quotient-icc", "fails", f"{rendered} has a finite class"),),
+        (ConditionResult("quotient-icc", "fails", f"{element} has a finite class"),),
     )
 
 

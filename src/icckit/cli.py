@@ -27,7 +27,9 @@ from .analyzer import (
     Report,
     TrivialGroupWitness,
     analyze,
+    render_gen_word,
 )
+from .catalog import generator_labels
 from .dsl import Diagnostic, parse_extension
 from .extension import ExtensionSpec, UnsupportedExtensionError
 from .oracle import crosscheck
@@ -58,7 +60,8 @@ def witness_json(witness, spec: ExtensionSpec):
         if witness.conjugator is not None:
             # Only free kernels give a conjugator (theorem 3).
             evidence["conjugator"] = render_word(witness.conjugator, spec.kernel.names)
-        return {"type": "quotient_lift", "element": witness.rendered, "evidence": evidence}
+        element = render_gen_word(witness.word, generator_labels(spec.quotient))
+        return {"type": "quotient_lift", "element": element, "evidence": evidence}
     if isinstance(witness, TrivialGroupWitness):
         return {"type": "trivial_group"}
     raise TypeError(f"unknown witness {witness!r}")

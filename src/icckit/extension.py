@@ -139,8 +139,11 @@ class Theta:
         the breadth-first order of ``elements``) sets its action
         theta(e) @ A_i, and any other edge whose product differs raises
         :class:`ExtensionValidationError`, since theta does not extend to
-        ``group``.  One product per edge."""
+        ``group``.  One product per edge, and none when every generator
+        acts as the identity, which satisfies every relation."""
         table = self._tables.get(offset)
+        if table is None and all(a.is_identity for a in self.actions[offset:offset + len(group.generators)]):
+            table = self._tables[offset] = (self.identity,) * group.order
         if table is None:
             action_of = {group.elements[0]: self.identity}
             for e in group.elements:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 Vec = tuple[int, ...]
 
@@ -70,12 +71,7 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         cols = tuple(zip(*other.rows)) if other.rows else ()
-        return IntMatrix._trusted(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        return IntMatrix._trusted(tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows]))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix._trusted(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
@@ -93,7 +89,7 @@ class IntMatrix:
         """The action v |-> M v^T, returned as a row tuple."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
+        return tuple([sum(map(mul, row, v)) for row in self.rows])
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._trusted(tuple(zip(*self.rows)) if self.rows else ())

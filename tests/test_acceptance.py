@@ -18,7 +18,7 @@ from icckit.analyzer import (
     analyze,
 )
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc
-from icckit.cli import main
+from icckit.cli import main, witness_json
 from icckit.extension import make_extension
 from icckit.intlinalg import IntMatrix, Lattice
 from icckit.matgroup import (
@@ -102,7 +102,7 @@ def test_criterion_04_order_four_action_gives_lift_witness():
     report = analyze(spec)
     assert report.verdict == "not_icc"
     assert isinstance(report.witness, QuotientLiftWitness)
-    assert report.witness.rendered == "q^4"
+    assert witness_json(report.witness, spec)["element"] == "q^4"
     assert report.witness.action_order == 4
     assert ROT4 ** 4 == IntMatrix.identity(2)  # the explicit power identity
     assert all(ROT4 ** d != IntMatrix.identity(2) for d in (1, 2, 3))

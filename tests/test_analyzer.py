@@ -4,9 +4,6 @@ import pytest
 
 from icckit.analyzer import (
     AnalyzerLimits,
-    Injective,
-    InjectivityUnknown,
-    InjectivityWitness,
     KernelTorsionWitness,
     KernelVectorWitness,
     QuotientLiftWitness,
@@ -16,6 +13,7 @@ from icckit.analyzer import (
     theta_fc_injective,
 )
 from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc, make_product
+from icckit.cli import witness_json
 from icckit.extension import ExtensionValidationError, Theta, make_extension
 from icckit.intlinalg import IntMatrix
 from icckit.words import FreeAut, is_inner
@@ -42,36 +40,36 @@ def mk(kernel, quotient, actions=()):
 class TestThetaFcInjective:
     def test_hyperbolic_action_injective_on_z(self):
         res = theta_fc_injective(Z, Theta((HYPER,), IntMatrix.identity(2)), AnalyzerLimits())
-        assert isinstance(res, Injective)
+        assert res is None
 
     def test_order_four_action_witnessed(self):
         res = theta_fc_injective(Z, Theta((ROT4,), IntMatrix.identity(2)), AnalyzerLimits())
-        assert isinstance(res, InjectivityWitness)
+        assert isinstance(res, QuotientLiftWitness)
         assert res.word == (1, 1, 1, 1)
         assert res.action_order == 4
         assert ROT4 ** 4 == IntMatrix.identity(2)
 
     def test_free_quotient_vacuous(self):
         res = theta_fc_injective(FreeDesc(2), Theta((HYPER, ROT4), IntMatrix.identity(2)), AnalyzerLimits())
-        assert isinstance(res, Injective)
+        assert res is None
 
     def test_finite_quotient_exact(self):
         c2 = FiniteGroupDesc.from_generators(2, [(1, 0)], ("q",))
         swap = FreeAut(2, ((2,), (1,)))
         res = theta_fc_injective(c2, Theta((swap,), FreeAut.identity(2)), AnalyzerLimits())
-        assert isinstance(res, Injective)
+        assert res is None
 
     def test_out_side_identity_power(self):
         phi = FreeAut.identity(2)
         res = theta_fc_injective(Z, Theta((phi,), FreeAut.identity(2)), AnalyzerLimits())
-        assert isinstance(res, InjectivityWitness)
+        assert isinstance(res, QuotientLiftWitness)
         assert res.word == (1,)
         assert res.conjugator == ()
 
     def test_out_side_order_two(self):
         swap = FreeAut(2, ((2,), (1,)))
         res = theta_fc_injective(Z, Theta((swap,), FreeAut.identity(2)), AnalyzerLimits())
-        assert isinstance(res, InjectivityWitness)
+        assert isinstance(res, QuotientLiftWitness)
         assert res.word == (1, 1)
 
     def test_relation_bound_monotone(self):
@@ -79,43 +77,42 @@ class TestThetaFcInjective:
         z2 = FgAbelianDesc(2, (), ("u", "v"))
         acts = (HYPER ** 5, (HYPER ** 5).inverse_unimodular())
         low = theta_fc_injective(z2, Theta(acts, IntMatrix.identity(2)), AnalyzerLimits(relation_bound=0))
-        assert isinstance(low, InjectivityUnknown)
+        assert low == "abelian-relation-bound"
         high = theta_fc_injective(z2, Theta(acts, IntMatrix.identity(2)), AnalyzerLimits(relation_bound=2))
-        assert isinstance(high, InjectivityWitness)
+        assert isinstance(high, QuotientLiftWitness)
 
     def test_rank_two_abelian_relation_found(self):
         z2 = FgAbelianDesc(2, (), ("u", "v"))
         hyper_inv = HYPER.inverse_unimodular()
         res = theta_fc_injective(z2, Theta((HYPER, hyper_inv), IntMatrix.identity(2)), AnalyzerLimits())
-        assert isinstance(res, InjectivityWitness)
+        assert isinstance(res, QuotientLiftWitness)
         assert res.word == (-1, -2)  # u^-1 v^-1, the (norm, lex) first relation
 
     def test_rank_two_abelian_unknown(self):
         z2 = FgAbelianDesc(2, (), ("u", "v"))
         a, b = _commuting_block_pair()
         res = theta_fc_injective(z2, Theta((a, b), IntMatrix.identity(4)), AnalyzerLimits())
-        assert isinstance(res, InjectivityUnknown)
-        assert res.tag == "abelian-relation-bound"
+        assert res == "abelian-relation-bound"
 
     def test_finite_abelian_exact(self):
         c4 = FgAbelianDesc(0, (4,), ("q",))
         res = theta_fc_injective(c4, Theta((ROT4,), IntMatrix.identity(2)), AnalyzerLimits())
-        assert isinstance(res, Injective)
+        assert res is None
         c2 = FgAbelianDesc(0, (2,), ("q",))
         neg = IntMatrix.from_rows([[-1, 0], [0, -1]])
         res = theta_fc_injective(c2, Theta((neg,), IntMatrix.identity(2)), AnalyzerLimits())
-        assert isinstance(res, Injective)
+        assert res is None
 
     def test_product_single_relevant_factor(self):
         q = make_product([FreeDesc(2, ("u", "v")), Z])
         res = theta_fc_injective(q, Theta((HYPER, HYPER, ROT4), IntMatrix.identity(2)), AnalyzerLimits())
-        assert isinstance(res, InjectivityWitness)
+        assert isinstance(res, QuotientLiftWitness)
         assert res.word == (3, 3, 3, 3)  # q^4 in the third generator
 
     def test_product_cross_factor_cancellation(self):
         q = make_product([FgAbelianDesc(1, (), ("u",)), FgAbelianDesc(1, (), ("v",))])
         res = theta_fc_injective(q, Theta((HYPER, HYPER.inverse_unimodular()), IntMatrix.identity(2)), AnalyzerLimits())
-        assert isinstance(res, InjectivityWitness)
+        assert isinstance(res, QuotientLiftWitness)
         # a cross-factor product acts trivially even though each factor
         # alone is injective; the found word must be nontrivial and cancel
         assert res.word == (-1, -2)
@@ -124,8 +121,7 @@ class TestThetaFcInjective:
         q = make_product([FgAbelianDesc(1, (), ("u",)), FgAbelianDesc(1, (), ("v",))])
         a, b = _commuting_block_pair()
         res = theta_fc_injective(q, Theta((a, b), IntMatrix.identity(4)), AnalyzerLimits())
-        assert isinstance(res, InjectivityUnknown)
-        assert res.tag == "product-relation-bound"
+        assert res == "product-relation-bound"
 
     def test_product_all_finite_exact(self):
         q = make_product([
@@ -134,7 +130,7 @@ class TestThetaFcInjective:
         ])
         neg = IntMatrix.from_rows([[-1, 0], [0, -1]])
         res = theta_fc_injective(q, Theta((neg, neg), IntMatrix.identity(2)), AnalyzerLimits())
-        assert isinstance(res, InjectivityWitness)
+        assert isinstance(res, QuotientLiftWitness)
         assert sorted(res.word) == [1, 2]  # u v acts trivially
 
 
@@ -153,8 +149,8 @@ def reference_outer_order(phi, cap=16, max_letters=20_000):
             return None
         w = is_inner(power)
         if w is not None:
-            return InjectivityWitness((1,) * n, "inner-automorphism", w)
-    return InjectivityUnknown("out-order-unbounded")
+            return QuotientLiftWitness((1,) * n, "inner-automorphism", w)
+    return "out-order-unbounded"
 
 
 def commutator_twist(rank, rng):
@@ -197,7 +193,7 @@ class TestOuterOrder:
     of phi^m."""
 
     def test_matches_least_inner_power(self):
-        kinds = {InjectivityWitness: 0, InjectivityUnknown: 0}
+        kinds = {QuotientLiftWitness: 0, str: 0}
         for phi in outer_order_samples(13, 300):
             expected = reference_outer_order(phi)
             if expected is None:
@@ -215,7 +211,7 @@ class TestOuterOrder:
         calls = count_calls(monkeypatch, FreeAut, "compose")
         res = theta_fc_injective(Z, Theta((phi,), FreeAut.identity(phi.rank)), AnalyzerLimits())
         assert len(calls) == compositions
-        assert isinstance(res, InjectivityUnknown if compositions == 0 else InjectivityWitness)
+        assert isinstance(res, str if compositions == 0 else QuotientLiftWitness)
 
 
 class TestAnalyzeAbelian:
@@ -241,11 +237,12 @@ class TestAnalyzeAbelian:
         assert report.witness.class_bound == 2
 
     def test_order_four_prefers_lift_witness(self):
-        report = analyze(mk(FgAbelianDesc(2), FgAbelianDesc(1, (), ("q",)), [ROT4]))
+        spec = mk(FgAbelianDesc(2), FgAbelianDesc(1, (), ("q",)), [ROT4])
+        report = analyze(spec)
         assert report.verdict == "not_icc"
         assert report.theorem_path == "theorem-1(ii)"
         assert isinstance(report.witness, QuotientLiftWitness)
-        assert report.witness.rendered == "q^4"
+        assert witness_json(report.witness, spec)["element"] == "q^4"
         assert report.witness.action_order == 4
 
     def test_negation_action_keeps_vector_witness(self):

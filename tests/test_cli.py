@@ -468,6 +468,26 @@ class TestTrivialActionIsFree:
         assert json.loads(out)["verdict"] == "not_icc"
         assert calls == {"matmul": [], "hnf": [], "restrict": []}
 
+    @pytest.mark.parametrize("actions, element", [
+        ("", "q1"),
+        ("action s -> (a -> a, b -> b)\naction t -> (a -> a, b -> b)\n", "s"),
+    ], ids=["omitted", "identity-lines"])
+    def test_free_kernel_finite_quotient_composes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                          actions, element):
+        """S_7 has 10 080 Cayley-graph edges; identity actions compose none
+        of them, in validation or in the FC search."""
+        compose = count_calls(monkeypatch, FreeAut, "compose")
+        f = tmp_path / "spec.ext"
+        f.write_text("kernel: free(a, b)\nquotient: finite perm((1 2); (1 2 3 4 5 6 7))\n" + actions)
+        code = cli.run(["check", str(f), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and not err
+        report = json.loads(out)
+        assert (report["verdict"], report["theorem_path"]) == ("not_icc", "theorem-3(ii)")
+        assert report["witness"] == {"type": "quotient_lift", "element": element,
+                                     "evidence": {"kind": "inner-automorphism", "conjugator": "1"}}
+        assert compose == []
+
     def test_oracle_applies_no_identity(self, tmp_path, capsys, monkeypatch):
         """The oracle treats a trivial theta as none: its balls move kernel
         parts by no matrix at all."""

@@ -25,9 +25,7 @@ import icckit
 from icckit import analyzer
 from icckit.analyzer import (
     AnalyzerLimits,
-    Injective,
-    InjectivityUnknown,
-    InjectivityWitness,
+    QuotientLiftWitness,
     _box_walk,
     _shift_word,
     analyze,
@@ -42,7 +40,7 @@ from icckit.catalog import (
     make_product,
     perm_compose,
 )
-from icckit.cli import run
+from icckit.cli import run, witness_json
 from icckit.extension import ExtensionValidationError, Theta, make_extension
 from icckit.oracle import crosscheck
 from icckit.intlinalg import IntMatrix
@@ -426,16 +424,15 @@ def reference_search(quotient, actions, identity, bound):
     for word, action in reference_fc_elements(quotient, actions, identity, bound):
         if isinstance(identity, IntMatrix):
             if action == identity:
-                return InjectivityWitness(word, "action-identity")
+                return QuotientLiftWitness(word, "action-identity")
         else:
             c = is_inner(action)
             if c is not None:
-                return InjectivityWitness(word, "inner-automorphism", c)
+                return QuotientLiftWitness(word, "inner-automorphism", c)
     factors = quotient.factors if isinstance(quotient, ProductDesc) else (quotient,)
     if all(not isinstance(f, FgAbelianDesc) or f.is_finite for f in factors):
-        return Injective()
-    return InjectivityUnknown(
-        "product-relation-bound" if isinstance(quotient, ProductDesc) else "abelian-relation-bound")
+        return None
+    return "product-relation-bound" if isinstance(quotient, ProductDesc) else "abelian-relation-bound"
 
 
 def screened_and_reference(spec, bound):
@@ -621,7 +618,7 @@ class TestMod3Screen:
             got, want = screened_and_reference(spec, bound)
             assert got == want, (spec, bound)
             kinds.add(type(got).__name__)
-        assert "InjectivityWitness" in kinds and len(kinds) > 1
+        assert "QuotientLiftWitness" in kinds and len(kinds) > 1
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
     def test_walk_visits_exactly_l3_in_the_box_in_order(self, family):
@@ -650,8 +647,8 @@ class TestMod3Screen:
         eye = mod3(IntMatrix.identity(2))
         assert mod3(H) != eye and mod3(H.inverse_unimodular()) != eye
         got, want = screened_and_reference(spec, 8)
-        assert got == want == InjectivityWitness((-1, -2), "action-identity")
-        assert analyze(spec).witness.rendered == "t^-1 s^-1"
+        assert got == want == QuotientLiftWitness((-1, -2), "action-identity")
+        assert witness_json(analyze(spec).witness, spec)["element"] == "t^-1 s^-1"
 
     def test_image_larger_than_the_box_turns_the_screen_off(self, tmp_path, monkeypatch):
         """u -> FIB + 1, v -> 1 + FIB, w -> FIB^-1 + FIB^-1 on Z^4: the
@@ -682,7 +679,7 @@ class TestMod3Screen:
         # are fewer than its 64-element image, so no combination is skipped.
         spec = make_extension(FgAbelianDesc(4), make_product([abelian(2), FgAbelianDesc(1, (), ("w",))]), mats)
         got, want = screened_and_reference(spec, 1)
-        assert got == want == InjectivityWitness((-1, -2, -3), "action-identity")
+        assert got == want == QuotientLiftWitness((-1, -2, -3), "action-identity")
 
     def test_box_past_the_relation_costs_few_products(self, monkeypatch):
         """A Z^3-on-Z^4 input whose relation (-6, -2, 1) lies past
@@ -697,7 +694,7 @@ class TestMod3Screen:
         spec = make_extension(FgAbelianDesc(4), abelian(3), mats)
         calls = count_calls(monkeypatch, IntMatrix, "__matmul__")
         res = theta_fc_injective(spec.quotient, spec.theta, AnalyzerLimits(relation_bound=5))
-        assert res == InjectivityUnknown("abelian-relation-bound")
+        assert res == "abelian-relation-bound"
         assert len(calls) <= 60
 
     @pytest.mark.parametrize("family", FAMILIES[:3], ids=lambda f: f.__name__)

@@ -125,6 +125,15 @@ INLINE = {
         "action v -> [[5,3],[3,2]]\n"
         "action t -> [[-1,0],[0,-1]]\n"
     ),
+    # The same deferral on a free kernel: t^2 is inner, by a b, so the
+    # Z factor's witness is shifted past u and v.
+    "fc_product_free_z_free_kernel": (
+        "kernel: free(a, b)\n"
+        "quotient: product(free(u, v), Z)\n"
+        "action u -> (a -> a, b -> b)\n"
+        "action v -> (a -> a, b -> b)\n"
+        "action t -> (a -> a b a^-1, b -> a)\n"
+    ),
     "fc_product_too_large": (
         "kernel: Z^2\n"
         "quotient: product(Z^2, Z^2, Z^2)\n"
