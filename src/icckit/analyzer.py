@@ -26,13 +26,14 @@ trivially acting element in its order: element-word order for finite
 quotients, (max-norm, lex) order of exponent vectors for abelian ones,
 ``itertools.product`` order over per-factor lists (each led by the
 identity) for products.  The exponent vectors are walked directly over
-the lattice L_3 of those that are I mod 3 (``_box_walk``), and
-``Theta.trivial_product`` splits each candidate into a head, whose
-inverse is built once, and a cached tail: on a matrix kernel, one
-comparison of the two decides it.  A lone infinite cyclic quotient is
-decided by the action's order instead: on a free kernel, the order m of
-its abelianization and one innerness test of the m-th power.  A product
-with a single factor of nontrivial FC defers to that factor.
+the lattice L_3 of those that are I mod 3 (``_box_walk``), and each
+candidate, a head whose inverse is built once and a cached tail, is
+decided by one comparison of matrices: on a free kernel, of
+``Theta.abelian``, where inner automorphisms act as I, so only a matrix
+hit is composed and tested for innerness.  A lone infinite cyclic
+quotient is decided by the order m of the action (of its abelianization,
+and one innerness test of the m-th power, on a free kernel) instead.  A
+product with a single factor of nontrivial FC defers to that factor.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .matgroup import (
     mod3,
     mod3_screen,
 )
-from .words import Word
+from .words import Word, word_inverse
 
 GenWord = tuple[int, ...]
 
@@ -253,11 +254,12 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
     lex) order, free exponents in [-bound, bound], over the lattice L_3
     when :func:`mod3_screen` builds a screen (a vector off L_3 has image
     != I mod 3, so it cannot act trivially) and over the whole box
-    otherwise.  x acts as head @ A_n^x_n, the head being the action of
-    x_1..x_{n-1}, so on a matrix kernel it acts trivially iff the cached
+    otherwise.  On ``theta.abelian``, x acts as head @ A_n^x_n, the head
+    being the action of x_1..x_{n-1}, so it acts as I iff the cached
     power A_n^x_n equals the head's inverse, the action of
-    -x_1..-x_{n-1} (:meth:`Theta.trivial_product`).  That inverse is
-    extended from the previous one at the first coordinate that changed.
+    -x_1..-x_{n-1}, extended from the previous one at the first
+    coordinate that changed.  A free kernel's hit is composed as
+    theta(x)^-1 from cached powers and tested by :func:`_trivial_inverse`.
     Free quotients of rank >= 2: nothing (FC is trivial).  Products: see
     :func:`_product_elements`.
     """
@@ -267,20 +269,23 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
             if trivial is not None:
                 yield word, trivial
     elif isinstance(quotient, FgAbelianDesc):
-        n, identity = quotient.gen_count, theta.identity
-        screen = mod3_screen(theta.actions[offset:offset + n], identity, _box_size(quotient, bound))
+        n, ab = quotient.gen_count, theta.abelian
+        screen = mod3_screen(ab.actions[offset:offset + n], ab.identity, _box_size(quotient, bound))
         rows = IntMatrix.identity(n).rows if screen is None else screen.rows
-        power = functools.partial(theta.power, offset + n - 1)  # A_n^e
-        inverses, prev = [identity], ()  # inverses[i]: the action of -x_1..-x_i of prev
+        power = functools.partial(ab.power, offset + n - 1)  # A_n^e
+        inverses, prev = [ab.identity], ()  # inverses[i]: the action of -x_1..-x_i of prev
         for x in _box_walk(quotient, bound, rows):
             if x[:-1] != prev[:-1]:
                 i = next(j for j, (a, b) in enumerate(zip(x, prev)) if a != b) if prev else 0
                 del inverses[i + 1:]
                 for j in range(i, n - 1):
-                    h, p = inverses[j], theta.power(offset + j, -x[j])
-                    inverses.append(p if h is identity else h if p is identity else h @ p)
+                    h, p = inverses[j], ab.power(offset + j, -x[j])
+                    inverses.append(p if h is ab.identity else h if p is ab.identity else h @ p)
             prev, e = x, x[-1]
-            trivial = theta.trivial_product(inverses[-1], power, e, -e)
+            if inverses[-1] != power(e):
+                continue
+            inverse = power(-e) @ inverses[-1] if ab is theta else theta.of_exponents([-v for v in x], offset)
+            trivial = _trivial_inverse(theta, inverse)
             if trivial is not None:
                 yield _exponent_word(x), trivial
     elif isinstance(quotient, FreeDesc):
@@ -306,30 +311,31 @@ def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
     each prefix visits, in list order, only the entries that close it to
     I; without a screen for every abelian factor, every entry closes.  A
     prefix with entries to visit gets the action of its inverse once,
-    from its entries' inverse parts, and :meth:`Theta.trivial_product`
-    tests each entry against it: on a matrix kernel, one comparison with
-    the entry's action.
+    from its entries' inverse parts on ``theta.abelian``, and each entry
+    is one comparison with it.  A hit on a free kernel composes its
+    inverse parts on ``theta`` and tests the product for innerness.
     """
-    identity, eye = theta.identity, mod3(theta.identity)
-    lists, readers = [], []
+    ab = theta.abelian
+    views, eye = (ab,) if ab is theta else (ab, theta), mod3(ab.identity)
+    lists, readers = [], []  # readers: per factor, one per view
     screened = True
     for f, offset in factor_offsets(quotient):
         if isinstance(f, FiniteGroupDesc):
-            table = theta.finite_table(f, offset)
+            tables = [t.finite_table(f, offset) for t in views]
             index = {p: j for j, p in enumerate(f.elements)}
             entries = [(_shift_word(w, offset), mod3(a), j, index[perm_inverse(p)])
-                       for j, (p, w, a) in enumerate(zip(f.elements, f.element_words, table))]
-            readers.append(table.__getitem__)
+                       for j, (p, w, a) in enumerate(zip(f.elements, f.element_words, tables[0]))]
+            readers.append([table.__getitem__ for table in tables])
         else:  # abelian, or free of rank >= 2 with trivial FC: the identity alone
             entries = [((), eye, (), ())]
             if isinstance(f, FgAbelianDesc):
-                screen = mod3_screen(theta.actions[offset:offset + f.gen_count], identity, _box_size(f, bound))
+                screen = mod3_screen(ab.actions[offset:offset + f.gen_count], ab.identity, _box_size(f, bound))
                 screened = screened and screen is not None
                 for exps in _box_walk(f, bound, IntMatrix.identity(f.gen_count).rows):
                     image = screen.elements[screen.residue(exps)] if screen is not None else None
                     entries.append((_shift_word(_exponent_word(exps), offset), image, exps,
                                     tuple(-e for e in exps)))
-            readers.append(functools.cache(functools.partial(theta.of_exponents, offset=offset)))
+            readers.append([functools.cache(functools.partial(t.of_exponents, offset=offset)) for t in views])
         lists.append(entries)
     *heads, last = lists
     *head_readers, read = readers
@@ -341,14 +347,23 @@ def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
         tails = closing.get(functools.reduce(_mul3, [entry[1] for entry in prefix]), ()) if screened else last
         if not tails:
             continue
-        parts = [read_part(entry[3]) for entry, read_part in zip(prefix, head_readers) if entry[0]]
-        head_inverse = functools.reduce(operator.matmul, parts) if parts else identity
+        parts = [(read_part, entry[3]) for entry, read_part in zip(prefix, head_readers) if entry[0]]
+        head_inverse = functools.reduce(operator.matmul, [r[0](p) for r, p in parts]) if parts else ab.identity
         for word, _, part, inverse in tails:
-            trivial = theta.trivial_product(head_inverse, read, part, inverse)
+            if head_inverse != read[0](part):
+                continue
+            trivial = _trivial_inverse(theta, read[0](inverse) @ head_inverse if ab is theta else
+                                       functools.reduce(operator.matmul, [r[1](p) for r, p in parts], read[1](inverse)))
             if trivial is not None:
                 word = tuple(itertools.chain.from_iterable(entry[0] for entry in prefix)) + word
                 if word:
                     yield word, trivial
+
+
+def _trivial_inverse(theta: Theta, inverse):
+    """:meth:`Theta.trivial` of the inverse of ``inverse``, by c_w^-1 = c_{w^-1}."""
+    how = theta.trivial(inverse)
+    return how if how is None or how[1] is None else (how[0], word_inverse(how[1]))
 
 
 def theta_fc_injective(quotient: GroupDesc, theta: Theta, limits: AnalyzerLimits,

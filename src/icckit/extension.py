@@ -17,8 +17,8 @@ is one :class:`Theta` per spec, and every reader shares its caches.  It
 is also the only code that composes the action along a word
 (:meth:`Theta.of_pairs`) and that decides whether an action is trivial
 (:meth:`Theta.trivial`: the identity matrix on abelian kernels, an
-inner automorphism on free ones), alone or as a product of two
-(:meth:`Theta.trivial_product`).
+inner automorphism on free ones, which acts as I on the abelianization,
+:attr:`Theta.abelian`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .catalog import (
     perm_compose,
 )
 from .intlinalg import IntMatrix
-from .words import FreeAut, is_inner, word_inverse
+from .words import FreeAut, is_inner
 
 
 class ExtensionValidationError(ValueError):
@@ -60,20 +60,31 @@ KernelDesc = FgAbelianDesc | FreeDesc | FiniteGroupDesc
 
 class Theta:
     """The action homomorphism theta: Q -> Aut(K), generator i acting by
-    ``actions[i]``.  Its two caches serve every reader: the powers A_i^e,
-    keyed by ``(i, e)``, and each finite factor's element actions in
+    ``actions[i]``.  Its caches serve every reader: the powers A_i^e,
+    keyed by ``(i, e)``; each finite factor's element actions in
     ``elements`` order, keyed by the factor's ``factor_offsets`` offset,
-    which validation builds and checks in one walk.  Actions are exact,
-    so a cached value equals every product that computes it: A^-e on a
-    torsion generator of divisor d is A^(d-e).  Holds no reference to
-    the spec that holds it."""
+    which validation builds and checks in one walk; and a free action's
+    :attr:`abelian` view.  Actions are exact, so a cached value equals
+    every product that computes it: A^-e on a torsion generator of
+    divisor d is A^(d-e).  Holds no reference to the spec that holds it."""
 
-    __slots__ = ("actions", "identity", "_powers", "_tables")
+    __slots__ = ("actions", "identity", "_powers", "_tables", "_abelian")
 
     def __init__(self, actions, identity):
         self.actions, self.identity = tuple(actions), identity
         self._powers = {(i, 0): identity for i in range(len(self.actions))}
-        self._tables = {}
+        self._tables, self._abelian = {}, None
+
+    @property
+    def abelian(self) -> Theta:
+        """The action on the kernel's abelianization: ``self`` on an abelian
+        kernel; on a free one, the ``Theta`` of the abelianized actions,
+        built on first use, cached, and holding no reference back."""
+        if isinstance(self.identity, IntMatrix):
+            return self
+        if self._abelian is None:
+            self._abelian = Theta([a.abelianization() for a in self.actions], IntMatrix.identity(self.identity.rank))
+        return self._abelian
 
     def power(self, i: int, e: int):
         """A_i^e, extended one factor at a time from A_i^+-1 (A_i^0 is
@@ -113,23 +124,6 @@ class Theta:
             return ("action-identity", None) if action.is_identity else None
         w = is_inner(action)
         return None if w is None else ("inner-automorphism", w)
-
-    def trivial_product(self, head_inverse, read, tail, inverse):
-        """How head @ read(tail) acts trivially, as :meth:`trivial` says,
-        given the inverse of head, and a cache lookup ``read`` under which
-        read(inverse) is the inverse of read(tail).
-
-        head @ read(tail) = I iff head^-1 = read(tail), so on an abelian
-        kernel one comparison of cached actions decides it and no product
-        is taken; :meth:`trivial` confirms a hit.  On a free kernel the
-        inverse, read(inverse) @ head^-1, is tested for innerness: it is
-        x -> w x w^-1 exactly when head @ read(tail) is x -> w^-1 x w."""
-        if isinstance(self.identity, IntMatrix) and head_inverse != read(tail):
-            return None
-        how = self.trivial(read(inverse) @ head_inverse)
-        if how is None or how[1] is None:
-            return how
-        return how[0], word_inverse(how[1])
 
     def finite_table(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
         """The action of every element of the finite factor ``group`` at

@@ -189,11 +189,11 @@ def _residues(entries) -> Vec:
     return tuple([x % 3 for x in entries])
 
 
-def mod3(action) -> tuple[Vec, ...]:
-    """Reduction mod 3 of the matrix, or of the free automorphism's
-    abelianization.  Both are homomorphisms that send every trivially
-    acting element (the identity, or an inner automorphism) to I."""
-    return tuple(map(_residues, (action if isinstance(action, IntMatrix) else action.abelianization()).rows))
+def mod3(m: IntMatrix) -> tuple[Vec, ...]:
+    """Reduction mod 3 of the matrix, a homomorphism that sends the
+    identity to I.  A free automorphism is screened through its
+    abelianization (``Theta.abelian``), which sends an inner one to I."""
+    return tuple(map(_residues, m.rows))
 
 
 def _times3(a, cols):

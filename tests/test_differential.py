@@ -1,11 +1,11 @@
 """Differential test: analyzer verdicts against independent checks.
 
-Builds benchmark corpora for one seed (cases whose outcome is known by
-construction), runs every case through the CLI with the options the
-corpus gives it, and has the benchmark's independent checker judge each
-report.  The checker re-verifies every negative witness with plain tuple
-arithmetic, so a verdict or a witness that disagrees with the
-construction fails here.
+Reads the seed-3 benchmark corpora (cases whose outcome is known by
+construction), which ``conftest.py`` writes once per session, runs
+every case through the CLI with the options the corpus gives it, and
+has the benchmark's independent checker judge each report.  The checker
+re-verifies every negative witness with plain tuple arithmetic, so a
+verdict or a witness that disagrees with the construction fails here.
 
 ``crosscheck`` adds the oracle cross-check at radius 4, and the checker
 requires it to be ``consistent``, so a ball that disagrees with the
@@ -23,26 +23,16 @@ and every relation inside ``--relation-bound`` must be found.
 
 import contextlib
 import io
-import sys
-from pathlib import Path
 
+import checker  # bench/, on the path through conftest.py
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-
-import checker  # noqa: E402
-import corpus  # noqa: E402
-
-from icckit.cli import run  # noqa: E402
-
-SEED = 3
+from icckit.cli import run
 
 
-def check_corpus(workload, tmp_path_factory):
+def check_corpus(workload, seed3_corpus):
     """The corpus manifest, and the checker's problems by case id."""
-    directory = tmp_path_factory.mktemp(workload)
-    m = corpus.write(workload, SEED, str(directory), str(ROOT))
+    directory, m = seed3_corpus(workload)
     failures = {}
     for case in m["cases"]:
         out, err = io.StringIO(), io.StringIO()
@@ -55,14 +45,14 @@ def check_corpus(workload, tmp_path_factory):
     return m, failures
 
 
-def test_every_crosscheck_case_passes_the_checker(tmp_path_factory):
-    m, failures = check_corpus("crosscheck", tmp_path_factory)
+def test_every_crosscheck_case_passes_the_checker(seed3_corpus):
+    m, failures = check_corpus("crosscheck", seed3_corpus)
     assert len(m["cases"]) > 100
     assert failures == {}
 
 
 @pytest.mark.parametrize("workload", ["relations", "outer"])
-def test_every_fc_search_case_passes_the_checker(workload, tmp_path_factory):
-    m, failures = check_corpus(workload, tmp_path_factory)
+def test_every_fc_search_case_passes_the_checker(workload, seed3_corpus):
+    m, failures = check_corpus(workload, seed3_corpus)
     assert len(m["cases"]) > 100
     assert failures == {}

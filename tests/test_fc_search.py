@@ -16,13 +16,14 @@ import itertools
 import operator
 import random
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import icckit
-from icckit import analyzer
+from icckit import analyzer, extension
 from icckit.analyzer import (
     AnalyzerLimits,
     QuotientLiftWitness,
@@ -375,6 +376,21 @@ class TestNoReferenceCycles:
         finally:
             gc.enable()
 
+    def test_free_kernel_abelianization_is_freed_with_its_spec(self):
+        """The FC search over a free kernel builds the abelianization view
+        of the spec's action homomorphism.  The view holds no reference
+        back, so dropping the spec frees it by reference counting alone."""
+        gc.disable()
+        try:
+            spec = ia_pair_spec("z2")
+            analyze(spec)
+            assert spec.theta._abelian is not None
+            gone = weakref.ref(spec.theta.abelian.identity)
+            del spec
+            assert gone() is None
+        finally:
+            gc.enable()
+
 
 # -- the mod-3 screen against the unscreened search ------------------------------
 
@@ -538,6 +554,21 @@ def free_kernel_under_product(rng):
     return make_extension(FreeDesc(3, ("a", "b", "c")), quotient, [t, s])
 
 
+IA_U = FreeAut(3, ((1,), (2,), (3, 1, 2, -1, -2)))  # c -> c [a, b]
+IA_V = FreeAut(3, ((1,), (2,), (1, 2, -1, -2, 3)))  # c -> [a, b] c
+# The IA pair under Z^2, and beside a C_2 factor that acts trivially.
+IA_QUOTIENTS = {
+    "z2": (abelian(2), [IA_U, IA_V]),
+    "c2_z2": (make_product([C2, abelian(2)]), [FreeAut.identity(3), IA_U, IA_V]),
+    "z2_c2": (make_product([abelian(2), C2]), [IA_U, IA_V, FreeAut.identity(3)]),
+}
+
+
+def ia_pair_spec(name):
+    quotient, actions = IA_QUOTIENTS[name]
+    return make_extension(FreeDesc(3, ("a", "b", "c")), quotient, actions)
+
+
 R4 = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
 
 
@@ -586,6 +617,37 @@ class TestTorsionInHead:
             assert len(inverses) <= generator_count(spec.quotient)
 
 
+class TestMatrixHitsThatAreNotInner:
+    """The commuting IA pair u: c -> c [a, b], v: c -> [a, b] c on F_3
+    acts as I on the abelianization, and so does the C_2 factor, so every
+    candidate is a matrix hit.  theta(x_1, x_2) fixes a and b and sends c
+    to [a, b]^x_2 c [a, b]^x_1: it is inner only for x = 0, since an
+    inner automorphism that fixes a and b is the identity.  On Z^2 the
+    search ends at the relation bound; on the products the witness is
+    the C_2 generator, after the whole Z^2 box when C_2 comes first."""
+
+    WANT = {
+        "z2": "abelian-relation-bound",
+        "c2_z2": QuotientLiftWitness((1,), "inner-automorphism", ()),
+        "z2_c2": QuotientLiftWitness((3,), "inner-automorphism", ()),
+    }
+
+    @pytest.mark.parametrize("bound", (2, 3))
+    @pytest.mark.parametrize("name", IA_QUOTIENTS)
+    def test_one_innerness_test_per_matrix_hit(self, name, bound, monkeypatch):
+        spec = ia_pair_spec(name)
+        tests = count_calls(monkeypatch, extension, "is_inner")
+        got = theta_fc_injective(spec.quotient, spec.theta, AnalyzerLimits(relation_bound=bound))
+        assert got == reference_search(spec.quotient, spec.actions, spec.theta.identity, bound) == self.WANT[name]
+        # The candidates in witness order, up to the witness; a product
+        # search also tests the identity combination, which leads its order.
+        candidates = list(reference_fc_elements(spec.quotient, spec.actions, spec.theta.identity, bound))
+        assert all(action.abelianization().is_identity for _, action in candidates)
+        words = [word for word, _ in candidates]
+        hits = words.index(got.word) + 1 if isinstance(got, QuotientLiftWitness) else len(words)
+        assert len(tests) == hits + isinstance(spec.quotient, ProductDesc)
+
+
 def blocks_spec(k):
     """Z^k on Z^2k, generator i acting by H on block i."""
     i2 = IntMatrix.identity(2)
@@ -594,17 +656,18 @@ def blocks_spec(k):
 
 
 def abelian_parts(spec):
-    """(abelian quotient or product factor, its actions): what a box walk
-    runs on."""
+    """(abelian quotient or product factor, its actions on the kernel's
+    abelianization): what a box walk runs on."""
+    actions = spec.theta.abelian.actions
     if isinstance(spec.quotient, ProductDesc):
         parts, offset = [], 0
         for f in spec.quotient.factors:
             n = generator_count(f)
             if isinstance(f, FgAbelianDesc):
-                parts.append((f, spec.actions[offset:offset + n]))
+                parts.append((f, actions[offset:offset + n]))
             offset += n
         return parts
-    return [(spec.quotient, spec.actions)]
+    return [(spec.quotient, actions)]
 
 
 class TestMod3Screen:
@@ -629,7 +692,7 @@ class TestMod3Screen:
         for _ in range(4):
             spec = family(rng)
             for quotient, actions in abelian_parts(spec):
-                screen = mod3_screen(actions, spec.theta.identity, 10 ** 6)
+                screen = mod3_screen(actions, spec.theta.abelian.identity, 10 ** 6)
                 n = quotient.gen_count
                 assert all(row[:i] == (0,) * i and row[i] > 0 for i, row in enumerate(screen.rows))
                 for bound in (0, 1, 2, 8):

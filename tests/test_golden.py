@@ -198,6 +198,15 @@ INLINE = {
         "quotient: Z\n"
         "action t -> (a -> a c^-1, b -> b a b, c -> c b)\n"
     ),
+    # The IA pair c -> c [a, b] and c -> [a, b] c: both act as I on the
+    # abelianization, so every candidate passes the matrix comparison and
+    # none is inner.  The search ends at the relation bound.
+    "fc_free_ia_pair": (
+        "kernel: free(a, b, c)\n"
+        "quotient: Z^2\n"
+        "action u -> (a -> a, b -> b, c -> c a b a^-1 b^-1)\n"
+        "action v -> (a -> a, b -> b, c -> a b a^-1 b^-1 c)\n"
+    ),
     # Oracle cross-checks.  SL(2, Z) by its order-4 and order-6
     # generators through a free quotient: with --oracle-cap 100 some
     # sample balls stop at the cap, the others run the full radius.
