@@ -457,8 +457,8 @@ def _shrink_to_invariant(lat: Lattice, group: MatGroupGens) -> tuple[Lattice, tu
 def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
     """The set of vectors of Z^r whose orbit under the group is finite.
 
-    Exact algorithm: intersect the single-generator finite-orbit spaces,
-    shrink to the largest sublattice invariant under all generators and
+    Exact algorithm: intersect the single-generator finite-orbit spaces
+    (stopping once the intersection is 0), shrink to the largest sublattice invariant under all generators and
     inverses (a lattice every generator maps into itself is already
     invariant, and needs no HNF), then certify finiteness of the induced
     action by closed basis orbits (:func:`basis_orbits`); an
@@ -474,6 +474,8 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
     r = group.rank
     cand = Lattice.full(r)
     for g in group.gens:
+        if cand.rank == 0:  # nothing shrinks 0 further
+            break
         space = single_finite_orbit_space(g)
         if space.rank < r:  # a pure lattice of full rank is Z^r
             cand = space if cand.rank == r else cand.intersect(space)

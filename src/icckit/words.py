@@ -4,12 +4,13 @@ A word over the free group of rank k is a tuple of nonzero signed
 integers: ``+i`` is the i-th generator, ``-i`` its inverse (indices are
 1-based).  Stored words are always freely reduced.
 
-Provides free reduction and cyclic reduction, the free-basis test by
-Stallings folding (which also yields the inverse automorphism), and the
-inner-automorphism test.  Applying an automorphism and testing innerness
-are linear in the lengths of the words involved.  Automorphisms are
-validated once, when built from outside data; products, powers and
-inverses are trusted.
+Provides free reduction and cyclic reduction, two Stallings folds and
+the inner-automorphism test.  The free-basis test folds without labels,
+merging vertices by union-find; the labelled fold yields the inverse
+automorphism and runs only when an inverse is asked for.  Applying and
+composing automorphisms and testing innerness are linear in the lengths
+of the words involved.  Automorphisms are validated once, when built
+from outside data; products, powers and inverses are trusted.
 """
 
 from __future__ import annotations
@@ -62,6 +63,80 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
         i += 1
         j -= 1
     return w[i:j], w[:i]
+
+
+def _is_free_basis(words, rank: int) -> bool:
+    """Whether the freely reduced words are a free basis of the rank-k
+    free group.
+
+    Stallings folding of the wedge of one loop per word, without labels:
+    ``out[v]`` maps each letter to the vertex its edge at v leads to, and
+    identified vertices merge by union-find, the smaller letter map into
+    the larger.  The words generate the group iff the fold ends as the
+    rose, one vertex with all 2k half-edges, and k generators of the
+    Hopfian rank-k free group are a basis (``CATALOG_AXIOMS.md`` §8).
+    As in :func:`free_basis_inverse`, each loop is first read along the
+    folded graph from both ends of the base; a loop read whole is a
+    product of the earlier ones, so the words span a subgroup of rank
+    below k.
+
+    >>> _is_free_basis(((1, 2), (2,)), 2), _is_free_basis(((1, 1), (2,)), 2)
+    (True, False)
+    """
+    if len(words) != rank:
+        return False
+    parent: list[int] = [0]
+    out: list = [{}]
+    pending: list[tuple[int, int]] = []
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def attach(u, a, v):
+        """Set the half-edge u -a-> v at the root u, or queue v for
+        identification with the vertex u already reaches along a."""
+        t = out[u].setdefault(a, v)
+        if t != v:
+            pending.append((t, v))
+
+    for w in words:
+        base = find(0)
+        v, i = base, 0
+        while i < len(w) and (t := out[v].get(w[i])) is not None:
+            v, i = find(t), i + 1
+        u, j = base, len(w)
+        while j > i and (t := out[u].get(-w[j - 1])) is not None:
+            u, j = find(t), j - 1
+        if i == j:
+            if v == u:
+                return False
+            pending.append((v, u))
+        for n in range(i, j):
+            if n == j - 1:
+                nxt = u
+            else:
+                nxt = len(out)
+                parent.append(nxt)
+                out.append({})
+            attach(v, w[n], nxt)
+            attach(nxt, -w[n], v)
+            v = nxt
+        while pending:
+            x, y = pending.pop()
+            x, y = find(x), find(y)
+            if x != y:
+                if len(out[x]) < len(out[y]):
+                    x, y = y, x
+                parent[y] = x
+                for a, t in out[y].items():
+                    attach(x, a, t)
+                out[y] = None
+    rose = out[find(0)]
+    return (sum(o is not None for o in out) == 1 and len(rose) == 2 * rank
+            and all(abs(a) <= rank for a in rose))
 
 
 def free_basis_inverse(words, rank: int) -> tuple[Word, ...] | None:
@@ -215,11 +290,13 @@ def free_basis_inverse(words, rank: int) -> tuple[Word, ...] | None:
 class FreeAut:
     """An automorphism of the rank-k free group, by generator images.
 
-    The public constructor validates: the images must be a free basis
-    (:func:`free_basis_inverse`).  Products, powers, inverses,
-    conjugations and the identity are automorphisms by construction and
-    are built unchecked.  ``@`` and ``**`` compose and power as for
-    :class:`IntMatrix`, so both kinds of action share one protocol.
+    The public constructor validates: the images must be a free basis,
+    which the label-free fold :func:`_is_free_basis` decides.  Products,
+    powers, inverses, conjugations and the identity are automorphisms by
+    construction and are built unchecked; only :meth:`inverse` runs the
+    labelled fold :func:`free_basis_inverse`.  ``@`` and ``**`` compose
+    and power as for :class:`IntMatrix`, so both kinds of action share
+    one protocol.
 
     >>> swap = FreeAut(2, ((2,), (1,)))
     >>> swap.apply((1, 2))
@@ -237,7 +314,7 @@ class FreeAut:
         for w in images:
             if any(abs(a) > self.rank for a in w):
                 raise ValueError("letter outside the group's rank")
-        if free_basis_inverse(images, self.rank) is None:
+        if not _is_free_basis(images, self.rank):
             raise ValueError("images do not form a free basis (not an automorphism)")
 
     @classmethod
@@ -266,8 +343,25 @@ class FreeAut:
         return word_mul(*(images[a - 1] if a > 0 else word_inverse(images[-a - 1]) for a in w))
 
     def compose(self, other: "FreeAut") -> "FreeAut":
-        """self after other: (self.compose(other))(w) = self(other(w))."""
-        return FreeAut._trusted(self.rank, tuple(self.apply(im) for im in other.images))
+        """self after other: (self.compose(other))(w) = self(other(w)).
+
+        One reduction list per image of ``other``, into which the images
+        of its letters under self are pushed letter by letter; ``sub[-i]``
+        is the image of x_i^-1, built once per call."""
+        sub = [()] * (2 * self.rank + 1)
+        for i, im in enumerate(self.images, 1):
+            sub[i], sub[-i] = im, word_inverse(im)
+        images = []
+        for im in other.images:
+            out: list[int] = []
+            for a in im:
+                for b in sub[a]:
+                    if out and out[-1] == -b:
+                        out.pop()
+                    else:
+                        out.append(b)
+            images.append(tuple(out))
+        return FreeAut._trusted(self.rank, tuple(images))
 
     def __matmul__(self, other: "FreeAut") -> "FreeAut":
         return self.compose(other)
@@ -278,8 +372,8 @@ class FreeAut:
     def power(self, n: int) -> "FreeAut":
         if n < 0:
             return self.inverse().power(-n)
-        out = FreeAut.identity(self.rank)
-        for _ in range(n):
+        out = self if n else FreeAut.identity(self.rank)
+        for _ in range(n - 1):
             out = self.compose(out)
         return out
 

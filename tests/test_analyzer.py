@@ -204,10 +204,11 @@ class TestOuterOrder:
         assert min(kinds.values()) >= 20, kinds
 
     @pytest.mark.parametrize("phi,compositions", [
-        (FOUR_MOVES, 0), (FreeAut(2, ((2,), (1,))), 2)], ids=["four-moves", "swap"])
+        (FOUR_MOVES, 0), (FreeAut(2, ((2,), (1,))), 1)], ids=["four-moves", "swap"])
     def test_compositions(self, phi, compositions, monkeypatch):
-        """One power phi^m, and none when the abelianization has infinite
-        order; an out-order loop composed phi up to 16 times."""
+        """One power phi^m, m - 1 compositions starting from phi, and none
+        when the abelianization has infinite order; an out-order loop
+        composed phi up to 16 times."""
         calls = count_calls(monkeypatch, FreeAut, "compose")
         res = theta_fc_injective(Z, Theta((phi,), FreeAut.identity(phi.rank)), AnalyzerLimits())
         assert len(calls) == compositions

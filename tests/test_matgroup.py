@@ -863,19 +863,29 @@ class TestFiniteOrbitSublattice:
 
     def test_witness_cut_takes_no_charpoly(self, monkeypatch):
         """A generator's finite-orbit space takes one charpoly only when
-        its mod-3 period exceeds 3r + 1 (the walk of ``_period_power``);
-        a witness W (W = I mod 3) cuts by ker(W - I) and takes none."""
+        its mod-3 period exceeds 3r + 1 (the walk of ``_period_power``),
+        and only generators met before the running intersection of those
+        spaces reaches 0 take theirs; a witness W (W = I mod 3) cuts by
+        ker(W - I) and takes none."""
         calls = count_calls(monkeypatch, matgroup_mod, "charpoly")
         dihedral = MatGroupGens(
             2, (IntMatrix.from_rows([[1, 1], [0, -1]]), IntMatrix.from_rows([[1, 0], [0, -1]])))
-        cut = 0
+        cut = stopped = 0
         for group in [dihedral, *random_generator_sets(3004, 150)]:
+            visited, running = [], Lattice.full(group.rank)
+            for g in group.gens:
+                if running.rank == 0:
+                    break
+                visited.append(g)
+                running = running.intersect(cyclotomic_reference(g)[1])
+            stopped += len(visited) < len(group.gens)
             calls.clear()
             cert = finite_orbit_sublattice(group)
-            assert len(calls) == sum(mod3_period(g, 3 * g.nrows + 1) is None for g in group.gens)
+            assert len(calls) == sum(mod3_period(g, 3 * g.nrows + 1) is None for g in visited)
             cut += bool(cert.infinite_order_witnesses)
             assert cert.lattice == reference_finite_orbit_sublattice(group)
         assert cut >= 5, cut
+        assert stopped >= 20, stopped
 
     def test_agrees_with_single_generator_space(self):
         rng = random.Random(11)

@@ -7,6 +7,7 @@ import icckit.words as words_module
 from icckit.intlinalg import IntMatrix
 from icckit.words import (
     FreeAut,
+    _is_free_basis,
     cyclically_reduce,
     free_basis_inverse,
     free_reduce,
@@ -359,7 +360,9 @@ def is_two_sided_inverse(images, inverse_images, rank):
 
 class TestFreeBasisFold:
     """CATALOG_AXIOMS.md 8: a tuple is a free basis iff its folded wedge
-    of loops is the rose, and the rose's loop labels give the inverse."""
+    of loops is the rose, and the rose's loop labels give the inverse.
+    The label-free fold that validates ``FreeAut`` agrees with the
+    labelled one on every tuple."""
 
     def test_genuine_automorphisms_accepted_with_inverse(self):
         rng = random.Random(3)
@@ -370,16 +373,19 @@ class TestFreeBasisFold:
                     images = nielsen_product_images(rank, moves, rng)
                     inverse = free_basis_inverse(images, rank)
                     assert inverse is not None, images
+                    assert _is_free_basis(images, rank)
                     assert is_two_sided_inverse(images, inverse, rank)
                     assert FreeAut(rank, images).inverse().images == inverse
                     greedy_rejected += not greedy_nielsen_is_basis(images, rank)
         assert greedy_rejected > 0
 
     def test_non_bases_rejected(self):
-        for images in (((1, 1), (2,)), ((1, 2, -1, -2), (2,))):
-            assert free_basis_inverse(images, 2) is None
+        for images in (((1, 1), (2,)), ((1, 2, -1, -2), (2,)), ((), (2,)), ((1,), ()), ((1, 2), (), (3,))):
+            rank = len(images)
+            assert free_basis_inverse(images, rank) is None
+            assert not _is_free_basis(images, rank)
             with pytest.raises(ValueError, match="not an automorphism"):
-                FreeAut(2, images)
+                FreeAut(rank, images)
 
     def test_automorphism_greedy_reduction_stalls_on(self):
         # a -> a c^-1, b -> b a b, c -> c b: four elementary moves.
@@ -387,6 +393,7 @@ class TestFreeBasisFold:
         assert not greedy_nielsen_is_basis(images, 3)
         inverse = free_basis_inverse(images, 3)
         assert inverse is not None and is_two_sided_inverse(images, inverse, 3)
+        assert _is_free_basis(images, 3)
 
     def test_random_short_tuples(self):
         rng = random.Random(4)
@@ -395,6 +402,7 @@ class TestFreeBasisFold:
             rank = rng.choice((2, 2, 3))
             images = tuple(random_reduced_word(rank, 3, rng) for _ in range(rank))
             inverse = free_basis_inverse(images, rank)
+            assert _is_free_basis(images, rank) == (inverse is not None), images
             if inverse is not None:
                 accepted += 1
                 assert is_two_sided_inverse(images, inverse, rank)
@@ -403,8 +411,69 @@ class TestFreeBasisFold:
         assert accepted > 100
 
     def test_letters_outside_rank_rejected(self):
-        assert free_basis_inverse(((1,), (3,)), 2) is None
-        assert free_basis_inverse(((1,),), 2) is None
+        for images in (((1,), (3,)), ((1,),), ((1, 3, -1), (2,))):
+            assert free_basis_inverse(images, 2) is None
+            assert not _is_free_basis(images, 2)
+
+    def test_rank_five_agrees_with_labelled_fold(self):
+        rng = random.Random(5)
+        accepted = 0
+        for _ in range(300):
+            images = nielsen_product_images(5, rng.randint(1, 16), rng)
+            assert _is_free_basis(images, 5) and free_basis_inverse(images, 5) is not None
+            # One image replaced by a short random word: a basis or not.
+            images = images[:4] + (random_reduced_word(5, 3, rng),)
+            inverse = free_basis_inverse(images, 5)
+            assert _is_free_basis(images, 5) == (inverse is not None), images
+            accepted += inverse is not None
+        assert 0 < accepted < 300, accepted
+
+
+def substitution_compose(phi, psi):
+    """phi after psi, substituting phi's image for each letter of psi's
+    images through apply and multiplying them out with word_mul."""
+    return FreeAut._trusted(phi.rank, tuple(word_mul(*(phi.apply((a,)) for a in im)) for im in psi.images))
+
+
+def repeated_power(phi, n):
+    """phi^n as |n| compositions onto the identity, by substitution."""
+    step = phi if n >= 0 else FreeAut(phi.rank, free_basis_inverse(phi.images, phi.rank))
+    out = FreeAut.identity(phi.rank)
+    for _ in range(abs(n)):
+        out = substitution_compose(step, out)
+    return out
+
+
+class TestComposeAndPower:
+    """The one-pass compose and the power that starts from phi agree with
+    substitution through apply, on seeded automorphisms of ranks 2 to 5."""
+
+    def automorphisms(self, rng):
+        for rank in (2, 3, 4, 5):
+            for _ in range(15):
+                yield FreeAut(rank, nielsen_product_images(rank, rng.randint(1, 4), rng))
+                yield FreeAut.conjugation(rank, random_reduced_word(rank, 6, rng))
+
+    def test_compose_matches_substitution(self):
+        rng = random.Random(41)
+        auts = list(self.automorphisms(rng))
+        for phi in auts:
+            for psi in rng.sample(auts, 5):
+                if psi.rank == phi.rank:
+                    assert phi.compose(psi) == substitution_compose(phi, psi)
+            assert phi.compose(FreeAut.identity(phi.rank)) == phi == FreeAut.identity(phi.rank).compose(phi)
+
+    def test_power_matches_repeated_composition(self, monkeypatch):
+        rng = random.Random(42)
+        calls = count_calls(monkeypatch, FreeAut, "compose")
+        for phi in self.automorphisms(rng):
+            for n in range(-3, 7):
+                expected = repeated_power(phi, n)
+                calls.clear()
+                assert phi.power(n) == expected, (phi, n)
+                # n - 1 compositions from phi for n >= 1 (inverse() checks
+                # its result with two more).
+                assert len(calls) == max(abs(n) - 1, 0) + 2 * (n < 0)
 
 
 class TestAgainstEarlierImplementations:

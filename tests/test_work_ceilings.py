@@ -15,7 +15,7 @@ import io
 
 import pytest
 
-from icckit import extension, intlinalg, matgroup
+from icckit import extension, intlinalg, matgroup, words
 from icckit.cli import run
 from icckit.intlinalg import IntMatrix
 from icckit.oracle import ConcreteGroup
@@ -24,13 +24,16 @@ from tests.helpers import count_calls
 
 # counter -> (owner, attribute).  ``is_inner`` is counted where
 # ``Theta.trivial`` looks it up, and ``eval`` is the builtin that
-# matgroup's compiled row appliers run.
+# matgroup's compiled row appliers run.  ``free_basis_inverse`` is the
+# labelled fold, which only ``FreeAut.inverse`` runs.
 COUNTERS = {
     "IntMatrix.@": (IntMatrix, "__matmul__"),
     "hnf": (intlinalg, "hnf"),
     "det": (IntMatrix, "det"),
     "inverse_unimodular": (IntMatrix, "inverse_unimodular"),
     "FreeAut.compose": (FreeAut, "compose"),
+    "free_basis_inverse": (words, "free_basis_inverse"),
+    "single_finite_orbit_space": (matgroup, "single_finite_orbit_space"),
     "is_inner": (extension, "is_inner"),
     "eval": (matgroup, "eval"),
     "conjugate": (ConcreteGroup, "conjugate"),
@@ -38,13 +41,17 @@ COUNTERS = {
 
 CEILINGS = {
     "lattice": {"IntMatrix.@": 642, "hnf": 91, "det": 162, "inverse_unimodular": 12,
-                "FreeAut.compose": 0, "is_inner": 0, "eval": 159, "conjugate": 0},
+                "FreeAut.compose": 0, "free_basis_inverse": 0, "single_finite_orbit_space": 153,
+                "is_inner": 0, "eval": 159, "conjugate": 0},
     "outer": {"IntMatrix.@": 132, "hnf": 18, "det": 0, "inverse_unimodular": 18,
-              "FreeAut.compose": 745, "is_inner": 335, "eval": 0, "conjugate": 0},
-    "relations": {"IntMatrix.@": 2356, "hnf": 393, "det": 242, "inverse_unimodular": 145,
-                  "FreeAut.compose": 0, "is_inner": 0, "eval": 20, "conjugate": 0},
-    "crosscheck": {"IntMatrix.@": 450, "hnf": 96, "det": 74, "inverse_unimodular": 60,
-                   "FreeAut.compose": 149, "is_inner": 33, "eval": 76, "conjugate": 10761},
+              "FreeAut.compose": 666, "free_basis_inverse": 7, "single_finite_orbit_space": 0,
+              "is_inner": 335, "eval": 0, "conjugate": 0},
+    "relations": {"IntMatrix.@": 2210, "hnf": 308, "det": 242, "inverse_unimodular": 145,
+                  "FreeAut.compose": 0, "free_basis_inverse": 0, "single_finite_orbit_space": 133,
+                  "is_inner": 0, "eval": 20, "conjugate": 0},
+    "crosscheck": {"IntMatrix.@": 443, "hnf": 91, "det": 74, "inverse_unimodular": 60,
+                   "FreeAut.compose": 94, "free_basis_inverse": 14, "single_finite_orbit_space": 58,
+                   "is_inner": 33, "eval": 76, "conjugate": 10761},
 }
 
 
