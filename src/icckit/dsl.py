@@ -41,7 +41,7 @@ from .extension import (
     make_extension,
 )
 from .intlinalg import IntMatrix
-from .words import FreeAut, Word, free_reduce, render_word
+from .words import FreeAut, render_word
 
 
 class Diagnostic(Exception):
@@ -246,44 +246,47 @@ def _parse_matrix(text: str, cur: _Cursor) -> IntMatrix:
     return IntMatrix.from_rows(value)
 
 
-def _tokenize_word(text: str, names: tuple[str, ...], cur: _Cursor) -> Word:
-    """Greedy longest-name tokenization with optional ^<int> exponents."""
-    by_length = sorted(range(len(names)), key=lambda i: -len(names[i]))
+_EXPONENT_RE = re.compile(r"\^(-?\d+)")
+
+
+def _tokenize_word(text: str, by_length: list[tuple[str, int]], cur: _Cursor) -> list[int]:
+    """Greedy longest-name tokenization with optional ^<int> exponents.
+
+    ``by_length`` holds (name, letter) pairs, longest name first.  The
+    letters come back unreduced: :class:`FreeAut` reduces its images.
+    """
     letters: list[int] = []
     pos = 0
     text = text.strip()
     if text == "1":
-        return ()
+        return letters
     while pos < len(text):
-        ch = text[pos]
-        if ch in " \t*.":
+        if text[pos] in " \t*.":
             pos += 1
             continue
-        hit = None
-        for i in by_length:
-            if text.startswith(names[i], pos):
-                hit = i
-                pos += len(names[i])
+        for name, letter in by_length:
+            if text.startswith(name, pos):
+                pos += len(name)
                 break
-        if hit is None:
+        else:
             raise cur.err("syntax", f"unknown generator at ...{text[pos:]!r}")
         exp = 1
         if pos < len(text) and text[pos] == "^":
-            m = re.match(r"\^(-?\d+)", text[pos:])
+            m = _EXPONENT_RE.match(text, pos)
             if not m:
                 raise cur.err("syntax", "bad exponent")
             exp = _int(m.group(1), cur)
-            pos += m.end()
-        letter = hit + 1
-        letters.extend([letter if exp > 0 else -letter] * abs(exp))
-    return free_reduce(letters)
+            pos = m.end()
+        letters += [letter if exp > 0 else -letter] * abs(exp)
+    return letters
 
 
 def _parse_autmap(text: str, kernel: FreeDesc, cur: _Cursor) -> FreeAut:
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise cur.err("syntax", "automorphism map needs parentheses")
-    images: dict[str, Word] = {}
+    by_length = sorted(((name, i) for i, name in enumerate(kernel.names, 1)), key=lambda p: -len(p[0]))
+    images: dict[str, list[int]] = {}
     for piece in _split_top_level(body[1:-1], ","):
         if "->" not in piece:
             raise cur.err("syntax", f"expected 'name -> word', got {piece.strip()!r}")
@@ -293,7 +296,7 @@ def _parse_autmap(text: str, kernel: FreeDesc, cur: _Cursor) -> FreeAut:
             raise cur.err("validation", f"unknown kernel generator {name!r}")
         if name in images:
             raise cur.err("validation", f"duplicate image for {name!r}")
-        images[name] = _tokenize_word(word_text, kernel.names, cur)
+        images[name] = _tokenize_word(word_text, by_length, cur)
     missing = [n for n in kernel.names if n not in images]
     if missing:
         raise cur.err("validation", f"missing image for kernel generator {missing[0]!r}")

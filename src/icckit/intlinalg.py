@@ -237,6 +237,12 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @property
+    def is_full(self) -> bool:
+        """Whether this is Z^r: a full-rank canonical basis with every
+        pivot 1 is the identity."""
+        return self.rank == self.ambient and all(b[i] == 1 for i, b in enumerate(self.basis))
+
     def _pivots(self) -> list[int]:
         return [next(j for j, x in enumerate(r) if x) for r in self.basis]
 

@@ -21,18 +21,19 @@ vectors and close before the search has expanded its |G| image
 elements; an infinite group keeps an orbit open, and the search, which
 always ends, returns the same witness as :func:`group_is_finite`.  Both
 apply the generators alone, with no inverse (``CATALOG_AXIOMS.md`` §6
-and §9), through one compiled closure per matrix (:func:`_row_applier`):
-the search keeps every image element as a tuple of columns and
-multiplies column by column.
+and §9), through one closure per matrix (:func:`_row_applier`): an
+index pick for a signed permutation matrix, else one compiled tuple
+expression.  The search keeps every image element as a tuple of
+columns and multiplies column by column.
 
 The finite-orbit sublattice tests a candidate lattice for invariance by
 restricting every generator to it (one triangular solve per basis
-vector, no HNF): a matrix of GL(r, Z) that maps a lattice into itself
-maps it onto itself, so the restrictions are then the induced
-generators.  Only a candidate that some generator moves is shrunk by
-lattice intersections.  The sublattice keeps the basis orbits as its
-certificate and computes the exact order of the induced action only
-when it is read.
+vector, no HNF; on Z^r none, the generators are their restrictions): a
+matrix of GL(r, Z) that maps a lattice into itself maps it onto itself,
+so the restrictions are then the induced generators.  Only a candidate
+that some generator moves is shrunk by lattice intersections.  The
+sublattice keeps the basis orbits as its certificate and computes the
+exact order of the induced action only when it is read.
 
 Reduction mod 3 (:func:`mod3`), of a matrix or of an automorphism's
 abelianization, is a homomorphism that sends every trivially acting
@@ -51,7 +52,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from operator import itemgetter, mul
 
 from .intlinalg import (
     IntMatrix,
@@ -96,17 +97,25 @@ def _mod3_period(m: IntMatrix, cap: int) -> int | None:
 
     The k with e_i M^k = e_i mod 3 are the multiples of the least one,
     row i's period, so M^k = I iff the lcm of the rows' periods divides
-    k.  Each row is stepped alone: one whose period exceeds the cap ends
-    the walk after cap vector products.
+    k.  Each row is stepped alone, one row-by-columns product per step:
+    one whose period exceeds the cap ends the walk after cap steps.  A
+    start row already met on an earlier row's walk is skipped: that
+    walk returned, so both rows lie on one cycle of v |-> v M and share
+    its length.
     """
     cols = tuple(zip(*mod3(m)))
-    period = 1
-    for start in IntMatrix.identity(m.nrows).rows:
+    n = m.nrows
+    period, met = 1, set()
+    for i in range(n):
+        start = (0,) * i + (1,) + (0,) * (n - 1 - i)
+        if start in met:
+            continue
         row = start
         for k in range(1, cap + 1):
-            (row,) = _times3((row,), cols)
+            row = tuple([sum(map(mul, row, col)) % 3 for col in cols])
             if row == start:
                 break
+            met.add(row)
         else:
             return None
         period = lcm_all((period, k))
@@ -126,14 +135,22 @@ def _period_power(m: IntMatrix) -> tuple[int, IntMatrix]:
     entries of the one power taken.  Otherwise L is the lcm of the n
     with Phi_n dividing charpoly(M), which is the order of a
     finite-order M (§6 addendum).
+
+    The pair is kept on the matrix object, which is immutable, so
+    :func:`single_finite_orbit_space` and :func:`matrix_order` of one
+    generator share one walk and one power.  An equal but distinct
+    matrix walks again: no cache outlives the matrices of one analysis.
     """
-    if not m.is_square:
-        raise ValueError("period of a non-square matrix")
-    r = m.nrows
-    period = _mod3_period(m, 3 * r + 1)
-    if period is None:
-        period = lcm_all(cyclotomic_orders(charpoly(m), r).orders)
-    return period, m ** period
+    memo = vars(m)
+    if "period_power" not in memo:
+        if not m.is_square:
+            raise ValueError("period of a non-square matrix")
+        r = m.nrows
+        period = _mod3_period(m, 3 * r + 1)
+        if period is None:
+            period = lcm_all(cyclotomic_orders(charpoly(m), r).orders)
+        memo["period_power"] = period, m ** period
+    return memo["period_power"]
 
 
 def matrix_order(m: IntMatrix) -> int | None:
@@ -426,7 +443,10 @@ class FiniteOrbitCert:
 
 
 def _restrictions(lat: Lattice, gens) -> tuple[IntMatrix, ...] | None:
-    """Every generator restricted to the lattice, or None if one moves it."""
+    """Every generator restricted to the lattice, or None if one moves it.
+    On Z^r the restrictions are the generators themselves."""
+    if lat.is_full:
+        return tuple(gens)
     induced = []
     for g in gens:
         a = restrict_to_lattice(g, lat)
@@ -469,7 +489,11 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
 
     The answer depends only on the generated group, so identity
     generators may be left out; the trivial group (no generators) gets
-    Z^r with singleton basis orbits and no HNF.
+    Z^r with singleton basis orbits and no HNF.  Every candidate is pure
+    (a kernel lattice, an intersection of pure lattices, or an image of
+    one under GL(r, Z)), so a full-rank one is Z^r: its restrictions
+    are the generators, its coordinates are the vectors themselves, and
+    it takes no triangular solve.
     """
     r = group.rank
     cand = Lattice.full(r)
@@ -486,14 +510,16 @@ def finite_orbit_sublattice(group: MatGroupGens) -> FiniteOrbitCert:
             return FiniteOrbitCert(cand, (), tuple(witnesses))
         cert = basis_orbits(MatGroupGens(cand.rank, induced))
         if isinstance(cert, BasisOrbits):
-            orbits = tuple(
-                frozenset(cand.member_from_coords(c) for c in orbit) for orbit in cert.orbits
-            )
+            orbits = cert.orbits
+            if not cand.is_full:
+                orbits = tuple(
+                    frozenset(cand.member_from_coords(c) for c in orbit) for orbit in orbits
+                )
             return FiniteOrbitCert(cand, orbits, tuple(witnesses), induced)
         witnesses.append((cert.witness_word, cert.witness_matrix))
-        fixed = kernel_lattice(cert.witness_matrix - IntMatrix.identity(cand.rank))
-        ambient_rows = [cand.member_from_coords(c) for c in fixed.basis]
-        smaller = Lattice.from_rows(r, ambient_rows)
+        smaller = kernel_lattice(cert.witness_matrix - IntMatrix.identity(cand.rank))
+        if not cand.is_full:
+            smaller = Lattice.from_rows(r, [cand.member_from_coords(c) for c in smaller.basis])
         assert smaller.rank < cand.rank, "witness must cut the rank down"
         cand = smaller
 
@@ -542,21 +568,26 @@ def orbit_bfs(group: MatGroupGens, start: Vec, cap: int = 10_000) -> OrbitResult
 def _row_applier(m: IntMatrix):
     """A fast closure computing v |-> M v^T on tuples.
 
-    Compiles the matrix's rows into one tuple expression; orbit
-    enumeration is the hot loop of the whole package and the compiled
-    form is an order of magnitude faster than a generic sum.  The source
-    is built from integer entries only.
+    A signed permutation matrix (one +-1 in every row and column) picks
+    entries by index with an ``itemgetter`` and applies its signs by
+    ``mul``.  Any other matrix is compiled: its rows become one tuple
+    expression, since orbit enumeration is the hot loop of the whole
+    package and the compiled form is an order of magnitude faster than
+    a generic sum.  The source is built from integer entries only.
     """
+    entries = [[(j, c) for j, c in enumerate(row) if c] for row in m.rows]
+    picks = [e[0] for e in entries if len(e) == 1 and e[0][1] in (1, -1)]
+    if len(picks) == len(entries) == len({j for j, _ in picks}):
+        # itemgetter of one index returns no tuple, and of none raises;
+        # at rank 0 or 1 the pick is v itself
+        pick = itemgetter(*[j for j, _ in picks]) if len(picks) > 1 else tuple
+        signs = tuple(c for _, c in picks)
+        if -1 not in signs:
+            return pick
+        return lambda v: tuple(map(mul, signs, pick(v)))
     terms = []
-    for row in m.rows:
-        parts = []
-        for j, c in enumerate(row):
-            if c == 1:
-                parts.append(f"v[{j}]")
-            elif c == -1:
-                parts.append(f"-v[{j}]")
-            elif c:
-                parts.append(f"{c}*v[{j}]")
+    for e in entries:
+        parts = [f"v[{j}]" if c == 1 else f"-v[{j}]" if c == -1 else f"{c}*v[{j}]" for j, c in e]
         terms.append("+".join(parts).replace("+-", "-") if parts else "0")
     src = "lambda v: (" + ", ".join(terms) + (",)" if len(terms) == 1 else ")")
     return eval(src)  # noqa: S307 - source built from int literals above

@@ -151,6 +151,18 @@ class TestParsing:
         spec = parse_extension(text)
         assert spec.actions[0].images[0] == (2, 1, -2)
 
+    def test_autmap_names_with_a_common_prefix(self):
+        """Names match greedily, longest first: with ``a`` and ``ab``,
+        ``aba^2`` is ab then a^2 and ``aab`` is a then ab.  The images
+        are free-reduced once, by ``FreeAut``."""
+        spec = parse_extension(
+            "kernel: free(a, ab)\nquotient: Z\naction t -> (a -> aba^2 a^-2, ab -> a a^-1 aab)\n"
+        )
+        assert spec.actions[0].images == ((2,), (1, 2))
+        with pytest.raises(Diagnostic) as exc:
+            parse_extension("kernel: free(a, ab)\nquotient: Z\naction t -> (a -> abc, ab -> a)\n")
+        assert exc.value.message == "unknown generator at ...'c'"
+
     def test_missing_autmap_image(self):
         with pytest.raises(Diagnostic) as exc:
             parse_extension("kernel: free(a, b)\nquotient: Z\naction t -> (a -> b)\n")

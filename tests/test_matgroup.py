@@ -1,3 +1,4 @@
+import builtins
 import collections
 import itertools
 import math
@@ -29,6 +30,8 @@ from icckit.matgroup import (
     GroupInfinite,
     MatGroupGens,
     OrbitCapExceeded,
+    _mod3_period,
+    _row_applier,
     _shrink_to_invariant,
     basis_orbits,
     finite_orbit_sublattice,
@@ -167,6 +170,14 @@ def signed_permutations(n):
     flip = IntMatrix.from_rows([[(-1 if i == 0 else 1) if i == j else 0 for j in range(n)]
                                 for i in range(n)])
     return MatGroupGens(n, symmetric_group(n).gens + (flip,))
+
+
+def random_signed_permutation(rng, n):
+    """A seeded signed permutation matrix of Z^n: one +-1 in every row
+    and column."""
+    p = list(range(n))
+    rng.shuffle(p)
+    return IntMatrix.from_rows([[rng.choice((1, -1)) * (p[i] == j) for j in range(n)] for i in range(n)])
 
 
 def random_lattice(rng, r):
@@ -394,9 +405,10 @@ class TestPeriodWalk:
             assert matrix_order(m) == order
             mats.append(m)
         for m in mats:
-            calls.clear()
             self.assert_agrees(m, limit=120)
-            assert len(calls) == 2  # one per function: both took the fallback
+        # one per object: every matrix took the fallback, and the memo of
+        # ``_period_power`` shares it between the two functions
+        assert collections.Counter(id(args[0]) for args, _ in calls) == collections.Counter(map(id, mats))
 
     def test_row_periods_combine_by_lcm(self, monkeypatch):
         """The mod-3 period is the lcm of the rows' periods.  Every row of
@@ -415,9 +427,51 @@ class TestPeriodWalk:
             calls.clear()
             self.assert_agrees(m)
             assert matrix_order(m) == order
-            assert len(calls) == (3 if fallback else 0)  # assert_agrees and the line above
+            # one per object on the fallback: the memo of ``_period_power``
+            # shares it between assert_agrees and the line above
+            assert len(calls) == (1 if fallback else 0)
         calls.clear()
         assert matrix_order(IntMatrix.identity(0)) == 1 and calls == []  # no rows, period 1
+
+    def test_row_walk_matches_whole_matrix_powers(self):
+        """``_mod3_period`` steps one row at a time and skips a start row
+        met on an earlier row's walk; at every cap up to 3r + 1 it gives
+        the least k <= cap with M^k = I mod 3 by whole-matrix powers, or
+        None.  Ranks 0 to 8: signed permutations with several cycles,
+        block diagonals whose rows have different periods, and the seeded
+        companions, whose period exceeds every cap."""
+        rng = random.Random("period-walk:rows")
+        blocks = ROTATIONS + (SHEAR, HYPER, NEG_I)
+        mats = [IntMatrix(())]
+        mats += [random_signed_permutation(rng, rng.randint(1, 8)) for _ in range(60)]
+        mats += [block_diag(*rng.choices(blocks, k=rng.randint(1, 4))) for _ in range(60)]
+        mats += self.seeded_companions()
+        ranks, capped = set(), 0
+        for m in mats:
+            cap = 3 * m.nrows + 1
+            period = mod3_period(m, cap)
+            ranks.add(m.nrows)
+            for k in range(1, cap + 1):
+                expected = period if period is not None and period <= k else None
+                assert _mod3_period(m, k) == expected
+                capped += period is not None and expected is None
+        assert set(range(9)) <= ranks
+        assert capped >= 100, capped
+
+    def test_walk_and_power_are_kept_on_the_matrix_object(self, monkeypatch):
+        """``single_finite_orbit_space`` then ``matrix_order`` of one matrix
+        walk and power once; an equal but distinct matrix walks again, so
+        the memo lives on the object, not on its value."""
+        walks = count_calls(monkeypatch, matgroup_mod, "_mod3_period")
+        powers = count_calls(monkeypatch, IntMatrix, "__pow__")
+        m = block_diag(ROT4, ROTATIONS[1], SHEAR)
+        assert single_finite_orbit_space(m) == Lattice.from_rows(6, IntMatrix.identity(6).rows[:5])
+        assert matrix_order(m) is None
+        assert len(walks) == len(powers) == 1
+        twin = IntMatrix.from_rows(m.rows)
+        assert twin == m and twin is not m
+        assert matrix_order(twin) is None
+        assert len(walks) == len(powers) == 2
 
     def test_order_takes_one_power(self, monkeypatch):
         """``matrix_order`` takes the one power M^L on both routes, since L
@@ -451,6 +505,45 @@ class TestPeriodWalk:
         for f in (matrix_order, single_finite_orbit_space):
             with pytest.raises(ValueError):
                 f(IntMatrix.from_rows([[1, 2]]))
+
+
+class TestRowApplier:
+    """``_row_applier`` picks entries by index for a signed permutation
+    matrix and compiles every other matrix; both agree with
+    ``IntMatrix.apply``."""
+
+    @staticmethod
+    def spy_eval(monkeypatch):
+        monkeypatch.setattr(matgroup_mod, "eval", builtins.eval, raising=False)
+        return count_calls(monkeypatch, matgroup_mod, "eval")
+
+    @staticmethod
+    def assert_applies(m, rng):
+        apply_m = _row_applier(m)
+        for _ in range(5):
+            v = tuple(rng.randint(-9, 9) for _ in range(m.nrows))
+            assert apply_m(v) == m.apply(v)
+
+    def test_signed_permutations_are_applied_by_index(self, monkeypatch):
+        evals = self.spy_eval(monkeypatch)
+        rng = random.Random("row-applier:signed")
+        mats = [IntMatrix(()), IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[-1]])]
+        mats += [random_signed_permutation(rng, r) for r in range(7) for _ in range(10)]
+        for m in mats:
+            self.assert_applies(m, rng)
+        assert evals == []
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [1, 0]],  # one +-1 per row, a repeated column
+        [[0, -1], [0, 1]],
+        [[0, -2], [1, 0]],  # a +-2 entry
+        [[2]],
+        [[1, 0, 0], [0, 0, 1], [0, 1, 1]],
+    ])
+    def test_other_matrices_are_compiled(self, rows, monkeypatch):
+        evals = self.spy_eval(monkeypatch)
+        self.assert_applies(IntMatrix.from_rows(rows), random.Random("row-applier:compiled"))
+        assert len(evals) == 1
 
 
 class TestGroupIsFinite:

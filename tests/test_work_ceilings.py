@@ -17,15 +17,17 @@ import pytest
 
 from icckit import extension, intlinalg, matgroup, words
 from icckit.cli import run
-from icckit.intlinalg import IntMatrix
+from icckit.intlinalg import IntMatrix, Lattice
 from icckit.oracle import ConcreteGroup
 from icckit.words import FreeAut
 from tests.helpers import count_calls
 
 # counter -> (owner, attribute).  ``is_inner`` is counted where
-# ``Theta.trivial`` looks it up, and ``eval`` is the builtin that
-# matgroup's compiled row appliers run.  ``free_basis_inverse`` is the
-# labelled fold, which only ``FreeAut.inverse`` runs.
+# ``Theta.trivial`` looks it up, ``eval`` is the builtin that
+# matgroup's compiled row appliers run, and ``_mod3_period`` is the
+# period walk, which each matrix object runs at most once.
+# ``free_basis_inverse`` is the labelled fold, which only
+# ``FreeAut.inverse`` runs.
 COUNTERS = {
     "IntMatrix.@": (IntMatrix, "__matmul__"),
     "hnf": (intlinalg, "hnf"),
@@ -36,22 +38,28 @@ COUNTERS = {
     "single_finite_orbit_space": (matgroup, "single_finite_orbit_space"),
     "is_inner": (extension, "is_inner"),
     "eval": (matgroup, "eval"),
+    "_mod3_period": (matgroup, "_mod3_period"),
+    "Lattice.coordinates": (Lattice, "coordinates"),
     "conjugate": (ConcreteGroup, "conjugate"),
 }
 
 CEILINGS = {
-    "lattice": {"IntMatrix.@": 642, "hnf": 91, "det": 162, "inverse_unimodular": 12,
+    "lattice": {"IntMatrix.@": 540, "hnf": 79, "det": 162, "inverse_unimodular": 12,
                 "FreeAut.compose": 0, "free_basis_inverse": 0, "single_finite_orbit_space": 153,
-                "is_inner": 0, "eval": 159, "conjugate": 0},
+                "is_inner": 0, "eval": 79, "_mod3_period": 153, "Lattice.coordinates": 76,
+                "conjugate": 0},
     "outer": {"IntMatrix.@": 132, "hnf": 18, "det": 0, "inverse_unimodular": 18,
               "FreeAut.compose": 666, "free_basis_inverse": 7, "single_finite_orbit_space": 0,
-              "is_inner": 335, "eval": 0, "conjugate": 0},
+              "is_inner": 335, "eval": 0, "_mod3_period": 68, "Lattice.coordinates": 0,
+              "conjugate": 0},
     "relations": {"IntMatrix.@": 2210, "hnf": 308, "det": 242, "inverse_unimodular": 145,
                   "FreeAut.compose": 0, "free_basis_inverse": 0, "single_finite_orbit_space": 133,
-                  "is_inner": 0, "eval": 20, "conjugate": 0},
-    "crosscheck": {"IntMatrix.@": 443, "hnf": 91, "det": 74, "inverse_unimodular": 60,
+                  "is_inner": 0, "eval": 0, "_mod3_period": 133, "Lattice.coordinates": 20,
+                  "conjugate": 0},
+    "crosscheck": {"IntMatrix.@": 389, "hnf": 89, "det": 74, "inverse_unimodular": 60,
                    "FreeAut.compose": 94, "free_basis_inverse": 14, "single_finite_orbit_space": 58,
-                   "is_inner": 33, "eval": 76, "conjugate": 10761},
+                   "is_inner": 33, "eval": 66, "_mod3_period": 77, "Lattice.coordinates": 24,
+                   "conjugate": 10761},
 }
 
 
