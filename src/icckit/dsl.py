@@ -60,6 +60,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 def _split_top_level(text: str, sep: str) -> list[str]:
     """Split on a separator at paren/bracket depth zero."""
+    if not any(ch in text for ch in "()[]"):
+        return text.split(sep)
     parts = []
     depth = 0
     cur = []
@@ -215,6 +217,12 @@ def _parse_group(text: str, cur: _Cursor, allow_product: bool) -> GroupDesc:
 
 _MATRIX_CHARS_RE = re.compile(r"[-+0-9.,()\[\]\s]*")
 _INT_RE = re.compile(r"\s*[-+]?[0-9]+\s*")
+# a list of nonempty rows of signed decimal entries of at most 18 digits
+_INT_ROWS_RE = re.compile(r"""
+    \[\s*
+    \[\s*[-+]?[0-9]{1,18}(?:\s*,\s*[-+]?[0-9]{1,18})*\s*\]
+    (?:\s*,\s*\[\s*[-+]?[0-9]{1,18}(?:\s*,\s*[-+]?[0-9]{1,18})*\s*\])*
+    \s*\]""", re.VERBOSE)
 
 
 def _list_items(text: str) -> list[str] | None:
@@ -232,18 +240,28 @@ def _parse_matrix(text: str, cur: _Cursor) -> IntMatrix:
     integers; :func:`make_extension` checks that it is unimodular.
     Malformed text is a bad literal; balanced number-like text of another
     shape (``[]``, ``[1]``, ``[[1.0]]``, ``([1],)``) is not a list of
-    integer rows."""
+    integer rows.
+
+    A literal of short entries (:data:`_INT_ROWS_RE`) is read row by row
+    at once; it gives the same rows as the general route, which checks
+    brackets and entries one level at a time and reports what is wrong.
+    """
     body = text.strip()
-    unbalanced = body.count("[") != body.count("]") or body.count("(") != body.count(")")
-    if unbalanced or not _MATRIX_CHARS_RE.fullmatch(body):
-        raise cur.err("syntax", f"bad matrix literal: {body!r}")
-    rows = [_list_items(r) for r in _list_items(body) or ()]
-    if not rows or None in rows or not all(_INT_RE.fullmatch(x) for r in rows for x in r):
-        raise cur.err("syntax", "matrix must be a list of integer rows")
-    value = [[_int(x, cur) for x in r] for r in rows]
+    if _INT_ROWS_RE.fullmatch(body):
+        # each row's text ends at its "]" and its entries follow its "["
+        value = [[int(x) for x in row.partition("[")[2].split(",")]
+                 for row in body[1:-1].split("]")[:-1]]
+    else:
+        unbalanced = body.count("[") != body.count("]") or body.count("(") != body.count(")")
+        if unbalanced or not _MATRIX_CHARS_RE.fullmatch(body):
+            raise cur.err("syntax", f"bad matrix literal: {body!r}")
+        rows = [_list_items(r) for r in _list_items(body) or ()]
+        if not rows or None in rows or not all(_INT_RE.fullmatch(x) for r in rows for x in r):
+            raise cur.err("syntax", "matrix must be a list of integer rows")
+        value = [[_int(x, cur) for x in r] for r in rows]
     if len({len(r) for r in value}) != 1 or len(value) != len(value[0]):
         raise cur.err("validation", "matrix must be square")
-    return IntMatrix.from_rows(value)
+    return IntMatrix._trusted(tuple(map(tuple, value)))
 
 
 _EXPONENT_RE = re.compile(r"\^(-?\d+)")

@@ -23,8 +23,8 @@ always ends, returns the same witness as :func:`group_is_finite`.  Both
 apply the generators alone, with no inverse (``CATALOG_AXIOMS.md`` §6
 and §9), through one closure per matrix (:func:`_row_applier`): an
 index pick for a signed permutation matrix, else one compiled tuple
-expression.  The search keeps every image element as a tuple of
-columns and multiplies column by column.
+expression, kept on the matrix object.  The search keeps every image
+element as a tuple of columns and multiplies column by column.
 
 The finite-orbit sublattice tests a candidate lattice for invariance by
 restricting every generator to it (one triangular solve per basis
@@ -287,8 +287,20 @@ def mod3_screen(actions, identity, limit: int) -> Mod3Screen | None:
 
 
 def _appliers(group: MatGroupGens) -> list:
-    """The compiled actions of g1, g2, ... (:func:`_row_applier`)."""
-    return [_row_applier(g) for g in group.gens]
+    """The compiled actions of g1, g2, ... (:func:`_row_applier`).
+
+    Each is kept on its matrix object, which is immutable, as
+    :func:`_period_power` keeps its pair, so the analyzer's orbit
+    closures and the oracle's exact classes of one action compile it
+    once.  An equal but distinct matrix compiles again.
+    """
+    out = []
+    for g in group.gens:
+        memo = vars(g)
+        if "row_applier" not in memo:
+            memo["row_applier"] = _row_applier(g)
+        out.append(memo["row_applier"])
+    return out
 
 
 def _schreier_search(rank: int, appliers):
@@ -574,6 +586,8 @@ def _row_applier(m: IntMatrix):
     expression, since orbit enumeration is the hot loop of the whole
     package and the compiled form is an order of magnitude faster than
     a generic sum.  The source is built from integer entries only.
+    :func:`_appliers` keeps the closure on the matrix object, so each
+    matrix is compiled once however many orbit walks apply it.
     """
     entries = [[(j, c) for j, c in enumerate(row) if c] for row in m.rows]
     picks = [e[0] for e in entries if len(e) == 1 and e[0][1] in (1, -1)]

@@ -42,12 +42,19 @@ of radius R - 2.  ``crosscheck`` reads only closure for its samples, and
 grows their balls with ``closure_only``, which applies that check while
 round R - 1 is being found and never walks round R.  The first sample's
 ball is walked in full only when its growth curve is asked for.
+
+Conjugation commutes with inversion, (x^-1)^g = (x^g)^-1, so the ball of
+x^-1 is the ball of x inverted element by element, round by round, and
+has the same growth curve.  ``crosscheck`` walks one ball per inverse
+pair of samples, and every ball of a group conjugates by one list of
+conjugators, built once per ``ConcreteGroup``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 from .analyzer import (
@@ -298,17 +305,20 @@ class ConcreteGroup:
 
     def ball_generators(self):
         """Kernel generators, quotient generator lifts (zero kernel part),
-        and nothing else; inverses are handled by the ball walker."""
+        and nothing else; ``conjugators`` adds their inverses."""
         return ([self.kernel_element(k) for k in self.kernel_part.generators()]
                 + [self.lift(q) for q in self.quotient_part.generators()])
+
+    @cached_property
+    def conjugators(self) -> tuple:
+        """The conjugators of every ball: each ball generator directly
+        followed by its inverse, built once per group."""
+        return tuple(c for g in self.ball_generators() for c in (g, self.inv(g)))
 
     def sample_nontrivial(self, count: int = 20):
         """Deterministic mixed sample: kernel generators, quotient lifts,
         inverses, and short products of those."""
-        base = []
-        for g in self.ball_generators():
-            base.append(g)
-            base.append(self.inv(g))
+        base = self.conjugators
 
         def emit():
             yield from base
@@ -386,8 +396,9 @@ def conjugacy_ball(group: ConcreteGroup, element, radius: int, cap: int = 5000, 
     """Iteratively conjugate by all ball generators and inverses.
 
     Closed means a full extra round added nothing, so the returned size
-    is the exact class size.  Deterministic: generator order as listed,
-    inverse directly after each generator, FIFO frontier.
+    is the exact class size.  Deterministic: the group's ``conjugators``
+    (built once per group), each generator directly followed by its
+    inverse, and a FIFO frontier.
 
     With ``closure_only`` (and ``radius`` R >= 2) rounds 1..R-2 run in
     full and round R - 1 runs lazily: each new element w is checked as
@@ -402,10 +413,7 @@ def conjugacy_ball(group: ConcreteGroup, element, radius: int, cap: int = 5000, 
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    conjugators = []
-    for g in group.ball_generators():
-        conjugators.append(g)
-        conjugators.append(group.inv(g))
+    conjugators = group.conjugators
     lazy = closure_only and radius > 1
     seen = {element}
     frontier = [element]
@@ -491,7 +499,10 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
     is a full walk, since its size feeds ``consistent``.  Sample balls
     decide closure alone and are grown with ``closure_only``, all but
     the first when ``growth`` is set and every one otherwise; then no
-    sample curve is returned (None).
+    sample curve is returned (None).  A sample whose inverse was sampled
+    before it is not walked: its curve is that of the inverse
+    (``CATALOG_AXIOMS.md`` §10, inverse samples), so the summary is the
+    one that walking every sample gives.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -529,9 +540,14 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
         return summary, curve
 
     elements = group.sample_nontrivial(samples)
-    curves = [conjugacy_ball(group, e, radius, cap, closure_only=i > 0 or not growth)
-              for i, e in enumerate(elements)]
-    closed = sum(1 for c in curves if c.is_closed)
+    curves = {}
+    for i, e in enumerate(elements):
+        # the ball of e^-1 is the inverse of the ball of e (§10)
+        curve = curves.get(group.inv(e))
+        if curve is None:
+            curve = conjugacy_ball(group, e, radius, cap, closure_only=i > 0 or not growth)
+        curves[e] = curve
+    closed = sum(1 for c in curves.values() if c.is_closed)
     consistent = closed == 0 if report.verdict == "icc" else True
     summary.update(
         {"mode": "samples", "witness_check": None,
@@ -540,5 +556,5 @@ def crosscheck(spec: ExtensionSpec, report, radius: int = 6, cap: int = 5000,
     )
     if not growth:
         return summary, None
-    first = curves[0] if curves else conjugacy_ball(group, group.identity, radius, cap)
+    first = curves[elements[0]] if elements else conjugacy_ball(group, group.identity, radius, cap)
     return summary, first

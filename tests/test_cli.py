@@ -1,9 +1,11 @@
 import argparse
+import builtins
 import contextlib
 import gc
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from icckit import cli, oracle
+from icckit import cli, dsl, matgroup, oracle
 from icckit.catalog import FgAbelianDesc, FreeDesc
 from icckit.cli import main
 from icckit.dsl import Diagnostic, parse_extension, pretty_print
@@ -117,6 +119,31 @@ class TestParsing:
     def test_matrix_literal_spacing_and_signs(self, literal, rows):
         spec = parse_extension(f"kernel: Z^2\nquotient: Z\naction t -> {literal}\n")
         assert spec.actions[0] == IntMatrix.from_rows(rows)
+
+    def test_short_literal_route_matches_the_general_one(self, monkeypatch):
+        """A literal of short entries is read at once; the general route,
+        taken when the pattern is made to match nothing, gives the same
+        matrix on seeded literals with spaces, + signs and leading zeros."""
+        rng = random.Random("matrix-literal")
+        cur = dsl._Cursor(1, "")
+
+        def entry():
+            sign = rng.choice(("", "", "+", "-"))
+            digits = "0" * rng.randrange(3) + str(rng.randrange(10 ** rng.randrange(1, 10)))
+            return rng.choice(("", " ", "  ")) + sign + digits + rng.choice(("", " "))
+
+        literals = []
+        for _ in range(200):
+            n = rng.randrange(1, 6)
+            rows = ["[" + ",".join(entry() for _ in range(n)) + " " * rng.randrange(2) + "]"
+                    for _ in range(n)]
+            literals.append(rng.choice(("", " ")) + "[" + ", ".join(rows) + "]" + rng.choice(("", " ")))
+        general = count_calls(monkeypatch, dsl, "_list_items")
+        fast = [dsl._parse_matrix(text, cur) for text in literals]
+        assert general == []
+        monkeypatch.setattr(dsl, "_INT_ROWS_RE", re.compile(r"(?!)"))
+        assert [dsl._parse_matrix(text, cur) for text in literals] == fast
+        assert general
 
     def test_z_means_rank_one(self):
         spec = parse_extension("kernel: Z\nquotient: Z\naction t -> [[-1]]\n")
@@ -289,7 +316,8 @@ class TestCliRuns:
     @pytest.mark.parametrize("name", ["sol", "swap", "klein"])
     def test_growth_walk_only_on_request(self, name, tmp_path, capsys, monkeypatch):
         """The report is the same with and without --emit-growth; only with
-        it does a sample ball run as a full walk (witness balls always do)."""
+        it does a sample ball run as a full walk (witness balls always do).
+        A sample whose inverse was sampled before it is not walked."""
         calls = count_calls(monkeypatch, oracle, "conjugacy_ball")
 
         def walks():
@@ -304,8 +332,12 @@ class TestCliRuns:
         full_walks = walks()
         assert lean == full and lean[0] == 0
         if json.loads(lean[1])["oracle_crosscheck"]["mode"] == "samples":
-            assert lean_walks == [True] * 20
-            assert full_walks == [False] + [True] * 19
+            group = oracle.materialize(parse_extension((EXTENSIONS / f"{name}.ext").read_text()))
+            samples = group.sample_nontrivial(20)
+            walked = sum(group.inv(x) not in samples[:i] for i, x in enumerate(samples))
+            assert len(samples) == 20 and 0 < walked < 20
+            assert lean_walks == [True] * walked
+            assert full_walks == [False] + [True] * (walked - 1)
         else:
             assert lean_walks == full_walks == [False]
 
@@ -454,6 +486,41 @@ class TestValidateOnce:
         assert found.pop("extension.py"), "the pattern finds make_extension's own check"
         assert {name: lines for name, lines in found.items() if lines} == {}
         assert not hasattr(IntMatrix, "is_unimodular")
+
+
+# D_4 acting faithfully on Z^2 by matrices that permute no basis: every
+# vector has a finite orbit, so the witness is a kernel vector whose
+# exact class the oracle closes with the analyzer's action matrices.
+D4_ON_Z2 = (
+    "kernel: Z^2\n"
+    "quotient: finite perm((1 2 3 4); (1 3))\n"
+    "action u -> [[1,-1],[2,-1]]\n"
+    "action q -> [[-1,0],[-2,1]]\n"
+)
+
+
+class TestCompileOnce:
+    @pytest.mark.parametrize("name", ["sol", "d4"])
+    def test_one_eval_per_action_matrix(self, name, tmp_path, capsys, monkeypatch):
+        """The analyzer's basis orbits and the oracle's exact class read the
+        same action matrix objects, and each is compiled once.  ``sol.ext``
+        is decided without an orbit closure and compiles nothing."""
+        text = D4_ON_Z2 if name == "d4" else (EXTENSIONS / "sol.ext").read_text()
+        f = tmp_path / "spec.ext"
+        f.write_text(text)
+        monkeypatch.setattr(matgroup, "eval", builtins.eval, raising=False)
+        evals = count_calls(monkeypatch, matgroup, "eval")
+        compiled = count_calls(monkeypatch, matgroup, "_row_applier")
+        code, out, err = run(capsys, "check", str(f), "--format", "json", "--oracle-radius", "4")
+        assert code == 0 and not err
+        matrices = [args[0] for args, _ in compiled]
+        assert len({id(m) for m in matrices}) == len(matrices)
+        if name == "d4":
+            check = json.loads(out)["oracle_crosscheck"]
+            assert check["witness_check"]["kind"] == "witness-exact-class" and check["consistent"]
+            assert len(evals) == 2
+        else:
+            assert evals == []
 
 
 TRIVIAL_ACTION_QUOTIENTS = ["Z", "Z^2", "finite perm((1 2); (1 2 3))", "product(Z, Z/2)"]

@@ -341,11 +341,14 @@ class TestClosureOnly:
         assert checked >= 10
 
     @pytest.mark.parametrize("name,growth,most", [
-        ("sol", True, 756), ("swap", True, 854), ("sol", False, 748), ("swap", False, 670)])
+        ("sol", True, 514), ("swap", True, 554), ("sol", False, 506), ("swap", False, 370)])
     def test_crosscheck_conjugation_budget(self, name, growth, most, monkeypatch):
-        """Closure-only balls stop in round R - 1: at radius 4 a full walk
-        of every sample makes 2970 conjugations on ``sol.ext`` and 4710 on
-        ``swap.ext``; stopping only round R early made 1377 and 1729."""
+        """Closure-only balls stop in round R - 1, and a sample whose
+        inverse came earlier is not walked: at radius 4 a full walk of
+        every sample makes 2970 conjugations on ``sol.ext`` and 4710 on
+        ``swap.ext``; stopping only round R early made 1377 and 1729, and
+        walking all 20 closure-only balls 756 and 854 (748 and 670
+        without growth)."""
         spec = parse_extension((EXTENSIONS / f"{name}.ext").read_text())
         report = analyze(spec)
         calls = count_calls(monkeypatch, ConcreteGroup, "conjugate")
@@ -367,6 +370,66 @@ class TestClosureOnly:
         assert lean == summary
         # witness balls are full walks either way; sample curves only on request
         assert lean_curve == (curve if summary["mode"] == "witness" else None)
+
+
+class TestInverseSamples:
+    """(x^-1)^g = (x^g)^-1, so the ball of x^-1 is the inverse of the ball
+    of x, round by round, and ``crosscheck`` reuses the curve of a sample
+    whose inverse came earlier (``CATALOG_AXIOMS.md`` §10)."""
+
+    def test_inverse_has_the_same_curve(self):
+        kinds = collections.Counter()
+        for name, spec in sorted(closed_form_specs().items()):
+            g = materialize(spec)
+            for x in g.sample_nontrivial(12):
+                for radius, cap in TestClosureOnly.CASES:
+                    for closure_only in (False, True):
+                        curve = conjugacy_ball(g, x, radius, cap, closure_only=closure_only)
+                        inverse = conjugacy_ball(g, g.inv(x), radius, cap, closure_only=closure_only)
+                        assert inverse == curve, (name, x, radius, cap, closure_only)
+                        kinds["capped" if curve.cap_hit else "closed" if curve.is_closed else "growing"] += 1
+        assert all(kinds[kind] for kind in ("capped", "closed", "growing"))
+
+    @staticmethod
+    def reference(spec, report, radius, cap, growth):
+        """``crosscheck``'s sample mode with every sample walked."""
+        group = materialize(spec)
+        elements = group.sample_nontrivial(20)
+        curves = [conjugacy_ball(group, e, radius, cap, closure_only=i > 0 or not growth)
+                  for i, e in enumerate(elements)]
+        closed = sum(c.is_closed for c in curves)
+        summary = {"radius": radius, "cap": cap, "mode": "samples", "witness_check": None,
+                   "samples_checked": len(elements), "finite_classes_found": closed,
+                   "consistent": closed == 0 if report.verdict == "icc" else True}
+        return summary, curves[0] if growth else None
+
+    # the shipped examples but bad.ext, whose action fails validation
+    SHIPPED = ("f2xz.ext", "klein.ext", "sol.ext", "swap.ext")
+
+    @pytest.mark.parametrize("name", sorted(closed_form_specs()) + list(SHIPPED))
+    def test_crosscheck_equals_walking_every_sample(self, name, monkeypatch):
+        """Sample mode on every group, whatever its verdict: the summary
+        and curve are those of walking all samples, for fewer conjugations."""
+        if name in self.SHIPPED:
+            spec = parse_extension((EXTENSIONS / name).read_text())
+        else:
+            spec = closed_form_specs()[name]
+        walked = count_calls(monkeypatch, ConcreteGroup, "conjugate")
+        saved = 0
+        for verdict in ("icc", "unknown"):
+            report = dataclasses.replace(analyze(spec), verdict=verdict)
+            for radius, cap in ((4, 5000), (3, 50)):
+                for growth in (True, False):
+                    expected = self.reference(spec, report, radius, cap, growth)
+                    walked.clear()
+                    got = crosscheck(spec, report, radius, cap, growth=growth)
+                    spent = len(walked)
+                    assert got == expected, (verdict, radius, cap, growth)
+                    walked.clear()
+                    self.reference(spec, report, radius, cap, growth)
+                    assert spent <= len(walked)
+                    saved += spent < len(walked)
+        assert saved
 
 
 class TestConjugacyBall:

@@ -58,8 +58,8 @@ CEILINGS = {
                   "conjugate": 0},
     "crosscheck": {"IntMatrix.@": 389, "hnf": 89, "det": 74, "inverse_unimodular": 60,
                    "FreeAut.compose": 94, "free_basis_inverse": 14, "single_finite_orbit_space": 58,
-                   "is_inner": 33, "eval": 66, "_mod3_period": 77, "Lattice.coordinates": 24,
-                   "conjugate": 10761},
+                   "is_inner": 33, "eval": 54, "_mod3_period": 77, "Lattice.coordinates": 24,
+                   "conjugate": 7446},
 }
 
 
