@@ -3,15 +3,18 @@
 Run with:  python3 demos/02_finite_orbits.py
 """
 
+import math
+
 from icckit import (
+    BasisOrbits,
+    GroupInfinite,
     IntMatrix,
     MatGroupGens,
+    basis_orbits,
     finite_orbit_sublattice,
-    group_is_finite,
     matrix_order,
     orbit_bfs,
 )
-from icckit.matgroup import GroupInfinite
 
 print("=== Element orders ===")
 for rows in ([[0, -1], [1, 0]], [[1, 1], [0, 1]], [[2, 1], [1, 1]]):
@@ -19,13 +22,17 @@ for rows in ([[0, -1], [1, 0]], [[1, 1], [0, 1]], [[2, 1], [1, 1]]):
     print(f"order{m} = {matrix_order(m)}")
 
 print()
-print("=== Group finiteness through the mod-3 congruence ===")
+print("=== Group finiteness: closed basis orbits, or a mod-3 congruence witness ===")
 rot = IntMatrix.from_rows([[0, -1], [1, 0]])
 refl = IntMatrix.from_rows([[1, 0], [0, -1]])
-print(f"<rot4, refl>: {group_is_finite(MatGroupGens(2, (rot, refl)))}")
+cert = basis_orbits(MatGroupGens(2, (rot, refl)))
+assert isinstance(cert, BasisOrbits)
+sizes = [len(orbit) for orbit in cert.orbits]
+print(f"<rot4, refl>: finite, basis orbits of sizes {sizes} bound its order by {math.prod(sizes)}")
+print(f"  orbit of (1,0): {sorted(cert.orbits[0])}")
 
 shear = IntMatrix.from_rows([[1, 1], [0, 1]])
-cert = group_is_finite(MatGroupGens(2, (shear,)))
+cert = basis_orbits(MatGroupGens(2, (shear,)))
 assert isinstance(cert, GroupInfinite)
 print(f"<shear>: infinite, witness {cert.witness_matrix} "
       f"(word {cert.witness_word}) lies in the congruence kernel")
@@ -48,6 +55,6 @@ print(f"generators g1={g1}, g2={g2}")
 print(f"finite-orbit sublattice F = span{cert.lattice.basis}")
 print(f"closed basis orbits certifying a finite induced action: "
       f"{[sorted(orbit) for orbit in cert.basis_orbits]}")
-print(f"induced action on F is finite of order {cert.induced_finiteness.order}")
+print(f"induced generators on F: {', '.join(map(str, cert.induced_gens))}")
 for word, matrix in cert.infinite_order_witnesses:
     print(f"discovery step: word {word} acted with infinite order ({matrix})")

@@ -45,13 +45,11 @@ from .matgroup import (
     BasisOrbits,
     FiniteOrbit,
     FiniteOrbitCert,
-    GroupFinite,
     GroupInfinite,
     MatGroupGens,
     OrbitCapExceeded,
     basis_orbits,
     finite_orbit_sublattice,
-    group_is_finite,
     matrix_order,
     orbit_bfs,
     single_finite_orbit_space,

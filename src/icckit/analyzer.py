@@ -249,7 +249,10 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
     ``theta``, at ``offset``: its validated table, or its cached
     generator powers.
 
-    Finite quotients: every element, in ``element_words`` order.  Abelian
+    Finite quotients: every element, in ``element_words`` order, and
+    only the identity action is trivial: an inner automorphism c_w of
+    finite order n has w^n central, so w = 1 (``CATALOG_AXIOMS.md``
+    §13 addendum).  Abelian
     quotients: the exponent vectors of :func:`_box_walk` in (max-norm,
     lex) order, free exponents in [-bound, bound], over the lattice L_3
     when :func:`mod3_screen` builds a screen (a vector off L_3 has image
@@ -258,16 +261,16 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
     being the action of x_1..x_{n-1}, so it acts as I iff the cached
     power A_n^x_n equals the head's inverse, the action of
     -x_1..-x_{n-1}, extended from the previous one at the first
-    coordinate that changed.  A free kernel's hit is composed as
-    theta(x)^-1 from cached powers and tested by :func:`_trivial_inverse`.
+    coordinate that changed.  On an abelian kernel that hit is final,
+    theta(x) = I; a free kernel's hit is composed as theta(x)^-1 from
+    cached powers and tested by :func:`_trivial_inverse`.
     Free quotients of rank >= 2: nothing (FC is trivial).  Products: see
     :func:`_product_elements`.
     """
     if isinstance(quotient, FiniteGroupDesc):
         for word, action in zip(quotient.element_words[1:], theta.finite_table(quotient, offset)[1:]):
-            trivial = theta.trivial(action)
-            if trivial is not None:
-                yield word, trivial
+            if action.is_identity:  # a finite-order inner automorphism is the identity
+                yield word, theta.trivial(action)
     elif isinstance(quotient, FgAbelianDesc):
         n, ab = quotient.gen_count, theta.abelian
         screen = mod3_screen(ab.actions[offset:offset + n], ab.identity, _box_size(quotient, bound))
@@ -284,7 +287,7 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
             prev, e = x, x[-1]
             if inverses[-1] != power(e):
                 continue
-            inverse = power(-e) @ inverses[-1] if ab is theta else theta.of_exponents([-v for v in x], offset)
+            inverse = ab.identity if ab is theta else theta.of_exponents([-v for v in x], offset)
             trivial = _trivial_inverse(theta, inverse)
             if trivial is not None:
                 yield _exponent_word(x), trivial
@@ -352,7 +355,7 @@ def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
         for word, _, part, inverse in tails:
             if head_inverse != read[0](part):
                 continue
-            trivial = _trivial_inverse(theta, read[0](inverse) @ head_inverse if ab is theta else
+            trivial = _trivial_inverse(theta, ab.identity if ab is theta else
                                        functools.reduce(operator.matmul, [r[1](p) for r, p in parts], read[1](inverse)))
             if trivial is not None:
                 word = tuple(itertools.chain.from_iterable(entry[0] for entry in prefix)) + word

@@ -51,10 +51,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zeros(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * ncols for _ in range(nrows)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

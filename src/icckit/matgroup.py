@@ -1,30 +1,27 @@
 """Algorithms on finitely generated subgroups of GL(r, Z).
 
 Element order, read off the period of the mod-3 powers (or, past a
-short walk, off the cyclotomic spectrum); group finiteness with explicit
-certificates; and the finite-orbit sublattice: the set of vectors of
-Z^r whose orbit under the generated group is finite.
+short walk, off the cyclotomic spectrum); group finiteness with an
+explicit certificate; and the finite-orbit sublattice: the set of
+vectors of Z^r whose orbit under the generated group is finite.
 
-Finiteness certificates come in three kinds.  :class:`GroupFinite` is
-the exact order: the mod-3 image (a finite group) lifts injectively,
-since the mod-3 congruence kernel is torsion-free.  :class:`GroupInfinite`
-is a nontrivial element of that kernel, of infinite order.
-:class:`BasisOrbits` is the closed orbit of every basis vector; a group
-acting faithfully has at most the product of their sizes as its order.
-For S_n permuting a basis that is n orbits of n vectors, where the mod-3
-image has n! elements.
-
-:func:`basis_orbits` runs the orbit closure in lockstep with the
-Schreier search of :func:`group_is_finite`, one step of each at a time,
-so it ends without a cap: a finite group's orbits have at most |G|
-vectors and close before the search has expanded its |G| image
-elements; an infinite group keeps an orbit open, and the search, which
-always ends, returns the same witness as :func:`group_is_finite`.  Both
-apply the generators alone, with no inverse (``CATALOG_AXIOMS.md`` §6
-and §9), through one closure per matrix (:func:`_row_applier`): an
-index pick for a signed permutation matrix, else one compiled tuple
-expression, kept on the matrix object.  The search keeps every image
-element as a tuple of columns and multiplies column by column.
+:func:`basis_orbits` is the one finiteness decider.  It closes the orbit
+of every standard basis vector in lockstep with a Schreier search over
+the image mod 3, one step of each at a time, so it ends without a cap.
+A finite group has orbits of at most |G| vectors, which close before the
+search has expanded its |G| image elements; the certificate is
+:class:`BasisOrbits`, and a group acting faithfully has at most the
+product of the orbit sizes as its order (for S_n permuting a basis, n
+orbits of n vectors, where the mod-3 image has n! elements).  An
+infinite group keeps an orbit open, and the search, which always ends,
+meets a nontrivial element of the torsion-free mod-3 congruence kernel:
+the certificate is that element, of infinite order, as
+:class:`GroupInfinite`.  Both walks apply the generators alone, with no
+inverse (``CATALOG_AXIOMS.md`` §6 and §9), through one closure per
+matrix (:func:`_row_applier`): an index pick for a signed permutation
+matrix, else one compiled tuple expression, kept on the matrix object.
+The search keeps every image element as a tuple of columns and
+multiplies column by column.
 
 The finite-orbit sublattice tests a candidate lattice for invariance by
 restricting every generator to it (one triangular solve per basis
@@ -32,8 +29,7 @@ vector, no HNF; on Z^r none, the generators are their restrictions): a
 matrix of GL(r, Z) that maps a lattice into itself maps it onto itself,
 so the restrictions are then the induced generators.  Only a candidate
 that some generator moves is shrunk by lattice intersections.  The
-sublattice keeps the basis orbits as its certificate and computes the
-exact order of the induced action only when it is read.
+sublattice keeps the basis orbits as its certificate.
 
 Reduction mod 3 (:func:`mod3`), of a matrix or of an automorphism's
 abelianization, is a homomorphism that sends every trivially acting
@@ -51,7 +47,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter, mul
 
 from .intlinalg import (
@@ -83,13 +78,6 @@ class MatGroupGens:
         for g in self.gens:
             if g.nrows != self.rank or g.ncols != self.rank:
                 raise ValueError("generator size != rank")
-
-    def word_to_matrix(self, word: GenWord) -> IntMatrix:
-        out = IntMatrix.identity(self.rank)
-        for letter in word:
-            g = self.gens[abs(letter) - 1]
-            out = out @ (g if letter > 0 else g.inverse_unimodular())
-        return out
 
 
 def _mod3_period(m: IntMatrix, cap: int) -> int | None:
@@ -169,23 +157,12 @@ def matrix_order(m: IntMatrix) -> int | None:
 
 
 @dataclass(frozen=True)
-class GroupFinite:
-    """Finiteness certificate: the closure of the mod-3 image, verified
-    to lift injectively, has this many elements."""
-
-    order: int
-
-
-@dataclass(frozen=True)
 class GroupInfinite:
     """Infiniteness certificate: a nontrivial element of the mod-3
     congruence kernel, hence of infinite order."""
 
     witness_word: GenWord
     witness_matrix: IntMatrix
-
-
-FinitenessCert = GroupFinite | GroupInfinite
 
 
 @dataclass(frozen=True)
@@ -303,83 +280,38 @@ def _appliers(group: MatGroupGens) -> list:
     return out
 
 
-def _schreier_search(rank: int, appliers):
-    """The mod-3 image enumeration, one step per expanded image element.
-
-    ``appliers`` are the compiled actions of the generators, in the
-    order of :func:`_appliers`.  Each element is kept as its tuple of
-    columns, so g @ X is g applied to every column of X, and is keyed by
-    its columns' residues mod 3, flattened.  Yields None after each
-    expansion that settles nothing, then the certificate: the first
-    nontrivial Schreier element as a :class:`GroupInfinite`, or
-    :class:`GroupFinite` once the image closes.
-    """
-    step = list(enumerate(appliers, 1))
-
-    # rep: image key -> (preimage columns, word)
-    identity = IntMatrix.identity(rank).rows  # its own columns
-    identity_key = _residues(sum(identity, ()))
-    rep = {identity_key: (identity, ())}
-    queue = deque([identity_key])
-    while queue:
-        cols, word = rep[queue.popleft()]
-        for letter, apply_m in step:
-            prod = tuple(map(apply_m, cols))
-            prod_key = _residues(sum(prod, ()))
-            known = rep.get(prod_key)
-            if known is None:
-                rep[prod_key] = (prod, (letter,) + word)
-                queue.append(prod_key)
-            elif prod != known[0]:  # the Schreier element prod * known^-1 is not 1
-                witness_word = (letter,) + word + word_inverse(known[1])
-                prod_m, known_m = (IntMatrix._trusted(tuple(zip(*c))) for c in (prod, known[0]))
-                yield GroupInfinite(witness_word, prod_m @ known_m.inverse_unimodular())
-                return
-        yield None
-    yield GroupFinite(len(rep))
-
-
-def group_is_finite(group: MatGroupGens) -> FinitenessCert:
-    """Decide finiteness of the generated group, with a certificate.
-
-    Enumerates the image under entry-wise reduction mod 3 (a finite
-    group), keeping one integer preimage per image element.  The
-    Schreier elements g * rep(x) * rep(g.x)^-1 over the generators g
-    generate the group's part of the congruence kernel; if all are the
-    identity the reduction is injective and the group is finite of the
-    image's order, otherwise the first nontrivial one is an
-    infinite-order witness.
-    """
-    search = _schreier_search(group.rank, _appliers(group))
-    return next(c for c in search if c is not None)
-
-
 def basis_orbits(group: MatGroupGens) -> BasisOrbits | GroupInfinite:
     """Decide finiteness by closing the orbits of the basis vectors.
 
     Each step expands one vertex of every still-open orbit, then one
-    image element of the Schreier search of :func:`group_is_finite`;
-    both use the same compiled generators, and no inverse.
-    A finite group has orbits of at most |G| vectors, which close within
-    |G| steps, before the search has expanded all |G| image elements and
-    could report finiteness itself.  An infinite group has an infinite
-    basis orbit (the action is faithful), and the search, which always
-    ends, returns its first witness: the one :func:`group_is_finite`
-    returns.
+    element of the mod-3 image: each image element is kept with one
+    integer preimage, as its tuple of columns, so g @ X is g applied to
+    every column of X, keyed by its columns' residues mod 3, flattened.
+    Both walks apply the same compiled generators, and no inverse.  A
+    finite group has orbits of at most |G| vectors, which close within
+    |G| steps, before the image walk has expanded all |G| elements.  An
+    infinite group has an infinite basis orbit (the action is faithful),
+    and its reduction mod 3 is not injective, so before the image
+    closes some Schreier element g * rep(x) * rep(g.x)^-1 is not 1: the
+    first one is returned, an element of the congruence kernel, hence
+    of infinite order.
 
     >>> cycle = IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     >>> cert = basis_orbits(MatGroupGens(3, (cycle,)))
     >>> [len(orbit) for orbit in cert.orbits]
     [3, 3, 3]
-    >>> isinstance(basis_orbits(MatGroupGens(2, (IntMatrix.from_rows([[1, 1], [0, 1]]),))),
-    ...            GroupInfinite)
-    True
+    >>> cert = basis_orbits(MatGroupGens(2, (IntMatrix.from_rows([[1, 1], [0, 1]]),)))
+    >>> cert.witness_word, cert.witness_matrix.rows
+    ((1, 1, 1), ((1, 3), (0, 1)))
     """
     appliers = _appliers(group)
-    starts = IntMatrix.identity(group.rank).rows
-    seen = [{e} for e in starts]
-    queues = [deque([e]) for e in starts]
-    search = _schreier_search(group.rank, appliers)
+    step = list(enumerate(appliers, 1))
+    identity = IntMatrix.identity(group.rank).rows  # its own columns
+    seen = [{e} for e in identity]
+    queues = [deque([e]) for e in identity]
+    identity_key = _residues(sum(identity, ()))
+    rep = {identity_key: (identity, ())}  # image key -> (preimage columns, word)
+    images = deque([identity_key])
     while True:
         for orbit, queue in zip(seen, queues):
             if queue:
@@ -391,10 +323,19 @@ def basis_orbits(group: MatGroupGens) -> BasisOrbits | GroupInfinite:
                         queue.append(w)
         if not any(queues):
             return BasisOrbits(tuple(frozenset(orbit) for orbit in seen))
-        witness = next(search)
-        if witness is not None:
-            assert isinstance(witness, GroupInfinite), "finite images outlast the orbits"
-            return witness
+        assert images, "finite images outlast the orbits"
+        cols, word = rep[images.popleft()]
+        for letter, apply_m in step:
+            prod = tuple(map(apply_m, cols))
+            prod_key = _residues(sum(prod, ()))
+            known = rep.get(prod_key)
+            if known is None:
+                rep[prod_key] = (prod, (letter,) + word)
+                images.append(prod_key)
+            elif prod != known[0]:  # the Schreier element prod * known^-1 is not 1
+                prod_m, known_m = (IntMatrix._trusted(tuple(zip(*c))) for c in (prod, known[0]))
+                return GroupInfinite((letter,) + word + word_inverse(known[1]),
+                                     prod_m @ known_m.inverse_unimodular())
 
 
 def single_finite_orbit_space(m: IntMatrix) -> Lattice:
@@ -433,10 +374,9 @@ class FiniteOrbitCert:
 
     ``lattice`` is invariant under every generator.  ``basis_orbits[i]``
     is the orbit of ``lattice.basis[i]``, closed under every generator
-    and so under its inverse; these finite orbits certify that the
-    induced action on the lattice is finite.  ``induced_finiteness`` is
-    its exact order, computed by :func:`group_is_finite` on
-    ``induced_gens`` when first read.  Each entry of
+    and so under its inverse; these finite orbits certify
+    (:func:`basis_orbits`) that the induced action on the lattice, by
+    ``induced_gens`` written in its basis, is finite.  Each entry of
     ``infinite_order_witnesses`` is a (word, matrix) pair that acted with
     infinite order on the candidate lattice current at its discovery
     step (the matrix is written in that candidate's basis).
@@ -446,12 +386,6 @@ class FiniteOrbitCert:
     basis_orbits: tuple[frozenset[Vec], ...] = ()
     infinite_order_witnesses: tuple[tuple[GenWord, IntMatrix], ...] = ()
     induced_gens: tuple[IntMatrix, ...] = field(default=(), repr=False)
-
-    @cached_property
-    def induced_finiteness(self) -> GroupFinite:
-        cert = group_is_finite(MatGroupGens(self.lattice.rank, self.induced_gens))
-        assert isinstance(cert, GroupFinite), "closed basis orbits certify finiteness"
-        return cert
 
 
 def _restrictions(lat: Lattice, gens) -> tuple[IntMatrix, ...] | None:

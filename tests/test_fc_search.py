@@ -47,7 +47,7 @@ from icckit.oracle import crosscheck
 from icckit.intlinalg import IntMatrix
 from icckit.matgroup import Mod3Screen, _inverse3, _mul3, mod3, mod3_screen
 from icckit.words import FreeAut, free_reduce, is_inner, word_inverse
-from tests.helpers import block_diag, conjugated, count_calls, random_unimodular
+from tests.helpers import block_diag, conjugated, conjugation, count_calls, random_unimodular
 
 
 def sorted_box(free_rank, divisors, bound):
@@ -117,7 +117,7 @@ class TestEvaluate:
         # c_u a c_u^-1: a composed with the inner automorphism by u a(u)^-1.
         identity = FreeAut.identity(3)
         for u in ((), (1,), (2, -3, 1)):
-            c, c_inv = FreeAut.conjugation(3, u), FreeAut.conjugation(3, word_inverse(u))
+            c, c_inv = conjugation(3, u), conjugation(3, word_inverse(u))
             images = [c @ permutation_aut(g) @ c_inv for g in S3.generators]
             got = Theta(images, identity).finite_table(S3)
             assert got == tuple(compose_word(w, images, identity) for w in S3.element_words)
@@ -208,7 +208,7 @@ class TestThetaAlgebra:
             transvection = FreeAut(k, ((1, 2),) + tuple((i,) for i in range(2, k + 1)))
             psi = rng.choice((swap, transvection))
             words = [tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(3)) for _ in range(4)]
-            c = [FreeAut.conjugation(k, w) for w in words]
+            c = [conjugation(k, w) for w in words]
             # c_w, c_w o psi and psi o c_w: the last two are never inner.
             gens = [c[0], c[1] @ psi, psi @ c[2]]
             offset = rng.randrange(2)
@@ -280,7 +280,7 @@ def image_assignment(rng, quotient):
     auts = [permutation_aut(g) for g in perms]
     if rng.random() < 0.3:
         i = rng.randrange(len(auts))
-        auts[i] = FreeAut.conjugation(n, (rng.choice((1, -1, 2)),)) @ auts[i]
+        auts[i] = conjugation(n, (rng.choice((1, -1, 2)),)) @ auts[i]
     return FreeAut.identity(n), auts
 
 
@@ -309,6 +309,60 @@ class TestFiniteQuotientValidation:
             outcomes.add((type(identity), bool(failures)))
         assert outcomes == {(IntMatrix, True), (IntMatrix, False), (FreeAut, True), (FreeAut, False)}
 
+
+
+class TestFiniteOrderInnerIsIdentity:
+    """CATALOG_AXIOMS §13 addendum: an inner automorphism of F_k (k >= 2)
+    of finite order is the identity, so the finite branch of the FC
+    search tests ``is_identity`` alone and calls ``is_inner`` only on
+    its hits."""
+
+    def test_no_short_conjugation_has_finite_order(self):
+        checked = 0
+        for rank in (2, 3):
+            letters = [x for x in range(-rank, rank + 1) if x]
+            for length in (1, 2, 3):
+                for w in itertools.product(letters, repeat=length):
+                    if free_reduce(w) != w:
+                        continue
+                    c = power = conjugation(rank, w)
+                    for _ in range(6):
+                        assert not power.is_identity, (rank, w)
+                        power = power @ c
+                    checked += 1
+        assert checked == 4 + 12 + 36 + 6 + 30 + 150
+
+    @pytest.mark.parametrize("quotient", (S3, D4, S4), ids=("S3", "D4", "S4"))
+    def test_inner_table_entries_are_the_identity(self, quotient, monkeypatch):
+        """Every action of seeded valid free-kernel extensions: brute-force
+        ``is_inner`` finds a conjugator exactly on the identity, and the
+        search yields what testing every element with ``Theta.trivial``
+        yields, with one ``is_inner`` call per hit."""
+        rng = random.Random(f"finite-inner:{quotient.order}")
+        n = quotient.degree
+        inner = specs = 0
+        calls = count_calls(monkeypatch, extension, "is_inner")
+        while specs < 12:
+            if specs % 2:  # through the sign: the even elements act trivially
+                i, j = rng.sample(range(n), 2)
+                swap = permutation_aut(tuple(j if k == i else i if k == j else k for k in range(n)))
+                identity, actions = FreeAut.identity(n), [
+                    swap if sum(a > b for a, b in itertools.combinations(g, 2)) % 2 else FreeAut.identity(n)
+                    for g in quotient.generators]
+            else:
+                identity, actions = image_assignment(rng, quotient)
+            if not isinstance(identity, FreeAut) or reference_failures(quotient, actions, identity):
+                continue
+            specs += 1
+            theta = make_extension(FreeDesc(quotient.degree), quotient, actions).theta
+            for a in theta.finite_table(quotient)[1:]:
+                assert (is_inner(a) is not None) == a.is_identity
+                inner += a.is_identity
+            calls.clear()
+            got = list(analyzer._fc_elements(quotient, theta, 8))
+            assert len(calls) == len(got)
+            assert got == list(reference_fc_candidates(quotient, theta, 8))
+        assert inner >= 3, inner
 
 def finite_quotient_spec():
     """S_3 permuting a basis of Z^3."""
@@ -523,7 +577,7 @@ def nielsen_product(rng, rank, moves):
 def free_kernel_under_z2(rng):
     rank = rng.choice((2, 3))
     swap = FreeAut(rank, ((2,), (1,)) + tuple((k,) for k in range(3, rank + 1)))
-    conj = FreeAut.conjugation(rank, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 3))))
+    conj = conjugation(rank, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 3))))
     phi = rng.choice((swap, conj, conj @ swap, nielsen_product(rng, rank, 2)))
     actions = [phi ** rng.randint(-2, 2) for _ in range(2)]
     return make_extension(FreeDesc(rank, ("a", "b", "c")[:rank]), abelian(2), actions)
@@ -544,7 +598,7 @@ def free_kernel_under_product(rng):
     swap or trivially."""
     swap = FreeAut(3, ((2,), (1,), (3,)))
     phi = FreeAut(3, ((1, 3), (2, 3), (3,)))
-    by_c = FreeAut.conjugation(3, (3,))
+    by_c = conjugation(3, (3,))
     t, s = (phi ** rng.randint(-1, 1) @ swap ** rng.randint(0, 1) @ by_c ** rng.randint(-2, 2)
             for _ in range(2))
     if rng.random() < 0.5:

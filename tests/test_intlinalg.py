@@ -19,6 +19,10 @@ from icckit.intlinalg import (
 from tests.helpers import count_calls, enumerate_box, random_unimodular
 
 
+def zeros(nrows: int, ncols: int) -> IntMatrix:
+    return IntMatrix.from_rows([[0] * ncols for _ in range(nrows)])
+
+
 def is_row_hnf(m: IntMatrix) -> bool:
     """Structural HNF predicate, written independently of hnf() itself."""
     pivots = []
@@ -76,12 +80,12 @@ class TestHnf:
         assert h == a and u == a
 
     def test_zero(self):
-        a = IntMatrix.zeros(2, 2)
+        a = zeros(2, 2)
         h, u = hnf(a)
         assert h == a
         assert u == IntMatrix.identity(2)
         for shape in [(1, 1), (3, 1), (2, 4)]:
-            self.assert_augmented_contract(IntMatrix.zeros(*shape))
+            self.assert_augmented_contract(zeros(*shape))
 
     def test_two_by_two(self):
         a = IntMatrix.from_rows([[2, 4], [6, 8]])
@@ -142,7 +146,7 @@ class TestKernelLattice:
         assert kernel_lattice(IntMatrix.identity(3)).rank == 0
 
     def test_zero_matrix_full(self):
-        k = kernel_lattice(IntMatrix.zeros(2, 2))
+        k = kernel_lattice(zeros(2, 2))
         assert k == Lattice.full(2)
         assert kernel_lattice(IntMatrix(())) == Lattice.full(0)
 
@@ -300,12 +304,12 @@ class TestCharpoly:
                 [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             )
             p = charpoly(m)
-            acc = IntMatrix.zeros(n, n)
+            acc = zeros(n, n)
             power = IntMatrix.identity(n)
             for c in p.coeffs:
                 acc = acc + power.scale(c)
                 power = power @ m
-            assert acc == IntMatrix.zeros(n, n)
+            assert acc == zeros(n, n)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from icckit.intlinalg import (
 from icckit.matgroup import (
     BasisOrbits,
     FiniteOrbit,
-    GroupFinite,
     GroupInfinite,
     MatGroupGens,
     OrbitCapExceeded,
@@ -35,7 +34,6 @@ from icckit.matgroup import (
     _shrink_to_invariant,
     basis_orbits,
     finite_orbit_sublattice,
-    group_is_finite,
     matrix_order,
     mod3,
     mod3_screen,
@@ -43,7 +41,14 @@ from icckit.matgroup import (
     restrict_to_lattice,
     single_finite_orbit_space,
 )
-from tests.helpers import block_diag, conjugated, count_calls, random_unimodular
+from tests.helpers import (
+    block_diag,
+    conjugated,
+    count_calls,
+    random_unimodular,
+    reference_schreier_certificate,
+    word_matrix,
+)
 
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
 SHEAR = IntMatrix.from_rows([[1, 1], [0, 1]])
@@ -90,33 +95,6 @@ def reference_shrink(lat, group):
         lat = nxt
 
 
-def reference_schreier_certificate(group, with_inverses=False):
-    """The mod-3 Schreier search on whole matrices, one ``@`` per step:
-    the reference for the compiled column-wise search, which walks the
-    generators alone.  ``with_inverses`` walks each generator's inverse
-    right after it, as the search once did."""
-    identity = IntMatrix.identity(group.rank)
-    step = []
-    for i, g in enumerate(group.gens):
-        step.append((i + 1, g))
-        if with_inverses:
-            step.append((-(i + 1), g.inverse_unimodular()))
-    rep = {mod3(identity): (identity, ())}
-    queue = deque([mod3(identity)])
-    while queue:
-        mat, word = rep[queue.popleft()]
-        for letter, g in step:
-            prod = g @ mat
-            known = rep.get(mod3(prod))
-            if known is None:
-                rep[mod3(prod)] = (prod, (letter,) + word)
-                queue.append(mod3(prod))
-            elif prod != known[0]:
-                witness_word = (letter,) + word + tuple(-l for l in reversed(known[1]))
-                return GroupInfinite(witness_word, prod @ known[0].inverse_unimodular())
-    return GroupFinite(len(rep))
-
-
 def reference_finite_orbit_sublattice(group):
     """The finite-orbit sublattice with every candidate shrunk by
     :func:`reference_shrink` and every induced action decided by the full
@@ -134,7 +112,7 @@ def reference_finite_orbit_sublattice(group):
             return cand
         induced = tuple(restrict_to_lattice(g, cand) for g in group.gens)
         cert = reference_schreier_certificate(MatGroupGens(cand.rank, induced))
-        if isinstance(cert, GroupFinite):
+        if not isinstance(cert, GroupInfinite):
             return cand
         fixed = cyclotomic_reference(cert.witness_matrix)[1]
         cand = Lattice.from_rows(r, [cand.member_from_coords(c) for c in fixed.basis])
@@ -547,29 +525,37 @@ class TestRowApplier:
 
 
 class TestGroupIsFinite:
+    """Finiteness decided by :func:`basis_orbits`, with the image order
+    of the reference search: closed orbits bound that order, and an
+    infinite group gets the reference's witness."""
+
+    @staticmethod
+    def assert_finite(gens, order):
+        group = MatGroupGens(gens[0].nrows, gens)
+        cert = basis_orbits(group)
+        assert isinstance(cert, BasisOrbits)
+        assert reference_schreier_certificate(group) == order
+        assert order <= math.prod(len(orbit) for orbit in cert.orbits)
+
     def test_trivial(self):
-        cert = group_is_finite(MatGroupGens(2, (IntMatrix.identity(2),)))
-        assert cert == GroupFinite(1)
+        self.assert_finite((IntMatrix.identity(2),), 1)
 
     def test_rotation_c4(self):
-        cert = group_is_finite(MatGroupGens(2, (ROT4,)))
-        assert cert == GroupFinite(4)
+        self.assert_finite((ROT4,), 4)
 
     def test_shear_infinite_with_witness(self):
-        cert = group_is_finite(MatGroupGens(2, (SHEAR,)))
+        g = MatGroupGens(2, (SHEAR,))
+        cert = basis_orbits(g)
         assert isinstance(cert, GroupInfinite)
         w = cert.witness_matrix
         assert w == SHEAR ** 3  # m mod 3 has order 3, so the cube closes first
         assert not w.is_identity
         assert mod3(w) == mod3(IntMatrix.identity(2))
         assert matrix_order(w) is None
-        g = MatGroupGens(2, (SHEAR,))
-        assert g.word_to_matrix(cert.witness_word) == w
+        assert word_matrix(g, cert.witness_word) == w
 
     def test_finite_dihedral(self):
-        refl = IntMatrix.from_rows([[1, 0], [0, -1]])
-        cert = group_is_finite(MatGroupGens(2, (ROT4, refl)))
-        assert cert == GroupFinite(8)
+        self.assert_finite((ROT4, IntMatrix.from_rows([[1, 0], [0, -1]])), 8)
 
     def test_closure_oracle_agreement(self):
         s3_cycle = IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
@@ -584,9 +570,7 @@ class TestGroupIsFinite:
             ((s3_cycle, s3_swap, neg), 48),
         ]
         for gens, expected in cases:
-            rank = gens[0].nrows
-            cert = group_is_finite(MatGroupGens(rank, gens))
-            assert cert == GroupFinite(expected)
+            self.assert_finite(gens, expected)
             assert brute_force_closure(gens, 4 * expected) == expected
 
     def test_infinite_witness_properties(self):
@@ -597,28 +581,28 @@ class TestGroupIsFinite:
                 random_unimodular(rng, 2, steps=8) for _ in range(rng.randint(1, 2))
             )
             group = MatGroupGens(2, gens)
-            cert = group_is_finite(group)
+            cert = basis_orbits(group)
             if isinstance(cert, GroupInfinite):
                 found += 1
                 assert not cert.witness_matrix.is_identity
                 assert mod3(cert.witness_matrix) == mod3(IntMatrix.identity(2))
                 assert matrix_order(cert.witness_matrix) is None
-                assert group.word_to_matrix(cert.witness_word) == cert.witness_matrix
+                assert word_matrix(group, cert.witness_word) == cert.witness_matrix
 
 
 class TestBasisOrbits:
-    def test_agrees_with_group_is_finite(self):
+    def test_agrees_with_the_reference_search(self):
         kinds = {BasisOrbits: 0, GroupInfinite: 0}
         for group in random_generator_sets(3003, 200):
             cert = basis_orbits(group)
-            exact = group_is_finite(group)
+            exact = reference_schreier_certificate(group)
             kinds[type(cert)] += 1
             if isinstance(exact, GroupInfinite):
                 assert cert == exact  # the same word and matrix
-                assert group.word_to_matrix(cert.witness_word) == cert.witness_matrix
+                assert word_matrix(group, cert.witness_word) == cert.witness_matrix
                 continue
             assert isinstance(cert, BasisOrbits)
-            assert exact.order <= math.prod(len(orbit) for orbit in cert.orbits)
+            assert exact <= math.prod(len(orbit) for orbit in cert.orbits)
             for e, orbit in zip(IntMatrix.identity(group.rank).rows, cert.orbits, strict=True):
                 assert e in orbit
                 assert_closed(group, orbit)
@@ -642,23 +626,15 @@ class TestBasisOrbits:
                 assert b in orbit
                 assert_closed(group, orbit)
 
-    def test_exact_order_is_lazy(self, monkeypatch):
-        calls = count_calls(monkeypatch, matgroup_mod, "group_is_finite")
-        cert = finite_orbit_sublattice(MatGroupGens(2, (ROT4,)))
-        assert not calls
-        assert cert.induced_finiteness == GroupFinite(4)
-        assert cert.induced_finiteness == GroupFinite(4)
-        assert len(calls) == 1
-
 
 class TestSchreierSearch:
-    """The compiled column-wise search gives the certificate of the
-    whole-matrix reference: the same order, or the same witness."""
+    """The compiled column-wise search of :func:`basis_orbits` decides as
+    the whole-matrix reference does: closed orbits for a finite image
+    order, or the same witness."""
 
     @staticmethod
     def assert_same_certificate(group):
         ref = reference_schreier_certificate(group)
-        assert group_is_finite(group) == ref
         cert = basis_orbits(group)
         if isinstance(ref, GroupInfinite):
             assert cert == ref
@@ -668,7 +644,7 @@ class TestSchreierSearch:
 
     @pytest.mark.parametrize("seed", [3003, 4004])
     def test_random_generator_sets(self, seed):
-        kinds = {GroupFinite: 0, GroupInfinite: 0}
+        kinds = {int: 0, GroupInfinite: 0}
         for group in random_generator_sets(seed, 150):
             kinds[type(self.assert_same_certificate(group))] += 1
         assert min(kinds.values()) >= 30, kinds
@@ -680,18 +656,18 @@ class TestSchreierSearch:
         + [(MatGroupGens(1, (IntMatrix.from_rows([[-1]]),)), 2)],
     )
     def test_finite_groups(self, group, order):
-        assert self.assert_same_certificate(group) == GroupFinite(order)
+        assert self.assert_same_certificate(group) == order
 
     def test_inverses_change_no_decision(self):
         """CATALOG_AXIOMS §6 addendum: positive words reach all of a finite
         image, and Schreier's lemma needs only the generators, so the
         search with inverses decides the same finiteness and order."""
-        kinds = {GroupFinite: 0, GroupInfinite: 0}
+        kinds = {int: 0, GroupInfinite: 0}
         for group in random_generator_sets(3003, 150):
             cert = reference_schreier_certificate(group)
             with_inverses = reference_schreier_certificate(group, with_inverses=True)
             assert type(cert) is type(with_inverses)
-            if isinstance(cert, GroupFinite):
+            if not isinstance(cert, GroupInfinite):
                 assert cert == with_inverses
             kinds[type(cert)] += 1
         assert min(kinds.values()) >= 30, kinds
@@ -705,12 +681,10 @@ class TestNoInverseInAWalk:
     def test_finite_groups_take_no_inverse(self, monkeypatch, group):
         calls = count_calls(monkeypatch, IntMatrix, "inverse_unimodular")
         assert isinstance(basis_orbits(group), BasisOrbits)
-        assert isinstance(group_is_finite(group), GroupFinite)
         start = tuple(range(1, group.rank + 1))
         assert isinstance(orbit_bfs(group, start), FiniteOrbit)
         cert = finite_orbit_sublattice(group)
         assert cert.lattice == Lattice.full(group.rank)
-        assert isinstance(cert.induced_finiteness, GroupFinite)
         assert calls == []
 
     def test_orbit_bfs_matches_closure_with_inverses(self):
@@ -866,8 +840,8 @@ class TestMod3:
     def test_screen_and_schreier_search_count_the_same_image(self):
         """Commuting finite families, each generator a signed power of one
         signed permutation or rotation per block, all conjugated: the
-        screen's subgroup chain and the Schreier search enumerate the
-        same mod-3 image through one reducer."""
+        screen's subgroup chain and the reference Schreier search
+        enumerate the same mod-3 image through one reducer."""
         rng = random.Random(16)
         bases = ROTATIONS[:3] + tuple(
             permutation_matrix(tuple(range(1, k)) + (0,)).scale(sign) for k in (1, 2, 3) for sign in (1, -1))
@@ -879,9 +853,9 @@ class TestMod3:
             gens = conjugated(rng, gens)
             n = gens[0].nrows
             screen = mod3_screen(gens, IntMatrix.identity(n), 10 ** 6)
-            cert = group_is_finite(MatGroupGens(n, tuple(gens)))
-            assert len(screen.elements) == cert.order
-            orders.add(cert.order)
+            order = reference_schreier_certificate(MatGroupGens(n, tuple(gens)))
+            assert len(screen.elements) == order
+            orders.add(order)
         assert len(orders) >= 6, orders
 
     def test_mod3_arithmetic_lives_in_matgroup(self):
@@ -923,7 +897,7 @@ class TestFiniteOrbitSublattice:
         cert = finite_orbit_sublattice(MatGroupGens(3, ()))
         assert cert.lattice == Lattice.full(3)
         assert cert.basis_orbits == tuple(frozenset({e}) for e in IntMatrix.identity(3).rows)
-        assert cert.induced_finiteness == GroupFinite(1)
+        assert reference_schreier_certificate(MatGroupGens(3, cert.induced_gens)) == 1
 
     def test_identity_generators_change_nothing(self):
         """The analyzer leaves identity actions out of the group."""
@@ -941,7 +915,7 @@ class TestFiniteOrbitSublattice:
     def test_negation_full(self):
         cert = finite_orbit_sublattice(MatGroupGens(2, (NEG_I,)))
         assert cert.lattice == Lattice.full(2)
-        assert cert.induced_finiteness.order == 2
+        assert reference_schreier_certificate(MatGroupGens(2, cert.induced_gens)) == 2
 
     def test_infinite_dihedral_line(self):
         gens = MatGroupGens(
@@ -1001,7 +975,7 @@ class TestFiniteOrbitSublattice:
             lat = cert.lattice
             for g in gens:
                 assert lat.image_under(g) == lat
-            cap = cert.induced_finiteness.order + 1
+            cap = reference_schreier_certificate(MatGroupGens(lat.rank, cert.induced_gens)) + 1
             for b in lat.basis:
                 assert isinstance(orbit_bfs(group, b, cap), FiniteOrbit)
             if lat.rank < n:

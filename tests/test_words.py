@@ -15,7 +15,7 @@ from icckit.words import (
     word_inverse,
     word_mul,
 )
-from tests.helpers import count_calls
+from tests.helpers import conjugation, count_calls
 
 
 def letters(rank):
@@ -208,7 +208,7 @@ class TestFreeAut:
 
 class TestIsInner:
     def test_constructed_inner(self):
-        phi = FreeAut.conjugation(2, (1, 2))  # by ab
+        phi = conjugation(2, (1, 2))  # by ab
         w = is_inner(phi)
         assert w is not None
         for i in (1, 2):
@@ -235,7 +235,7 @@ class TestIsInner:
                 tuple(rng.choice([x for x in range(-rank, rank + 1) if x])
                       for _ in range(rng.randint(0, 6)))
             )
-            phi = FreeAut.conjugation(rank, w)
+            phi = conjugation(rank, w)
             got = is_inner(phi)
             assert got is not None
             for i in range(1, rank + 1):
@@ -259,7 +259,7 @@ class TestIsInner:
         for _ in range(20):
             w1 = free_reduce(tuple(rng.choice([-2, -1, 1, 2]) for _ in range(4)))
             w2 = free_reduce(tuple(rng.choice([-2, -1, 1, 2]) for _ in range(4)))
-            phi = FreeAut.conjugation(2, w1).compose(FreeAut.conjugation(2, w2))
+            phi = conjugation(2, w1).compose(conjugation(2, w2))
             assert is_inner(phi) is not None
 
 
@@ -452,7 +452,7 @@ class TestComposeAndPower:
         for rank in (2, 3, 4, 5):
             for _ in range(15):
                 yield FreeAut(rank, nielsen_product_images(rank, rng.randint(1, 4), rng))
-                yield FreeAut.conjugation(rank, random_reduced_word(rank, 6, rng))
+                yield conjugation(rank, random_reduced_word(rank, 6, rng))
 
     def test_compose_matches_substitution(self):
         rng = random.Random(41)
@@ -483,7 +483,7 @@ class TestAgainstEarlierImplementations:
     def automorphisms(self, rng):
         for rank in (2, 3, 4):
             for _ in range(25):
-                conj = FreeAut.conjugation(rank, random_reduced_word(rank, 12, rng))
+                conj = conjugation(rank, random_reduced_word(rank, 12, rng))
                 yield conj
                 yield conj.compose(signed_permutation(rank, rng))
                 yield conj.compose(random_basis_aut(rank, rng.randint(1, 8), rng))
@@ -491,7 +491,7 @@ class TestAgainstEarlierImplementations:
                 # IA but not inner: c -> c [a, b], twisted by conjugations.
                 ia = FreeAut(rank, ((1,), (2,), (3, 1, 2, -1, -2)) + tuple((i,) for i in range(4, rank + 1)))
                 for _ in range(10):
-                    yield FreeAut.conjugation(rank, random_reduced_word(rank, 6, rng)).compose(ia)
+                    yield conjugation(rank, random_reduced_word(rank, 6, rng)).compose(ia)
 
     def test_is_inner_matches_scan(self):
         rng = random.Random(31)

@@ -50,15 +50,15 @@ CEILINGS = {
                 "conjugate": 0},
     "outer": {"IntMatrix.@": 132, "hnf": 18, "det": 0, "inverse_unimodular": 18,
               "FreeAut.compose": 666, "free_basis_inverse": 7, "single_finite_orbit_space": 0,
-              "is_inner": 335, "eval": 0, "_mod3_period": 68, "Lattice.coordinates": 0,
+              "is_inner": 76, "eval": 0, "_mod3_period": 68, "Lattice.coordinates": 0,
               "conjugate": 0},
-    "relations": {"IntMatrix.@": 2210, "hnf": 308, "det": 242, "inverse_unimodular": 145,
+    "relations": {"IntMatrix.@": 2115, "hnf": 298, "det": 242, "inverse_unimodular": 135,
                   "FreeAut.compose": 0, "free_basis_inverse": 0, "single_finite_orbit_space": 133,
                   "is_inner": 0, "eval": 0, "_mod3_period": 133, "Lattice.coordinates": 20,
                   "conjugate": 0},
-    "crosscheck": {"IntMatrix.@": 389, "hnf": 89, "det": 74, "inverse_unimodular": 60,
+    "crosscheck": {"IntMatrix.@": 382, "hnf": 89, "det": 74, "inverse_unimodular": 60,
                    "FreeAut.compose": 94, "free_basis_inverse": 14, "single_finite_orbit_space": 58,
-                   "is_inner": 33, "eval": 54, "_mod3_period": 77, "Lattice.coordinates": 24,
+                   "is_inner": 22, "eval": 54, "_mod3_period": 77, "Lattice.coordinates": 24,
                    "conjugate": 7446},
 }
 
