@@ -246,13 +246,14 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
     """Yield ``(word, how)`` for the nontrivial elements of FC(quotient)
     that the injectivity search covers and that act trivially, in witness
     order, ``how`` as :meth:`Theta.trivial` gives it.  Actions come from
-    ``theta``, at ``offset``: its validated table, or its cached
-    generator powers.
+    ``theta``, at ``offset``: its validated permutations of Omega, or its
+    cached generator powers.
 
     Finite quotients: every element, in ``element_words`` order, and
     only the identity action is trivial: an inner automorphism c_w of
     finite order n has w^n central, so w = 1 (``CATALOG_AXIOMS.md``
-    §13 addendum).  Abelian
+    §13 addendum).  theta(q) is the identity iff its permutation pi(q)
+    of Omega is (§15), so no action is built.  Abelian
     quotients: the exponent vectors of :func:`_box_walk` in (max-norm,
     lex) order, free exponents in [-bound, bound], over the lattice L_3
     when :func:`mod3_screen` builds a screen (a vector off L_3 has image
@@ -268,9 +269,10 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
     :func:`_product_elements`.
     """
     if isinstance(quotient, FiniteGroupDesc):
-        for word, action in zip(quotient.element_words[1:], theta.finite_table(quotient, offset)[1:]):
-            if action.is_identity:  # a finite-order inner automorphism is the identity
-                yield word, theta.trivial(action)
+        identity, *perms = theta.finite_perms(quotient, offset)
+        for word, perm in zip(quotient.element_words[1:], perms):
+            if perm == identity:  # a finite-order inner automorphism is the identity
+                yield word, theta.trivial(theta.identity)
     elif isinstance(quotient, FgAbelianDesc):
         n, ab = quotient.gen_count, theta.abelian
         screen = mod3_screen(ab.actions[offset:offset + n], ab.identity, _box_size(quotient, bound))
@@ -306,7 +308,8 @@ def _product_elements(quotient: ProductDesc, theta: Theta, bound: int):
 
     A list entry is ``(word, mod-3 image, part, inverse part)``, and each
     factor has a reader that turns a part into its action: a finite
-    factor's parts index its table, so an element's inverse is read off
+    factor's parts index its table, read off Omega with no product
+    (:meth:`Theta.finite_table`), so an element's inverse is read off
     the inverse element's entry; an abelian factor's parts are exponent
     vectors, those of :func:`_box_walk` over the whole box and their
     negations, each read once, and its images are read off the factor's

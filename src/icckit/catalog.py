@@ -9,7 +9,6 @@ cross-validated against the brute-force oracle in the test suite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
@@ -25,7 +24,7 @@ def perm_identity(degree: int) -> Perm:
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(x) = p(q(x))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -57,7 +56,9 @@ class FiniteGroupDesc:
 
     ``elements`` are in breadth-first closure order starting from the
     identity; ``element_words`` expresses each element as a product of
-    generators (positive letters suffice in a finite group).
+    generators (positive letters suffice in a finite group).  ``cayley``
+    is the right Cayley graph that the closure walks: ``cayley[j][i]`` is
+    the index in ``elements`` of ``elements[j]`` o ``generators[i]``.
     """
 
     degree: int
@@ -65,6 +66,7 @@ class FiniteGroupDesc:
     labels: tuple[str, ...] = field(compare=False, default=())
     elements: tuple[Perm, ...] = ()
     element_words: tuple[tuple[int, ...], ...] = field(compare=False, default=())
+    cayley: tuple[tuple[int, ...], ...] = field(compare=False, default=(), repr=False)
 
     @staticmethod
     def from_generators(degree: int, generators, labels=None) -> "FiniteGroupDesc":
@@ -75,26 +77,24 @@ class FiniteGroupDesc:
         if labels is None:
             labels = tuple(f"q{i+1}" for i in range(len(generators)))
         identity = perm_identity(degree)
-        words = {identity: ()}
-        order = [identity]
-        queue = deque([identity])
-        while queue:
-            p = queue.popleft()
+        index = {identity: 0}
+        order, words, cayley = [identity], [()], []
+        # ``order`` is the breadth-first queue: element j is expanded when
+        # the walk reaches it, after every element before it.
+        for p in order:
+            succ = []
             for i, g in enumerate(generators):
                 child = perm_compose(p, g)
-                if child not in words:
-                    words[child] = words[p] + (i + 1,)
+                j = index.get(child)
+                if j is None:
+                    j = index[child] = len(order)
                     order.append(child)
-                    queue.append(child)
+                    words.append(words[len(cayley)] + (i + 1,))
                     if len(order) > FINITE_GROUP_ORDER_CAP:
                         raise ValueError("finite group order exceeds the desk-scale cap")
-        return FiniteGroupDesc(
-            degree,
-            generators,
-            tuple(labels),
-            tuple(order),
-            tuple(words[p] for p in order),
-        )
+                succ.append(j)
+            cayley.append(tuple(succ))
+        return FiniteGroupDesc(degree, generators, tuple(labels), tuple(order), tuple(words), tuple(cayley))
 
     @property
     def order(self) -> int:

@@ -21,7 +21,7 @@ All diagnostics carry a 1-based line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .catalog import (
     FgAbelianDesc,
@@ -329,10 +329,7 @@ def _relabel_quotient(quotient: GroupDesc, names: list[str], cur: _Cursor) -> Gr
     if isinstance(quotient, FgAbelianDesc):
         return FgAbelianDesc(quotient.rank, quotient.divisors, tuple(names))
     if isinstance(quotient, FiniteGroupDesc):
-        return FiniteGroupDesc(
-            quotient.degree, quotient.generators, tuple(names),
-            quotient.elements, quotient.element_words,
-        )
+        return replace(quotient, labels=tuple(names))
     if isinstance(quotient, FreeDesc):
         for declared, used in zip(quotient.names, names):
             if declared != used:

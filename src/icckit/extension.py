@@ -6,9 +6,12 @@ descriptors (the kernel an ``FgAbelianDesc``, ``FreeDesc`` or
 unimodular integer matrix for abelian kernels, a free-group automorphism
 for free kernels, none for finite kernels.  The assignment must extend
 to a homomorphism from the quotient, which is checked exactly for finite
-and abelian (and product) quotients: a finite quotient's table of
-element actions is built and checked in the same walk over its Cayley
-graph (:meth:`Theta.finite_table`).
+and abelian (and product) quotients.  A finite quotient is checked on
+permutations: its generators permute the union Omega of the orbits of
+the kernel basis, the action on Omega is faithful, and validation walks
+the quotient's Cayley graph once comparing those permutations, with no
+product of actions (:meth:`Theta.finite_perms`, ``CATALOG_AXIOMS.md``
+§15).
 
 Only the action homomorphism matters for the verdicts downstream, so one
 validated spec covers every extension (split or not) inducing the same
@@ -35,7 +38,6 @@ from .catalog import (
     factor_offsets,
     generator_count,
     make_product,
-    perm_compose,
 )
 from .intlinalg import IntMatrix
 from .words import FreeAut, is_inner
@@ -61,19 +63,20 @@ KernelDesc = FgAbelianDesc | FreeDesc | FiniteGroupDesc
 class Theta:
     """The action homomorphism theta: Q -> Aut(K), generator i acting by
     ``actions[i]``.  Its caches serve every reader: the powers A_i^e,
-    keyed by ``(i, e)``; each finite factor's element actions in
-    ``elements`` order, keyed by the factor's ``factor_offsets`` offset,
-    which validation builds and checks in one walk; and a free action's
-    :attr:`abelian` view.  Actions are exact, so a cached value equals
-    every product that computes it: A^-e on a torsion generator of
-    divisor d is A^(d-e).  Holds no reference to the spec that holds it."""
+    keyed by ``(i, e)``; each finite factor's permutations of Omega
+    (:meth:`finite_perms`), keyed by the factor's ``factor_offsets``
+    offset, which validation builds and checks in one walk; and a free
+    action's :attr:`abelian` view.  Actions are exact, so a cached value
+    equals every product that computes it: A^-e on a torsion generator
+    of divisor d is A^(d-e).  Holds no reference to the spec that holds
+    it."""
 
-    __slots__ = ("actions", "identity", "_powers", "_tables", "_abelian")
+    __slots__ = ("actions", "identity", "_powers", "_finite", "_abelian")
 
     def __init__(self, actions, identity):
         self.actions, self.identity = tuple(actions), identity
         self._powers = {(i, 0): identity for i in range(len(self.actions))}
-        self._tables, self._abelian = {}, None
+        self._finite, self._abelian = {}, None
 
     @property
     def abelian(self) -> Theta:
@@ -125,30 +128,84 @@ class Theta:
         w = is_inner(action)
         return None if w is None else ("inner-automorphism", w)
 
+    def finite_perms(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
+        """pi(q) for every element q of the finite factor ``group`` at
+        ``offset``, in ``elements`` order: the permutation of Omega by
+        which q acts, ``[0]`` being the identity (``CATALOG_AXIOMS.md``
+        §15).
+
+        Omega is the union of the orbits of the kernel basis under the
+        factor's generator actions, each orbit in breadth-first order:
+        the columns e_j of an abelian kernel, the letters x_j of a free
+        one as reduced words.  An automorphism is fixed by the images of
+        the basis, so theta(q) is the identity iff pi(q) is.  Omega and
+        the position of each basis point in it are cached with the
+        permutations, keyed by ``offset``, for :meth:`finite_table`.
+
+        An orbit of more than |Q| points, or a Cayley edge e -> e g_i
+        with pi(e g_i) != pi(e) o pi_i, shows that theta does not extend
+        to ``group`` and raises :class:`ExtensionValidationError`;
+        nothing is cached then.  Each point is applied each generator
+        action once, and each edge composes two permutations of Omega;
+        when every generator acts as the identity, Omega is the basis and
+        nothing is applied.
+        """
+        cached = self._finite.get(offset)
+        if cached is not None:
+            return cached[2]
+        actions = self.actions[offset:offset + len(group.generators)]
+        basis = self.identity.rows if isinstance(self.identity, IntMatrix) else self.identity.images
+        if all(a.is_identity for a in actions):
+            identity = tuple(range(len(basis)))
+            self._finite[offset] = cached = (basis, identity, (identity,) * group.order)
+            return cached[2]
+        points, index = [], {}
+        images = [[] for _ in actions]  # images[i][x]: the position of A_i applied to point x
+        for b in basis:
+            if b in index:
+                continue
+            start = index[b] = len(points)
+            points.append(b)
+            for point in itertools.islice(points, start, None):
+                for a, image in zip(actions, images):
+                    y = a.apply(point)
+                    j = index.get(y)
+                    if j is None:
+                        if len(points) - start == group.order:
+                            raise _not_extending()
+                        j = index[y] = len(points)
+                        points.append(y)
+                    image.append(j)
+        gens = [tuple(image) for image in images]
+        perms = [tuple(range(len(points)))] + [None] * (group.order - 1)
+        # Breadth-first order: an element's tree edge comes from an earlier
+        # element, so perms[e] is set by the time the walk reaches e.
+        for p, children in zip(perms, group.cayley):
+            for child, pi in zip(children, gens):
+                q = tuple(map(p.__getitem__, pi))  # pi(e) o pi_i
+                known = perms[child]
+                if known is None:
+                    perms[child] = q
+                elif known != q:
+                    raise _not_extending()
+        self._finite[offset] = cached = (tuple(points), tuple(index[b] for b in basis), tuple(perms))
+        return cached[2]
+
     def finite_table(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
-        """The action of every element of the finite factor ``group`` at
-        ``offset``, in ``elements`` order, built and checked in one walk
-        over the Cayley graph's edges e -> e g_i in ``elements`` x
-        ``generators`` order: the edge that first reaches an element (in
-        the breadth-first order of ``elements``) sets its action
-        theta(e) @ A_i, and any other edge whose product differs raises
-        :class:`ExtensionValidationError`, since theta does not extend to
-        ``group``.  One product per edge, and none when every generator
-        acts as the identity, which satisfies every relation."""
-        table = self._tables.get(offset)
-        if table is None and all(a.is_identity for a in self.actions[offset:offset + len(group.generators)]):
-            table = self._tables[offset] = (self.identity,) * group.order
-        if table is None:
-            action_of = {group.elements[0]: self.identity}
-            for e in group.elements:
-                for g, a in zip(group.generators, self.actions[offset:]):
-                    product = action_of[e] @ a
-                    if action_of.setdefault(perm_compose(e, g), product) != product:
-                        raise ExtensionValidationError(
-                            "relation violation: actions do not extend to the finite quotient"
-                        )
-            table = self._tables[offset] = tuple(action_of.values())
-        return table
+        """theta(q) for every element q of the finite factor ``group`` at
+        ``offset``, in ``elements`` order, not cached: theta(q) sends
+        basis element j to the point of Omega at position pi(q)(b_j),
+        b_j being the basis element's own position, so it is read off
+        with no product."""
+        self.finite_perms(group, offset)
+        points, basis, perms = self._finite[offset]
+        if isinstance(self.identity, IntMatrix):
+            return tuple(IntMatrix._trusted(tuple(zip(*[points[p[b]] for b in basis]))) for p in perms)
+        return tuple(FreeAut._trusted(self.identity.rank, tuple(points[p[b]] for b in basis)) for p in perms)
+
+
+def _not_extending() -> ExtensionValidationError:
+    return ExtensionValidationError("relation violation: actions do not extend to the finite quotient")
 
 
 @dataclass(frozen=True)
@@ -185,8 +242,9 @@ def _normalize_quotient(q: GroupDesc) -> GroupDesc:
 def _validate_relations(quotient, theta: Theta, offset: int = 0):
     """Check that generator images satisfy the quotient's relations.
 
-    Finite quotients: ``theta``'s table is built and checked on every
-    edge of the Cayley graph in one walk (:meth:`Theta.finite_table`).
+    Finite quotients: ``theta``'s permutations of Omega are built and
+    checked on every edge of the Cayley graph in one walk
+    (:meth:`Theta.finite_perms`).
     Abelian quotients: images commute and torsion generators have the
     divisor's order.  Products additionally need cross-factor
     commutation; free factors impose nothing.  Generator i is
@@ -194,7 +252,7 @@ def _validate_relations(quotient, theta: Theta, offset: int = 0):
     """
     actions = theta.actions[offset:offset + generator_count(quotient)]
     if isinstance(quotient, FiniteGroupDesc):
-        theta.finite_table(quotient, offset)
+        theta.finite_perms(quotient, offset)
     elif isinstance(quotient, FgAbelianDesc):
         for a, b in itertools.combinations(actions, 2):
             if a @ b != b @ a:

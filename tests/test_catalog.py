@@ -43,6 +43,12 @@ class TestFiniteGroupDesc:
                 acc = perm_compose(acc, s3.generators[letter - 1])
             assert acc == e
 
+    def test_cayley_graph_indexes_right_products(self):
+        s4 = FiniteGroupDesc.from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+        assert len(s4.cayley) == s4.order == 24
+        for e, children in zip(s4.elements, s4.cayley):
+            assert [s4.elements[j] for j in children] == [perm_compose(e, g) for g in s4.generators]
+
     def test_identity_first(self):
         c2 = FiniteGroupDesc.from_generators(2, [(1, 0)])
         assert c2.elements[0] == (0, 1)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from icckit import cli, dsl, matgroup, oracle
-from icckit.catalog import FgAbelianDesc, FreeDesc
+from icckit.catalog import FgAbelianDesc, FiniteGroupDesc, FreeDesc
 from icckit.cli import main
 from icckit.dsl import Diagnostic, parse_extension, pretty_print
 from icckit.intlinalg import IntMatrix
@@ -69,6 +69,22 @@ class TestParsing:
         spec = parse_extension(text)
         assert parse_extension(pretty_print(spec)) == spec
         assert (spec.theta and spec.theta.identity) == expected_identity(spec.kernel)
+
+    def test_relabelled_finite_quotient_keeps_its_closure(self):
+        """Action-line names relabel a finite quotient, alone or as a
+        product factor, and every other field stays: the elements, their
+        words and the Cayley graph."""
+        closed = FiniteGroupDesc.from_generators(3, [(1, 2, 0), (1, 0, 2)])
+        spec = parse_extension("kernel: Z^2\nquotient: finite perm((1 2 3); (1 2))\n"
+                               "action r -> [[0,-1],[1,-1]]\naction s -> [[0,1],[1,0]]\n")
+        factor = parse_extension("kernel: Z^2\nquotient: product(Z, finite perm((1 2 3); (1 2)))\n"
+                                 "action t -> [[1,0],[0,1]]\naction r -> [[1,0],[0,1]]\n"
+                                 "action s -> [[1,0],[0,1]]\n").quotient.factors[1]
+        for q in (spec.quotient, factor):
+            assert q.labels == ("r", "s")
+            assert (q.elements, q.element_words, q.cayley) == (
+                closed.elements, closed.element_words, closed.cayley)
+            assert len(q.cayley) == q.order == 6
 
     def test_free_action_with_inverse_letters_round_trip(self):
         spec = parse_extension(

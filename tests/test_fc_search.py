@@ -2,12 +2,13 @@
 
 The box walk, over the whole box and over L_3, against a sorted box,
 the finite table of ``extension.Theta`` against word-by-word
-composition, the cost of building and validating that table, the
-validation of finite quotients against a reference that checks every
-(element, generator) pair, and the mod-3 screen against a reference
-search that builds every candidate's action.
+composition, the validation of finite quotients through permutations
+of the basis orbits, with no product, against a reference that checks
+every (element, generator) pair, and the mod-3 screen against a
+reference search that builds every candidate's action.
 """
 
+import collections
 import contextlib
 import functools
 import gc
@@ -100,8 +101,8 @@ def perm_matrix(p):
 
 class TestEvaluate:
     """The finite table of ``Theta`` against word-by-word composition, on
-    images that extend, and the walk that builds it rejecting images that
-    do not."""
+    images that extend, and the walk behind it rejecting images that do
+    not."""
 
     def test_matrix_images_match_word_composition(self):
         # Permutation matrices of S4's generators extend, under any change of basis.
@@ -140,18 +141,18 @@ class TestEvaluate:
                                    match="^relation violation: actions do not extend to the finite quotient$"):
                     theta.finite_table(group)
 
-    def test_make_extension_builds_table_in_one_product_per_element(self, monkeypatch):
-        """Validation builds and checks the table in one walk, one product
-        per edge: |Q| * |gens| in all.  The FC search then reads the table
-        and builds no action of its own."""
+    def test_validation_and_search_build_no_action(self, monkeypatch):
+        """Validation checks S4's permutations of Omega with no product of
+        matrices, and the FC search compares permutations: it makes no
+        product, reads no table and builds no matrix."""
         actions = [perm_matrix(g) for g in S4.generators]
-        calls = count_calls(monkeypatch, IntMatrix, "__matmul__")
+        products = count_calls(monkeypatch, IntMatrix, "__matmul__")
         spec = make_extension(FgAbelianDesc(4), S4, actions)
-        assert len(calls) == S4.order * len(S4.generators) == 48
-        calls.clear()
-        report = analyze(spec)
-        assert report.verdict == "not_icc"
-        assert len(calls) < S4.order
+        assert products == []
+        tables = count_calls(monkeypatch, Theta, "finite_table")
+        built = count_calls(monkeypatch, IntMatrix, "_trusted")
+        assert theta_fc_injective(S4, spec.theta, AnalyzerLimits()) is None  # S4 acts faithfully
+        assert products == tables == built == []
 
 
 class TestThetaAlgebra:
@@ -309,6 +310,152 @@ class TestFiniteQuotientValidation:
             outcomes.add((type(identity), bool(failures)))
         assert outcomes == {(IntMatrix, True), (IntMatrix, False), (FreeAut, True), (FreeAut, False)}
 
+
+
+# -- the Omega walk against word composition, on the corpora's finite families ---
+
+
+ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
+ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
+REFLECT = IntMatrix.from_rows([[1, 0], [0, -1]])
+SWAP2 = IntMatrix.from_rows([[0, 1], [1, 0]])
+
+
+def sign(p):
+    return -1 if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else 1
+
+
+def sn_gens(rng, n):
+    """An n-cycle and a transposition of two points adjacent on it."""
+    order = rng.sample(range(n), n)
+    k = rng.randrange(n)
+    cycle, swap = list(range(n)), list(range(n))
+    for i in range(n):
+        cycle[order[i]] = order[(i + 1) % n]
+    a, b = order[k], order[(k + 1) % n]
+    swap[a], swap[b] = b, a
+    return tuple(cycle), tuple(swap)
+
+
+def lattice_family(rng, kind):
+    """The finite quotients of the lattice corpus on Z^n, in a random basis."""
+    if kind == "s3_perm":
+        gens, mats = S3.generators, [perm_matrix(g) for g in S3.generators]
+    elif kind == "s3_sign":
+        gens, mats = S3.generators, [perm_matrix(g).scale(sign(g)) for g in S3.generators]
+    elif kind == "s3_rot":
+        gens, mats = S3.generators, [SWAP2, ROT3]
+    elif kind == "d4":
+        gens, mats = ((1, 2, 3, 0), (2, 1, 0, 3)), [ROT4, REFLECT]
+    elif kind == "s4_perm":
+        gens = S4.generators
+        mats = [perm_matrix(g) for g in gens]
+    else:  # c6_rot3: not faithful, q^3 acts as the identity
+        gens, mats = ((1, 2, 3, 4, 5, 0),), [ROT3]
+    return (FiniteGroupDesc.from_generators(len(gens[0]), gens), IntMatrix.identity(mats[0].nrows),
+            conjugated(rng, mats))
+
+
+def perm_free_family(rng, kind):
+    """The finite quotients of the outer corpus permuting the letters of
+    F_n (with the sign of the permutation on ``s3_signed``), conjugated
+    by c_u for a random word u."""
+    if kind == "c4_swap":
+        gens, auts = ((1, 2, 3, 0),), [FreeAut(2, ((2,), (1,)))]
+    else:
+        gens = {"s3": S3.generators, "s3_signed": S3.generators, "s4": sn_gens(rng, 4), "s5": sn_gens(rng, 5)}[kind]
+        signs = [sign(g) if kind == "s3_signed" else 1 for g in gens]
+        auts = [FreeAut(len(g), tuple((s * (x + 1),) for x in g)) for g, s in zip(gens, signs)]
+    rank = auts[0].rank
+    u = tuple(rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(rng.randint(1, 3)))
+    c, c_inv = conjugation(rank, u), conjugation(rank, word_inverse(u))
+    return (FiniteGroupDesc.from_generators(len(gens[0]), gens), FreeAut.identity(rank),
+            [c @ a @ c_inv for a in auts])
+
+
+LATTICE_KINDS = ("s3_perm", "s3_sign", "s3_rot", "d4", "s4_perm", "c6_rot3")
+PERM_FREE_KINDS = ("s3", "s3_signed", "s4", "s5", "c4_swap")
+NOT_EXTENDING = "relation violation: actions do not extend to the finite quotient"
+
+
+def perturbed(rng, identity, actions):
+    """The actions with one generator's replaced: by another generator's
+    action, or composed with a transvection."""
+    actions = list(actions)
+    i = rng.randrange(len(actions))
+    if len(actions) > 1 and rng.random() < 0.5:
+        actions[i] = actions[1 - i]
+    elif isinstance(identity, IntMatrix):
+        rows = [list(r) for r in identity.rows]
+        rows[0][1] += 1
+        actions[i] = actions[i] @ IntMatrix.from_rows(rows)
+    else:
+        actions[i] = actions[i] @ FreeAut(identity.rank, ((1, 2),) + identity.images[1:])
+    return actions
+
+
+def walk_applies(monkeypatch, quotient, kernel, actions):
+    """Validates; returns the spec, or the message it raised, and the most
+    ``apply`` calls that one generator's action made."""
+    calls = count_calls(monkeypatch, type(actions[0]), "apply")
+    try:
+        got = make_extension(kernel, quotient, actions)
+    except ExtensionValidationError as err:
+        got = str(err)
+    per_action = collections.Counter(id(args[0]) for args, _ in calls)
+    monkeypatch.undo()
+    return got, max(per_action.values(), default=0)
+
+
+class TestOmegaWalk:
+    """CATALOG_AXIOMS §15: validation through the permutations of Omega
+    accepts exactly what word-by-word composition accepts, on every
+    finite-quotient family of the corpora and on perturbations of them;
+    theta(q) is the identity iff pi(q) is; every table entry read off
+    Omega is the composed action; and each generator's action is applied
+    at most rank * |Q| times."""
+
+    @pytest.mark.parametrize("family,kind", [(lattice_family, k) for k in LATTICE_KINDS]
+                             + [(perm_free_family, k) for k in PERM_FREE_KINDS],
+                             ids=lambda x: getattr(x, "__name__", x))
+    def test_agrees_with_word_composition(self, family, kind, monkeypatch):
+        rng = random.Random(f"omega:{kind}")
+        outcomes = set()
+        for trial in range(16):
+            quotient, identity, actions = family(rng, kind)
+            if trial % 2:
+                actions = perturbed(rng, identity, actions)
+            rank = identity.nrows if isinstance(identity, IntMatrix) else identity.rank
+            kernel = FgAbelianDesc(rank) if isinstance(identity, IntMatrix) else FreeDesc(rank)
+            failures = reference_failures(quotient, actions, identity)
+            got, applies = walk_applies(monkeypatch, quotient, kernel, actions)
+            assert applies <= rank * quotient.order
+            if failures:
+                assert got == NOT_EXTENDING
+            else:
+                table = tuple(compose_word(w, actions, identity) for w in quotient.element_words)
+                identity_perm, *perms = got.theta.finite_perms(quotient)
+                assert got.theta.finite_table(quotient) == table
+                assert [p == identity_perm for p in perms] == [a.is_identity for a in table[1:]]
+            outcomes.add(bool(failures))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("case", ("c3000-hyperbolic", "c4xc6-sl2"))
+    def test_infinite_images_are_rejected_by_the_orbit_bound(self, case, monkeypatch):
+        """C_3000 acting by [[2,1],[1,1]], and C_4 x C_6 =
+        perm((1 2 3 4); (5 6 7 8 9 10)) by the order-4 and order-6
+        generators of SL(2,Z), whose images are infinite: an orbit
+        outgrows |Q| and the walk stops there."""
+        if case == "c3000-hyperbolic":
+            quotient = FiniteGroupDesc.from_generators(3000, [tuple(range(1, 3000)) + (0,)])
+            actions = (IntMatrix.from_rows([[2, 1], [1, 1]]),)
+        else:
+            quotient = FiniteGroupDesc.from_generators(10, [(1, 2, 3, 0, 4, 5, 6, 7, 8, 9),
+                                                            (0, 1, 2, 3, 5, 6, 7, 8, 9, 4)])
+            actions = (IntMatrix.from_rows([[0, -1], [1, 0]]), IntMatrix.from_rows([[0, -1], [1, 1]]))
+        got, applies = walk_applies(monkeypatch, quotient, FgAbelianDesc(2), list(actions))
+        assert got == NOT_EXTENDING
+        assert applies <= 2 * quotient.order
 
 
 class TestFiniteOrderInnerIsIdentity:

@@ -112,8 +112,8 @@ CASES = {
     "blocks-5": (blocks(5), "unknown", {"box_walk": 3_124, "@": 780}),
     "dihedral-5": (dihedral(5), "icc", {"appliers": 19_310, "@": 3}),
     "dihedral-6": (dihedral(6), "icc", {"appliers": 69_828, "@": 3}),
-    "s7-lattice": (s7_on_lattice(), "not_icc", {"appliers": 182, "@": 10_085}),
-    "s7-free": (s7_on_free(), "icc", {"letters": 70_560, "compose": 10_080}),
+    "s7-lattice": (s7_on_lattice(), "not_icc", {"appliers": 182, "@": 5}),
+    "s7-free": (s7_on_free(), "icc", {}),
     "ia-pair": (IA_PAIR, "unknown",
                 {"letters": 10_662, "box_walk": 288, "@": 28, "compose": 290, "is_inner": 288}),
     "long-power": (LONG_POWER, "unknown", {"@": 2}),

@@ -44,20 +44,20 @@ COUNTERS = {
 }
 
 CEILINGS = {
-    "lattice": {"IntMatrix.@": 540, "hnf": 79, "det": 162, "inverse_unimodular": 12,
+    "lattice": {"IntMatrix.@": 328, "hnf": 79, "det": 162, "inverse_unimodular": 12,
                 "FreeAut.compose": 0, "free_basis_inverse": 0, "single_finite_orbit_space": 153,
                 "is_inner": 0, "eval": 79, "_mod3_period": 153, "Lattice.coordinates": 76,
                 "conjugate": 0},
     "outer": {"IntMatrix.@": 132, "hnf": 18, "det": 0, "inverse_unimodular": 18,
-              "FreeAut.compose": 666, "free_basis_inverse": 7, "single_finite_orbit_space": 0,
+              "FreeAut.compose": 114, "free_basis_inverse": 7, "single_finite_orbit_space": 0,
               "is_inner": 76, "eval": 0, "_mod3_period": 68, "Lattice.coordinates": 0,
               "conjugate": 0},
-    "relations": {"IntMatrix.@": 2115, "hnf": 298, "det": 242, "inverse_unimodular": 135,
+    "relations": {"IntMatrix.@": 2091, "hnf": 298, "det": 242, "inverse_unimodular": 135,
                   "FreeAut.compose": 0, "free_basis_inverse": 0, "single_finite_orbit_space": 133,
                   "is_inner": 0, "eval": 0, "_mod3_period": 133, "Lattice.coordinates": 20,
                   "conjugate": 0},
-    "crosscheck": {"IntMatrix.@": 382, "hnf": 89, "det": 74, "inverse_unimodular": 60,
-                   "FreeAut.compose": 94, "free_basis_inverse": 14, "single_finite_orbit_space": 58,
+    "crosscheck": {"IntMatrix.@": 280, "hnf": 89, "det": 74, "inverse_unimodular": 60,
+                   "FreeAut.compose": 64, "free_basis_inverse": 14, "single_finite_orbit_space": 58,
                    "is_inner": 22, "eval": 54, "_mod3_period": 77, "Lattice.coordinates": 24,
                    "conjugate": 7446},
 }
