@@ -246,14 +246,14 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
     """Yield ``(word, how)`` for the nontrivial elements of FC(quotient)
     that the injectivity search covers and that act trivially, in witness
     order, ``how`` as :meth:`Theta.trivial` gives it.  Actions come from
-    ``theta``, at ``offset``: its validated permutations of Omega, or its
+    ``theta``, at ``offset``: its validated images of the basis, or its
     cached generator powers.
 
     Finite quotients: every element, in ``element_words`` order, and
     only the identity action is trivial: an inner automorphism c_w of
     finite order n has w^n central, so w = 1 (``CATALOG_AXIOMS.md``
-    §13 addendum).  theta(q) is the identity iff its permutation pi(q)
-    of Omega is (§15), so no action is built.  Abelian
+    §13 addendum).  theta(q) is the identity iff its images of the
+    basis are the identity's (§15), so no action is built.  Abelian
     quotients: the exponent vectors of :func:`_box_walk` in (max-norm,
     lex) order, free exponents in [-bound, bound], over the lattice L_3
     when :func:`mod3_screen` builds a screen (a vector off L_3 has image
@@ -269,9 +269,9 @@ def _fc_elements(quotient: GroupDesc, theta: Theta, bound: int, offset: int = 0)
     :func:`_product_elements`.
     """
     if isinstance(quotient, FiniteGroupDesc):
-        identity, *perms = theta.finite_perms(quotient, offset)
-        for word, perm in zip(quotient.element_words[1:], perms):
-            if perm == identity:  # a finite-order inner automorphism is the identity
+        identity, *entries = theta.finite_images(quotient, offset)
+        for word, entry in zip(quotient.element_words[1:], entries):
+            if entry == identity:  # a finite-order inner automorphism is the identity
                 yield word, theta.trivial(theta.identity)
     elif isinstance(quotient, FgAbelianDesc):
         n, ab = quotient.gen_count, theta.abelian

@@ -7,11 +7,12 @@ unimodular integer matrix for abelian kernels, a free-group automorphism
 for free kernels, none for finite kernels.  The assignment must extend
 to a homomorphism from the quotient, which is checked exactly for finite
 and abelian (and product) quotients.  A finite quotient is checked on
-permutations: its generators permute the union Omega of the orbits of
-the kernel basis, the action on Omega is faithful, and validation walks
-the quotient's Cayley graph once comparing those permutations, with no
-product of actions (:meth:`Theta.finite_perms`, ``CATALOG_AXIOMS.md``
-§15).
+the images of the kernel basis: an automorphism is fixed by them, so
+validation walks the quotient's Cayley graph once, mapping each
+element's images of the basis through a generator's action on the
+points Omega of the kernel that the walk meets, and compares them, with
+no product of actions (:meth:`Theta.finite_images`,
+``CATALOG_AXIOMS.md`` §15).
 
 Only the action homomorphism matters for the verdicts downstream, so one
 validated spec covers every extension (split or not) inducing the same
@@ -63,8 +64,8 @@ KernelDesc = FgAbelianDesc | FreeDesc | FiniteGroupDesc
 class Theta:
     """The action homomorphism theta: Q -> Aut(K), generator i acting by
     ``actions[i]``.  Its caches serve every reader: the powers A_i^e,
-    keyed by ``(i, e)``; each finite factor's permutations of Omega
-    (:meth:`finite_perms`), keyed by the factor's ``factor_offsets``
+    keyed by ``(i, e)``; each finite factor's images of the basis on
+    Omega (:meth:`finite_images`), keyed by the factor's ``factor_offsets``
     offset, which validation builds and checks in one walk; and a free
     action's :attr:`abelian` view.  Actions are exact, so a cached value
     equals every product that computes it: A^-e on a torsion generator
@@ -128,80 +129,104 @@ class Theta:
         w = is_inner(action)
         return None if w is None else ("inner-automorphism", w)
 
-    def finite_perms(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
-        """pi(q) for every element q of the finite factor ``group`` at
-        ``offset``, in ``elements`` order: the permutation of Omega by
-        which q acts, ``[0]`` being the identity (``CATALOG_AXIOMS.md``
-        §15).
+    def finite_images(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
+        """For every element q of the finite factor ``group`` at
+        ``offset``, in ``elements`` order, the positions in Omega of
+        theta(q)(b_1), ..., theta(q)(b_r), the images of the kernel
+        basis; entry ``[0]``, the identity's, is ``(0, ..., r - 1)``
+        (``CATALOG_AXIOMS.md`` §15).
 
-        Omega is the union of the orbits of the kernel basis under the
-        factor's generator actions, each orbit in breadth-first order:
-        the columns e_j of an abelian kernel, the letters x_j of a free
-        one as reduced words.  An automorphism is fixed by the images of
-        the basis, so theta(q) is the identity iff pi(q) is.  Omega and
-        the position of each basis point in it are cached with the
-        permutations, keyed by ``offset``, for :meth:`finite_table`.
+        Omega is the set of points of the kernel that the walk meets,
+        starting from the basis: the columns e_j of an abelian kernel,
+        the letters x_j of a free one as reduced words.  An automorphism
+        is fixed by the images of the basis, so theta(q) is the identity
+        iff its entry is the identity's.  Omega is cached with the
+        entries, keyed by ``offset``, for :meth:`finite_table`.
 
-        An orbit of more than |Q| points, or a Cayley edge e -> e g_i
-        with pi(e g_i) != pi(e) o pi_i, shows that theta does not extend
-        to ``group`` and raises :class:`ExtensionValidationError`;
-        nothing is cached then.  Each point is applied each generator
-        action once, and each edge composes two permutations of Omega;
-        when every generator acts as the identity, Omega is the basis and
-        nothing is applied.
+        The walk is breadth-first over the left Cayley graph e -> g_i e,
+        read off the right one that ``group`` keeps: theta(g_i e) =
+        A_i o theta(e), so an edge maps each entry of e through A_i's
+        action on Omega, applied once per point on first use.  The edge
+        that first reaches an element sets its entry; any other edge
+        whose entry differs shows that theta does not extend to
+        ``group`` and raises :class:`ExtensionValidationError`, and
+        nothing is cached then.  The walk goes level by level, so when
+        the shortest words whose actions conflict have length m, every
+        point it meets is theta(w)(b_j) for a word w of length at most m.
+        Each generator action is applied at most once per point met, at
+        most rank * |Q| times; when every generator acts as the
+        identity, nothing is applied.
         """
         cached = self._finite.get(offset)
         if cached is not None:
-            return cached[2]
+            return cached[1]
         actions = self.actions[offset:offset + len(group.generators)]
         basis = self.identity.rows if isinstance(self.identity, IntMatrix) else self.identity.images
+        identity = tuple(range(len(basis)))
         if all(a.is_identity for a in actions):
-            identity = tuple(range(len(basis)))
-            self._finite[offset] = cached = (basis, identity, (identity,) * group.order)
-            return cached[2]
-        points, index = [], {}
-        images = [[] for _ in actions]  # images[i][x]: the position of A_i applied to point x
-        for b in basis:
-            if b in index:
-                continue
-            start = index[b] = len(points)
-            points.append(b)
-            for point in itertools.islice(points, start, None):
-                for a, image in zip(actions, images):
-                    y = a.apply(point)
-                    j = index.get(y)
-                    if j is None:
-                        if len(points) - start == group.order:
-                            raise _not_extending()
-                        j = index[y] = len(points)
-                        points.append(y)
-                    image.append(j)
-        gens = [tuple(image) for image in images]
-        perms = [tuple(range(len(points)))] + [None] * (group.order - 1)
-        # Breadth-first order: an element's tree edge comes from an earlier
-        # element, so perms[e] is set by the time the walk reaches e.
-        for p, children in zip(perms, group.cayley):
-            for child, pi in zip(children, gens):
-                q = tuple(map(p.__getitem__, pi))  # pi(e) o pi_i
-                known = perms[child]
+            self._finite[offset] = cached = (basis, (identity,) * group.order)
+            return cached[1]
+        points, index = list(basis), {b: j for j, b in enumerate(basis)}
+        images = [_Image(a, points, index) for a in actions]
+        entries = [identity] + [None] * (group.order - 1)
+        lefts, queue = _left_products(group.cayley), [0]
+        for e in queue:  # grows as the walk reaches new elements
+            entry = entries[e]
+            for left, image in zip(lefts, images):
+                child, got = left[e], tuple(map(image.__getitem__, entry))
+                known = entries[child]
                 if known is None:
-                    perms[child] = q
-                elif known != q:
+                    entries[child] = got
+                    queue.append(child)
+                elif known != got:
                     raise _not_extending()
-        self._finite[offset] = cached = (tuple(points), tuple(index[b] for b in basis), tuple(perms))
-        return cached[2]
+        self._finite[offset] = cached = (tuple(points), tuple(entries))
+        return cached[1]
 
     def finite_table(self, group: FiniteGroupDesc, offset: int = 0) -> tuple:
         """theta(q) for every element q of the finite factor ``group`` at
         ``offset``, in ``elements`` order, not cached: theta(q) sends
-        basis element j to the point of Omega at position pi(q)(b_j),
-        b_j being the basis element's own position, so it is read off
-        with no product."""
-        self.finite_perms(group, offset)
-        points, basis, perms = self._finite[offset]
+        basis element j to the point of Omega at position
+        ``finite_images(...)[q][j]``, so it is read off with no product."""
+        entries = self.finite_images(group, offset)
+        points = self._finite[offset][0]
         if isinstance(self.identity, IntMatrix):
-            return tuple(IntMatrix._trusted(tuple(zip(*[points[p[b]] for b in basis]))) for p in perms)
-        return tuple(FreeAut._trusted(self.identity.rank, tuple(points[p[b]] for b in basis)) for p in perms)
+            return tuple(IntMatrix._trusted(tuple(zip(*map(points.__getitem__, e)))) for e in entries)
+        return tuple(FreeAut._trusted(self.identity.rank, tuple(map(points.__getitem__, e))) for e in entries)
+
+
+class _Image(dict):
+    """One generator action on Omega: the position of its image of the
+    point at each position, applied on the first lookup of that
+    position, and the image appended to ``points`` if new."""
+
+    __slots__ = ("apply", "points", "index")
+
+    def __init__(self, action, points: list, index: dict):
+        super().__init__()
+        self.apply, self.points, self.index = action.apply, points, index
+
+    def __missing__(self, x: int) -> int:
+        y = self.apply(self.points[x])
+        j = self[x] = self.index.setdefault(y, len(self.points))
+        if j == len(self.points):
+            self.points.append(y)
+        return j
+
+
+def _left_products(cayley) -> list:
+    """Per generator g_i, the list of the indices of g_i e over the
+    elements e, read off the right Cayley graph ``cayley``: g_i (e g_j)
+    = (g_i e) g_j, and in breadth-first order every element after the
+    identity is a child of an earlier one."""
+    lefts = []
+    for g in cayley[0]:
+        left = [g] + [0] * (len(cayley) - 1)
+        for e, children in enumerate(cayley):
+            for child, product in zip(children, cayley[left[e]]):
+                left[child] = product
+        lefts.append(left)
+    return lefts
 
 
 def _not_extending() -> ExtensionValidationError:
@@ -242,9 +267,9 @@ def _normalize_quotient(q: GroupDesc) -> GroupDesc:
 def _validate_relations(quotient, theta: Theta, offset: int = 0):
     """Check that generator images satisfy the quotient's relations.
 
-    Finite quotients: ``theta``'s permutations of Omega are built and
-    checked on every edge of the Cayley graph in one walk
-    (:meth:`Theta.finite_perms`).
+    Finite quotients: ``theta``'s images of the basis on Omega are built
+    and checked on every edge of the Cayley graph in one walk
+    (:meth:`Theta.finite_images`).
     Abelian quotients: images commute and torsion generators have the
     divisor's order.  Products additionally need cross-factor
     commutation; free factors impose nothing.  Generator i is
@@ -252,7 +277,7 @@ def _validate_relations(quotient, theta: Theta, offset: int = 0):
     """
     actions = theta.actions[offset:offset + generator_count(quotient)]
     if isinstance(quotient, FiniteGroupDesc):
-        theta.finite_perms(quotient, offset)
+        theta.finite_images(quotient, offset)
     elif isinstance(quotient, FgAbelianDesc):
         for a, b in itertools.combinations(actions, 2):
             if a @ b != b @ a:

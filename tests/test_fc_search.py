@@ -142,9 +142,10 @@ class TestEvaluate:
                     theta.finite_table(group)
 
     def test_validation_and_search_build_no_action(self, monkeypatch):
-        """Validation checks S4's permutations of Omega with no product of
-        matrices, and the FC search compares permutations: it makes no
-        product, reads no table and builds no matrix."""
+        """Validation checks S4's images of the basis on Omega with no
+        product of matrices, and the FC search compares those images: it
+        makes no product, reads no table and builds no matrix.  The whole
+        analysis still makes fewer products than S4 has elements."""
         actions = [perm_matrix(g) for g in S4.generators]
         products = count_calls(monkeypatch, IntMatrix, "__matmul__")
         spec = make_extension(FgAbelianDesc(4), S4, actions)
@@ -153,6 +154,8 @@ class TestEvaluate:
         built = count_calls(monkeypatch, IntMatrix, "_trusted")
         assert theta_fc_injective(S4, spec.theta, AnalyzerLimits()) is None  # S4 acts faithfully
         assert products == tables == built == []
+        assert analyze(spec).verdict == "not_icc"
+        assert len(products) < S4.order
 
 
 class TestThetaAlgebra:
@@ -408,12 +411,13 @@ def walk_applies(monkeypatch, quotient, kernel, actions):
 
 
 class TestOmegaWalk:
-    """CATALOG_AXIOMS §15: validation through the permutations of Omega
-    accepts exactly what word-by-word composition accepts, on every
+    """CATALOG_AXIOMS §15: validation through the images of the basis on
+    Omega accepts exactly what word-by-word composition accepts, on every
     finite-quotient family of the corpora and on perturbations of them;
-    theta(q) is the identity iff pi(q) is; every table entry read off
-    Omega is the composed action; and each generator's action is applied
-    at most rank * |Q| times."""
+    theta(q) is the identity iff its images of the basis are the
+    identity's; every table entry read off Omega is the composed action;
+    each generator's action is applied at most rank * |Q| times; and a
+    relation that fails stops the walk before it meets longer words."""
 
     @pytest.mark.parametrize("family,kind", [(lattice_family, k) for k in LATTICE_KINDS]
                              + [(perm_free_family, k) for k in PERM_FREE_KINDS],
@@ -434,18 +438,18 @@ class TestOmegaWalk:
                 assert got == NOT_EXTENDING
             else:
                 table = tuple(compose_word(w, actions, identity) for w in quotient.element_words)
-                identity_perm, *perms = got.theta.finite_perms(quotient)
+                identity_entry, *entries = got.theta.finite_images(quotient)
                 assert got.theta.finite_table(quotient) == table
-                assert [p == identity_perm for p in perms] == [a.is_identity for a in table[1:]]
+                assert [e == identity_entry for e in entries] == [a.is_identity for a in table[1:]]
             outcomes.add(bool(failures))
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("case", ("c3000-hyperbolic", "c4xc6-sl2"))
-    def test_infinite_images_are_rejected_by_the_orbit_bound(self, case, monkeypatch):
+    def test_infinite_images_are_rejected(self, case, monkeypatch):
         """C_3000 acting by [[2,1],[1,1]], and C_4 x C_6 =
         perm((1 2 3 4); (5 6 7 8 9 10)) by the order-4 and order-6
-        generators of SL(2,Z), whose images are infinite: an orbit
-        outgrows |Q| and the walk stops there."""
+        generators of SL(2,Z), whose images are infinite: an edge that
+        closes a relation differs from the entry already on its end."""
         if case == "c3000-hyperbolic":
             quotient = FiniteGroupDesc.from_generators(3000, [tuple(range(1, 3000)) + (0,)])
             actions = (IntMatrix.from_rows([[2, 1], [1, 1]]),)
@@ -456,6 +460,39 @@ class TestOmegaWalk:
         got, applies = walk_applies(monkeypatch, quotient, FgAbelianDesc(2), list(actions))
         assert got == NOT_EXTENDING
         assert applies <= 2 * quotient.order
+
+    @pytest.mark.parametrize("n", (5, 7))
+    @pytest.mark.parametrize("acting", ("transposition", "cycle"))
+    def test_growing_images_stop_at_the_first_failed_relation(self, n, acting, monkeypatch):
+        """S_n = perm((1 2); (1 2 ... n)) on free(a, b), one generator
+        acting by the Fibonacci automorphism a -> a b, b -> a and the
+        other trivially.  Its powers' images grow like Fibonacci numbers,
+        so a walk that met a word's image for every word up to the
+        Cayley graph's depth (11 for S_5, 25 for S_7) would not finish.
+        The walk meets theta(w)(x) only for words w no longer than the
+        relation that fails, s^2 = 1 or t^n = 1, so no image it applies
+        or makes has more than F(m + 2) letters, m being that relation's
+        length."""
+        quotient = FiniteGroupDesc.from_generators(n, [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)])
+        fibonacci, trivial = FreeAut(2, ((1, 2), (1,))), FreeAut.identity(2)
+        actions = [fibonacci, trivial] if acting == "transposition" else [trivial, fibonacci]
+        letters = []
+        apply = FreeAut.apply
+
+        def measured(self, w):
+            image = apply(self, w)
+            letters.append(len(image))
+            return image
+
+        monkeypatch.setattr(FreeAut, "apply", measured)
+        with pytest.raises(ExtensionValidationError, match=f"^{NOT_EXTENDING}$"):
+            make_extension(FreeDesc(2), quotient, actions)
+        m = 2 if acting == "transposition" else n
+        fib = [0, 1]
+        while len(fib) < m + 3:
+            fib.append(fib[-1] + fib[-2])
+        assert 0 < len(letters) <= 2 * quotient.order
+        assert max(letters) <= fib[m + 2]
 
 
 class TestFiniteOrderInnerIsIdentity:
